@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 
@@ -123,21 +122,3 @@ def trim(matrix: CountMatrix) -> tuple[CountMatrix, TrimReport]:
         counts = counts[np.ix_(row_ok, col_ok)]
     trimmed = CountMatrix(tuple(doc_ids), tuple(labels), counts)
     return trimmed, TrimReport(tuple(dropped_docs), tuple(dropped_feats))
-
-
-def export_triplets_csv(matrix: CountMatrix, path) -> None:
-    """Sparse triplet export: doc_id,feature,count for nonzero entries."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doc_id", "feature", "count"])
-        rows, cols = np.nonzero(matrix.counts)
-        for i, j in zip(rows, cols):
-            writer.writerow([matrix.doc_ids[i], matrix.feature_labels[j], int(matrix.counts[i, j])])
-
-
-def export_dense_csv(matrix: CountMatrix, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doc_id", *matrix.feature_labels])
-        for i, doc_id in enumerate(matrix.doc_ids):
-            writer.writerow([doc_id, *matrix.counts[i].tolist()])

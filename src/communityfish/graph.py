@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -23,13 +24,18 @@ class WordGraph:
     # adjacency[i] maps neighbor index -> edge weight; symmetric, no self loops
     adjacency: tuple[Mapping[int, float], ...]
 
-    @property
+    @cached_property
     def node_index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.nodes)}
 
-    @property
+    @cached_property
     def strengths(self) -> np.ndarray:
         return np.array([sum(nbrs.values()) for nbrs in self.adjacency])
+
+    @cached_property
+    def _level(self) -> "_LevelGraph":
+        """This graph as the first level of the Louvain passes (no self loops)."""
+        return _LevelGraph(self.adjacency, [0.0] * len(self.nodes))
 
     @property
     def total_weight(self) -> float:
@@ -61,7 +67,7 @@ class Partition:
 def build_graph(counts: BigramCounts) -> WordGraph:
     """One node per word in a retained pair; edge weight = pair count."""
     if not counts.pairs:
-        raise GraphError("empty graph: no bigrams survive the threshold")
+        raise GraphError("empty graph: no bigrams survive threshold")
     words = sorted({w for pair in counts.pairs for w in pair})
     index = {w: i for i, w in enumerate(words)}
     adjacency: list[dict[int, float]] = [dict() for _ in words]
@@ -81,34 +87,22 @@ def modularity(graph: WordGraph, partition: Partition) -> float:
     m = graph.total_weight
     if m == 0:
         raise GraphError("modularity undefined for a graph with no edges")
-    index = graph.node_index
-    strengths = graph.strengths
-    cids = sorted(set(partition.assignment.values()))
-    sigma_in = {c: 0.0 for c in cids}
-    sigma_tot = {c: 0.0 for c in cids}
-    node_cid = {index[w]: c for w, c in partition.assignment.items()}
-    for i, nbrs in enumerate(graph.adjacency):
-        ci = node_cid[i]
-        sigma_tot[ci] += strengths[i]
-        for j, w in nbrs.items():
-            if node_cid[j] == ci:
-                sigma_in[ci] += w
-    q = 0.0
-    for c in cids:
-        q += sigma_in[c] / (2.0 * m) - (sigma_tot[c] / (2.0 * m)) ** 2
-    return q
+    labels = {c: k for k, c in enumerate(sorted(set(partition.assignment.values())))}
+    comm = [labels[partition.assignment[w]] for w in graph.nodes]
+    return _level_modularity(graph._level, comm, m)
 
 
 class _LevelGraph:
-    """Mutable multigraph used internally by the Louvain passes.
+    """Multigraph used internally by the Louvain passes.
 
     Self-loop weights hold intra-community weight after aggregation; node
-    strength counts a self loop twice.
+    strength counts a self loop twice. The passes only read a level; each
+    aggregation builds a new one.
     """
 
     def __init__(self, adjacency, self_loops):
-        self.adjacency = [dict(nbrs) for nbrs in adjacency]
-        self.self_loops = list(self_loops)
+        self.adjacency = adjacency
+        self.self_loops = self_loops
         self.strength = [
             sum(nbrs.values()) + 2.0 * s
             for nbrs, s in zip(self.adjacency, self.self_loops)
@@ -210,7 +204,7 @@ def _louvain_assignment(graph: WordGraph, seed: int, q_tol: float = 1e-12) -> li
     if m == 0:
         raise GraphError("louvain requires a graph with at least one edge")
     rng = np.random.default_rng(seed)
-    level = _LevelGraph(graph.adjacency, [0.0] * len(graph))
+    level = graph._level
     node_comm = list(range(len(graph)))  # original node -> current top community
     prev_q = _level_modularity(level, list(range(len(level))), m)
     while True:
@@ -249,7 +243,7 @@ def louvain(
 
 def _best_louvain_assignment(graph: WordGraph, seed: int, restarts: int) -> list[int]:
     m = graph.total_weight
-    level = _LevelGraph(graph.adjacency, [0.0] * len(graph))
+    level = graph._level
     best_comm, best_q = None, -np.inf
     for sub_seed in np.random.SeedSequence(seed).generate_state(max(restarts, 1)):
         comm = _louvain_assignment(graph, int(sub_seed))
@@ -275,7 +269,7 @@ def leiden(
         raise GraphError("leiden requires a graph with at least one edge")
     comm = _best_louvain_assignment(graph, seed, restarts)
     rng = np.random.default_rng(seed + 1)
-    level = _LevelGraph(graph.adjacency, [0.0] * len(graph))
+    level = graph._level
     for _ in range(10):
         refined = _split_disconnected(graph, comm)
         if refined == comm:
@@ -372,13 +366,3 @@ def export_partition_csv(partition: Partition, path) -> None:
         for cid, words in partition.members.items():
             for w in words:
                 writer.writerow([cid, w])
-
-
-def export_edge_list_csv(graph: WordGraph, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["word_a", "word_b", "weight"])
-        for i, nbrs in enumerate(graph.adjacency):
-            for j, w in sorted(nbrs.items()):
-                if i < j:
-                    writer.writerow([graph.nodes[i], graph.nodes[j], int(w)])

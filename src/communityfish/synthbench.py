@@ -1,18 +1,24 @@
-"""Generative simulation harness: planted-truth matrices and corpora,
-recovery metrics, and the community-vs-unigram model comparison."""
+"""Generative simulation harness: planted-truth count matrices and corpora,
+and recovery metrics against the planted positions. The community-vs-unigram
+comparison is ``communityfish.cli.compare_models``."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
 
-from .corpus import Corpus, Document, count_bigrams, filter_bigrams
-from .features import community_dtm, unigram_dtm, CountMatrix
-from .graph import build_graph, louvain
-from .scaling import FitConfig, ScalingError, ScalingResult, dispersion, fit
+from .corpus import Corpus, Document
+from .features import CountMatrix
+from .scaling import ScalingResult
+
+# Unused here. perfbench/child.py wraps these seven stage functions by name on
+# this module as well as on communityfish.cli, so the names must resolve.
+from .corpus import count_bigrams, filter_bigrams  # noqa: F401
+from .features import community_dtm, unigram_dtm  # noqa: F401
+from .graph import build_graph, louvain  # noqa: F401
+from .scaling import fit  # noqa: F401
 
 
 class SynthError(ValueError):
@@ -185,93 +191,3 @@ def recovery_report(theta_star: np.ndarray, result: ScalingResult) -> dict:
         )
         report["ci_coverage"] = float(np.mean(covered))
     return report
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    k_community_features: int | None
-    vocabulary_size: int | None
-    runtime_community: float | None
-    runtime_unigram: float | None
-    rank_correlation: float | None
-    dispersion_community: float | None
-    dispersion_unigram: float | None
-    community_result: ScalingResult | None
-    unigram_result: ScalingResult | None
-    errors: dict = field(default_factory=dict)
-
-
-def run_community_pipeline(
-    corpus: Corpus,
-    bigram_threshold: int,
-    config: FitConfig,
-    min_community_size: int = 2,
-    strict_greater: bool = False,
-    bigram_match: bool = False,
-):
-    """Full community branch: bigram graph -> clustering -> DTM -> fit."""
-    counts = filter_bigrams(count_bigrams(corpus), bigram_threshold, strict_greater)
-    graph = build_graph(counts)
-    partition = louvain(graph, seed=config.seed, min_community_size=min_community_size)
-    matrix, trim_report = community_dtm(corpus, partition, bigram_match=bigram_match)
-    result = fit(matrix, config)
-    return result, partition, trim_report
-
-
-def compare_models(
-    corpus: Corpus,
-    bigram_threshold: int,
-    config: FitConfig,
-    unigram_min_count: int = 1,
-    min_community_size: int = 2,
-) -> ComparisonReport:
-    """Fit the community-feature model and the unigram baseline on the same
-    corpus; one branch failing still reports the other."""
-    if len(corpus) == 0:
-        raise SynthError("empty corpus")
-    errors: dict = {}
-    com_result = uni_result = None
-    k = vocab = None
-    rt_com = rt_uni = None
-    try:
-        t0 = time.perf_counter()
-        com_result, partition, _ = run_community_pipeline(
-            corpus, bigram_threshold, config, min_community_size
-        )
-        rt_com = time.perf_counter() - t0
-        k = com_result.matrix.shape[1]
-    except (ValueError, ScalingError) as exc:
-        errors["community"] = str(exc)
-    try:
-        t0 = time.perf_counter()
-        uni_matrix, _ = unigram_dtm(corpus, min_count=unigram_min_count)
-        uni_result = fit(uni_matrix, config)
-        rt_uni = time.perf_counter() - t0
-        vocab = uni_matrix.shape[1]
-    except (ValueError, ScalingError) as exc:
-        errors["unigram"] = str(exc)
-    rank_corr = None
-    if com_result is not None and uni_result is not None:
-        common = [d for d in com_result.matrix.doc_ids if d in set(uni_result.matrix.doc_ids)]
-        if len(common) >= 3:
-            ci = {d: i for i, d in enumerate(com_result.matrix.doc_ids)}
-            ui = {d: i for i, d in enumerate(uni_result.matrix.doc_ids)}
-            tc = np.array([com_result.params.theta[ci[d]] for d in common])
-            tu = np.array([uni_result.params.theta[ui[d]] for d in common])
-            rank_corr = float(stats.spearmanr(tc, tu).statistic)
-    return ComparisonReport(
-        k_community_features=k,
-        vocabulary_size=vocab,
-        runtime_community=rt_com,
-        runtime_unigram=rt_uni,
-        rank_correlation=rank_corr,
-        dispersion_community=(
-            dispersion(com_result.matrix, com_result.params) if com_result else None
-        ),
-        dispersion_unigram=(
-            dispersion(uni_result.matrix, uni_result.params) if uni_result else None
-        ),
-        community_result=com_result,
-        unigram_result=uni_result,
-        errors=errors,
-    )

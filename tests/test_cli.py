@@ -53,6 +53,15 @@ class TestRunConfig:
         with pytest.raises(CliError):
             RunConfig.from_file(tmp_path / "nope.cfg")
 
+    def test_bad_value_exits_1_with_location(self, corpus_file, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"input = {corpus_file}\nmax_iter = ten\n")
+        rc = main(["scale", "--config", str(p), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}:2: ") and "'ten'" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestCommunities:
     def test_writes_outputs(self, corpus_file, tmp_path):
@@ -122,6 +131,18 @@ class TestScale:
         assert all(float(r["ci_low"]) < float(r["theta"]) < float(r["ci_high"])
                    for r in rows)
 
+    def test_analytic_se_without_bootstrap(self, corpus_file, tmp_path):
+        rc = main(["scale", *base_args(corpus_file, tmp_path, "anb"),
+                   "--se", "analytic", "--no-bootstrap"])
+        assert rc == 0
+        rows = list(csv.DictReader(open(tmp_path / "anb" / "positions.csv")))
+        for r in rows:
+            se, lo, hi = (float(r[k]) for k in ("se", "ci_low", "ci_high"))
+            assert np.isfinite([se, lo, hi]).all() and se > 0
+            assert lo < float(r["theta"]) < hi
+        manifest = json.load(open(tmp_path / "anb" / "manifest.json"))
+        assert manifest["config"]["bootstrap_b"] == 0
+
     def test_missing_config_exit_1(self, tmp_path, capsys):
         rc = main(["scale", "--config", str(tmp_path / "nope.cfg"), "--quiet"])
         assert rc == 1
@@ -136,6 +157,18 @@ class TestCompare:
         assert {"doc_id", "theta_community", "theta_unigram"} <= set(rows[0])
         report = json.load(open(tmp_path / "cmp" / "report.json"))
         assert report["k_community_features"] < report["vocabulary_size"]
+
+    def test_honours_dtm(self, corpus_file, tmp_path):
+        columns = {}
+        for dtm in ("member-count", "bigram-match"):
+            cfg = tmp_path / f"{dtm}.cfg"
+            cfg.write_text(f"input = {corpus_file}\nmin_bigram_count = 30\ndtm = {dtm}\n")
+            rc = main(["compare", "--config", str(cfg), "--out", str(tmp_path / dtm),
+                       "--quiet"])
+            assert rc == 0
+            rows = csv.DictReader(open(tmp_path / dtm / "comparison.csv"))
+            columns[dtm] = [r["theta_community"] for r in rows]
+        assert columns["member-count"] != columns["bigram-match"]
 
 
 class TestSimulate:
@@ -158,3 +191,13 @@ class TestSimulate:
         spec.write_text("whatever = 1\n")
         rc = main(["simulate", str(spec), "--out", str(tmp_path / "x"), "--quiet"])
         assert rc == 1
+
+    @pytest.mark.parametrize("line", ["n_docs = x", "n_docs"])
+    def test_bad_spec_line_exits_1_with_location(self, tmp_path, capsys, line):
+        spec = tmp_path / "sim.cfg"
+        spec.write_text(f"seed = 3\n{line}\n")
+        rc = main(["simulate", str(spec), "--out", str(tmp_path / "x"), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}:2: ")
+        assert len(err.strip().splitlines()) == 1

@@ -6,8 +6,6 @@ from communityfish.features import (
     CountMatrix,
     MatrixError,
     community_dtm,
-    export_dense_csv,
-    export_triplets_csv,
     trim,
     unigram_dtm,
 )
@@ -138,12 +136,3 @@ def test_community_dtm_has_fewer_columns_than_unigram():
     com, _ = community_dtm(corpus, part)
     uni, _ = unigram_dtm(corpus)
     assert com.shape[1] < uni.shape[1]
-
-
-def test_exports(tmp_path):
-    matrix = CountMatrix(("d0", "d1"), ("f0", "f1"), np.array([[1, 0], [2, 3]]))
-    export_triplets_csv(matrix, tmp_path / "t.csv")
-    lines = (tmp_path / "t.csv").read_text().splitlines()
-    assert lines == ["doc_id,feature,count", "d0,f0,1", "d1,f0,2", "d1,f1,3"]
-    export_dense_csv(matrix, tmp_path / "d.csv")
-    assert (tmp_path / "d.csv").read_text().splitlines()[1] == "d0,1,0"

@@ -8,7 +8,6 @@ from communityfish.graph import (
     Partition,
     brute_force_best_partition,
     build_graph,
-    export_edge_list_csv,
     export_partition_csv,
     leiden,
     louvain,
@@ -218,8 +217,3 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "community_id,word"
         assert len(lines) == 7
-
-    def test_edge_list_csv(self, tmp_path):
-        path = tmp_path / "edges.csv"
-        export_edge_list_csv(SINGLE_EDGE, path)
-        assert path.read_text().splitlines() == ["word_a,word_b,weight", "a,b,1"]

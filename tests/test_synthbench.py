@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from communityfish.cli import RunConfig, compare_models, run_pipeline
 from communityfish.graph import build_graph, louvain
 from communityfish.corpus import count_bigrams, filter_bigrams
 from communityfish.scaling import FitConfig, bootstrap, fit
@@ -10,11 +11,9 @@ from communityfish.synthbench import (
     PlantedCorpusSpec,
     SynthError,
     SyntheticSpec,
-    compare_models,
     generate_corpus,
     generate_matrix,
     recovery_report,
-    run_community_pipeline,
 )
 
 COM_A = tuple(f"alpha{i}" for i in range(6))
@@ -91,7 +90,7 @@ class TestGenerateCorpus:
             seed=2,
         )
         corpus, spec = generate_corpus(spec)
-        result, partition, _ = run_community_pipeline(corpus, 30, FitConfig(seed=2))
+        result = run_pipeline(corpus, RunConfig(min_bigram_count=30, seed=2)).result
         labels = result.matrix.feature_labels
         shared_j = next(j for j, l in enumerate(labels) if "shared" in l)
         others = [j for j in range(len(labels)) if j != shared_j]
