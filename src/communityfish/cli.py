@@ -79,8 +79,12 @@ def read_key_values(path: Path, cls, kind: str):
         raise CliError(f"{kind} file not found: {path}", EXIT_CONFIG)
     defaults = cls()
     names = {f.name for f in dataclasses.fields(cls)}
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise CliError(f"{path}: not UTF-8 text", EXIT_CONFIG) from None
     values = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -437,6 +441,8 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "matrix_shape": list(matrix.shape),
         "dropped_documents": list(run.trim_report.dropped_doc_ids),
         "bootstrap_failures": result.bootstrap_failures,
+        "newton_steps": result.newton_steps,
+        "line_search_halvings": result.line_search_halvings,
         "baseline": bool(args.baseline),
     }
     (out / "fit_report.json").write_text(json.dumps(report, indent=2))

@@ -62,10 +62,15 @@ class ScalingResult:
     theta_ci_low: np.ndarray | None = None
     theta_ci_high: np.ndarray | None = None
     bootstrap_failures: int = 0
+    # inner Newton steps and row step halvings, summed over both blocks of
+    # every outer iteration
+    newton_steps: int = 0
+    line_search_halvings: int = 0
 
 
-def _clamped_mu(eta: np.ndarray, clamp: float) -> np.ndarray:
-    return np.exp(np.clip(eta, -clamp, clamp))
+def _clamped_mu(eta: np.ndarray, clamp: float, out: np.ndarray | None = None) -> np.ndarray:
+    mu = np.clip(eta, -clamp, clamp, out=out)
+    return np.exp(mu, out=mu)
 
 
 def _eta(params: ScalingParams) -> np.ndarray:
@@ -119,27 +124,50 @@ def initialize(matrix: CountMatrix) -> ScalingParams:
     return ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta)
 
 
-def _row_ll(y, eta, clamp):
-    return np.sum(y * eta - _clamped_mu(eta, clamp), axis=1)
+def _predictor(a, offset, b, slope):
+    """eta_ij = a_i + offset_j + b_i * slope_j, built with the longer axis
+    contiguous: numpy's broadcast loops run fastest along long rows."""
+    if offset.size >= a.size:
+        return a[:, None] + offset[None, :] + b[:, None] * slope[None, :]
+    return (a[None, :] + offset[:, None] + b[None, :] * slope[:, None]).T
 
 
 def _newton_block(y, offset, slope, a, b, clamp, max_inner=40, gtol=1e-10):
     """Maximize sum_j y_ij*eta - exp(eta) over (a_i, b_i) for every row i,
     with eta_ij = a_i + offset_j + b_i * slope_j. Rows are independent and
     each row problem is concave; damped Newton with per-row backtracking.
-    Returns the updated (a, b)."""
+
+    The gradient, the Hessian and the row log likelihood depend on the counts
+    only through y @ (1, offset, slope) and on the rates only through
+    mu @ (1, slope, slope^2), so each trial step costs one exp over the rows
+    it covers and one product, and those sums of the accepted point carry
+    over to the next step. A row accepts a trial step when its log
+    likelihood drops by no more than a relative 1e-12 (float noise on sums
+    of 1e3-1e5); only rows still failing are re-evaluated at half the step,
+    and a row failing all 30 trials keeps its point and takes no further
+    step (the same step would fail again).
+
+    Returns the updated (a, b), the number of Newton steps taken and the
+    number of row step halvings."""
     a = a.copy()
     b = b.copy()
-    slope2 = slope**2
+    ysum, yoff, yslope = (y @ np.column_stack([np.ones_like(offset), offset, slope])).T
+    weights = np.column_stack([np.ones_like(slope), slope, slope**2])
+
+    def evaluate(a, b, rows):
+        """Rate sums (h11, h12, h22) and log likelihood of the given rows,
+        whose parameters are (a, b)."""
+        mu = _predictor(a, offset, b, slope)
+        h = _clamped_mu(mu, clamp, out=mu) @ weights
+        return h, a * ysum[rows] + yoff[rows] + b * yslope[rows] - h[:, 0]
+
+    h, ll = evaluate(a, b, slice(None))
+    stuck = np.zeros(a.shape, dtype=bool)
+    steps = halvings = 0
     for _ in range(max_inner):
-        eta = a[:, None] + offset[None, :] + b[:, None] * slope[None, :]
-        mu = _clamped_mu(eta, clamp)
-        r = y - mu
-        g1 = r.sum(axis=1)
-        g2 = r @ slope
-        h11 = mu.sum(axis=1)
-        h12 = mu @ slope
-        h22 = mu @ slope2
+        h11, h12, h22 = h.T
+        g1 = ysum - h11
+        g2 = yslope - h12
         det = h11 * h22 - h12**2
         # fall back to an alpha-only step where the block is singular
         # (e.g. all slopes ~ 0)
@@ -148,22 +176,29 @@ def _newton_block(y, offset, slope, a, b, clamp, max_inner=40, gtol=1e-10):
         da = np.where(singular, g1 / np.maximum(h11, 1e-300), (h22 * g1 - h12 * g2) / det_safe)
         db = np.where(singular, 0.0, (h11 * g2 - h12 * g1) / det_safe)
         gnorm = np.maximum(np.abs(g1), np.abs(g2))
-        active = gnorm > gtol * (1.0 + h11)
+        active = (gnorm > gtol * (1.0 + h11)) & ~stuck
         if not active.any():
             break
-        ll_old = _row_ll(y, eta, clamp)
-        step = np.where(active, 1.0, 0.0)
-        for _ in range(30):
-            a_new = a + step * da
-            b_new = b + step * db
-            eta_new = a_new[:, None] + offset[None, :] + b_new[:, None] * slope[None, :]
-            ll_new = _row_ll(y, eta_new, clamp)
-            worse = active & (ll_new < ll_old - 1e-12)
-            if not worse.any():
+        steps += 1
+        rows = np.flatnonzero(active)
+        step = 1.0
+        for trial in range(30):
+            if trial:
+                step /= 2.0
+                halvings += rows.size
+            a_try = a[rows] + step * da[rows]
+            b_try = b[rows] + step * db[rows]
+            h_try, ll_try = evaluate(a_try, b_try, rows)
+            ll_old = ll[rows]
+            ok = ll_try >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
+            done = rows[ok]
+            a[done], b[done], h[done], ll[done] = a_try[ok], b_try[ok], h_try[ok], ll_try[ok]
+            rows = rows[~ok]
+            if not rows.size:
                 break
-            step = np.where(worse, step / 2.0, step)
-        a, b = a_new, b_new
-    return a, b
+        else:
+            stuck[rows] = True
+    return a, b, steps, halvings
 
 
 def _standardize(params: ScalingParams) -> ScalingParams:
@@ -196,6 +231,10 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     clamp = config.linear_predictor_clamp
     params = _standardize(start if start is not None else initialize(matrix))
     doc_index = {d: i for i, d in enumerate(matrix.doc_ids)}
+    for anchor in (config.anchor_low, config.anchor_high):
+        if anchor and anchor not in doc_index:
+            raise ScalingError(f"anchor document {anchor!r} is not in the matrix "
+                               "(unknown id, or dropped by trimming)")
     lo = doc_index[config.anchor_low] if config.anchor_low else 0
     hi = doc_index[config.anchor_high] if config.anchor_high else n - 1
     if lo == hi:
@@ -203,19 +242,22 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
 
     trace = [log_likelihood(matrix, params, clamp)]
     converged = False
+    steps = halvings = 0
     for _ in range(config.max_iter):
         ll_prev = trace[-1]
         # document half-step: (alpha_i, theta_i) given (psi, beta)
-        alpha, theta = _newton_block(
+        alpha, theta, s, h = _newton_block(
             y, params.psi, params.beta, params.alpha, params.theta, clamp
         )
+        steps, halvings = steps + s, halvings + h
         params = replace(params, alpha=alpha, theta=theta)
         if config.debug_ascent:
             _check_ascent(matrix, params, ll_prev, clamp)
         # feature half-step: (psi_j, beta_j) given (alpha, theta)
-        psi, beta = _newton_block(
+        psi, beta, s, h = _newton_block(
             y.T, params.alpha, params.theta, params.psi, params.beta, clamp
         )
+        steps, halvings = steps + s, halvings + h
         params = replace(params, psi=psi, beta=beta)
         params = _standardize(params)
         ll = log_likelihood(matrix, params, clamp)
@@ -240,6 +282,8 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         converged=converged,
         runtime=time.perf_counter() - t0,
         clamp_activated=clamped,
+        newton_steps=steps,
+        line_search_halvings=halvings,
     )
 
 
@@ -274,7 +318,10 @@ def bootstrap(
     Simulates B count matrices from the fitted rates, refits each replicate
     warm-started from the fitted parameters, sign-aligns every replicate's
     theta to the point estimate, and reports the empirical standard
-    deviation and the 2.5/97.5 percentile interval per document.
+    deviation and the 2.5/97.5 percentile interval per document. A
+    replicate with an all-zero row or column, or whose refit does not
+    converge within ``max_iter``, counts in ``bootstrap_failures`` instead;
+    more than 20% failures is an error.
     """
     if B < 1:
         raise ScalingError("need at least one bootstrap replicate")
@@ -298,6 +345,8 @@ def bootstrap(
                     config,
                     start=result.params,
                 )
+                if not rep.converged:
+                    raise ScalingError("replicate did not converge")
                 theta_b = rep.params.theta
                 if np.corrcoef(theta_b, theta_hat)[0, 1] < 0:
                     theta_b = -theta_b

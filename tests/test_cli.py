@@ -54,13 +54,16 @@ class TestRunConfig:
             RunConfig.from_file(tmp_path / "nope.cfg")
 
     def test_bad_value_exits_1_with_location(self, corpus_file, tmp_path, capsys):
-        p = tmp_path / "run.cfg"
-        p.write_text(f"input = {corpus_file}\nmax_iter = ten\n")
-        rc = main(["scale", "--config", str(p), "--out", str(tmp_path / "o"), "--quiet"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {p}:2: ") and "'ten'" in err
-        assert len(err.strip().splitlines()) == 1
+        for body, message in ((b"max_iter = ten\n", ":2: config key 'max_iter'"),
+                              (b"anchor_low = \xff\xfe\n", ": not UTF-8 text")):
+            p = tmp_path / "run.cfg"
+            p.write_bytes(f"input = {corpus_file}\n".encode() + body)
+            rc = main(["scale", "--config", str(p), "--out", str(tmp_path / "o"),
+                       "--quiet"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {p}{message}")
+            assert len(err.strip().splitlines()) == 1
 
 
 class TestCommunities:
@@ -142,6 +145,21 @@ class TestScale:
             assert lo < float(r["theta"]) < hi
         manifest = json.load(open(tmp_path / "anb" / "manifest.json"))
         assert manifest["config"]["bootstrap_b"] == 0
+
+    @pytest.mark.parametrize("anchor", ["nosuchdoc", "empty"])
+    def test_unknown_anchor_exit_3(self, corpus_file, tmp_path, capsys, anchor):
+        # "empty" is a document that trimming drops from the matrix
+        with open(corpus_file, "a") as fh:
+            fh.write(json.dumps({"id": "empty", "text": "zzz"}) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {corpus_file}\nmin_bigram_count = 30\n"
+                       f"anchor_low = {anchor}\n")
+        rc = main(["scale", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--no-bootstrap", "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: anchor document") and repr(anchor) in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_missing_config_exit_1(self, tmp_path, capsys):
         rc = main(["scale", "--config", str(tmp_path / "nope.cfg"), "--quiet"])

@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from communityfish.features import CountMatrix
 from communityfish.scaling import (
     FitConfig,
     ScalingError,
     ScalingParams,
+    _newton_block,
     analytic_theta_se,
     bootstrap,
     dispersion,
@@ -151,6 +153,53 @@ class TestFit:
         assert result.converged is False
 
 
+class TestLineSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        k=st.integers(2, 30),
+        scales=st.lists(st.sampled_from([0.3, 5.0, 3000.0]), min_size=8, max_size=8),
+    )
+    def test_no_row_loses_likelihood(self, seed, n, k, scales):
+        rng = np.random.default_rng(seed)
+        rates = np.array(scales[:n])[:, None] * rng.gamma(2.0, 0.5, size=(n, k))
+        y = rng.poisson(rates).astype(float)
+        offset, slope = rng.normal(size=k), rng.normal(size=k)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+
+        def row_ll(a, b):
+            eta = a[:, None] + offset[None, :] + b[:, None] * slope[None, :]
+            return np.sum(y * eta - np.exp(np.clip(eta, -30.0, 30.0)), axis=1)
+
+        start = row_ll(a, b)
+        a_new, b_new, _, _ = _newton_block(y, offset, slope, a, b, 30.0)
+        assert np.isfinite(a_new).all() and np.isfinite(b_new).all()
+        assert (row_ll(a_new, b_new) >= start - 1e-12 * (1.0 + np.abs(start))).all()
+
+    def test_row_failing_every_trial_keeps_its_point(self):
+        # every cell of row 1 sits above the clamp, where the Newton
+        # direction from the clamped rates lowers the likelihood
+        rng = np.random.default_rng(0)
+        y = np.vstack([rng.poisson(20.0, size=6), np.full(6, 1e12)])
+        offset, slope = 0.1 * rng.normal(size=6), rng.normal(size=6)
+        a, b, _, halvings = _newton_block(
+            y, offset, slope, np.array([0.0, 40.0]), np.zeros(2), 30.0)
+        assert a[1] == 40.0 and b[1] == 0.0
+        assert a[0] != 0.0
+        assert 29 <= halvings < 2 * 29  # row 1 backtracks in one step only
+
+    def test_converged_start_refit_does_not_backtrack(self):
+        # row log likelihoods near 1e6, where float noise alone exceeds an
+        # absolute acceptance bound
+        matrix, _ = random_matrix(1, n=20, k=30, row_total=50000)
+        result = fit(matrix)
+        refit = fit(matrix, start=result.params)
+        assert refit.converged and len(refit.loglik_trace) == 2
+        assert refit.newton_steps > 0
+        assert refit.line_search_halvings <= 5
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_central_finite_differences(self, seed):
@@ -195,6 +244,12 @@ class TestBootstrap:
         result = fit(matrix)
         with pytest.raises(ScalingError):
             bootstrap(matrix, result, B=0)
+
+    def test_nonconverged_replicates_are_failures(self):
+        matrix, _ = random_matrix(31, n=8, k=10)
+        result = fit(matrix)
+        with pytest.raises(ScalingError, match="failed on 10/10"):
+            bootstrap(matrix, result, B=10, seed=9, config=FitConfig(max_iter=1))
 
     def test_ci_brackets_point_estimate_mostly(self):
         matrix, _ = random_matrix(41, n=10, k=12)
