@@ -337,15 +337,13 @@ def _load_pipeline_corpus(config: RunConfig) -> Corpus:
         raise CliError("no input corpus configured (set input= or --input)", EXIT_CONFIG)
     try:
         corpus = load_corpus(config.input, config.format)
+        stopwords = read_stopwords(config.stopwords) if config.stopwords else frozenset()
+        table = read_lemma_table(config.lemmas) if config.lemmas else None
     except CorpusError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
-    stopwords = frozenset()
-    if config.stopwords:
-        stopwords = read_stopwords(config.stopwords)
     rules = TokenizerConfig(stopwords=stopwords)
     corpus = corpus.map_documents(lambda d: tokenize(d, rules))
-    if config.lemmas:
-        table = read_lemma_table(config.lemmas)
+    if table is not None:
         corpus = corpus.map_documents(lambda d: apply_lemmas(d, table))
     return corpus
 

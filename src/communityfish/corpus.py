@@ -5,13 +5,16 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain, filterfalse
 from pathlib import Path
 from typing import Iterable, Mapping
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
-_DIGITS_RE = re.compile(r"^\d+$")
+# matches exactly the characters for which str.isspace() is true
+_SPACE_RE = re.compile(r"\s")
 
 
 class CorpusError(ValueError):
@@ -31,9 +34,9 @@ class Document:
     def __post_init__(self):
         if not self.id:
             raise CorpusError("document id must be non-empty")
-        for t in self.tokens:
-            if not t or any(c.isspace() for c in t):
-                raise CorpusError(f"bad token {t!r} in document {self.id}")
+        if "" in self.tokens or _SPACE_RE.search("".join(self.tokens)):
+            bad = next(t for t in self.tokens if not t or _SPACE_RE.search(t))
+            raise CorpusError(f"bad token {bad!r} in document {self.id}")
 
 
 @dataclass(frozen=True)
@@ -92,14 +95,13 @@ def load_corpus(source, format: str) -> Corpus:
     path = Path(source)
     if not path.exists():
         raise CorpusError(f"input not found: {path}")
-    if format == "jsonl":
-        docs = _load_jsonl(path)
-    elif format == "text-directory":
-        docs = _load_textdir(path)
-    elif format == "csv":
-        docs = _load_csv(path)
-    else:
+    loaders = {"jsonl": _load_jsonl, "text-directory": _load_textdir, "csv": _load_csv}
+    if format not in loaders:
         raise CorpusError(f"unknown corpus format {format!r}")
+    try:
+        docs = loaders[format](path)
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path}: not UTF-8 text") from None
     if not docs:
         raise CorpusError("empty corpus")
     return Corpus(tuple(docs))
@@ -132,7 +134,7 @@ def _load_textdir(path: Path) -> list[Document]:
         raise CorpusError(f"not a directory: {path}")
     docs = []
     for fp in sorted(path.glob("*.txt")):
-        docs.append(Document(id=fp.stem, text=fp.read_text(encoding="utf-8")))
+        docs.append(Document(id=fp.stem, text=_read_text(fp)))
     return docs
 
 
@@ -160,6 +162,7 @@ def tokenize(doc: Document, rules: TokenizerConfig = TokenizerConfig()) -> Docum
 
     Punctuation and purely numeric tokens are dropped; stopwords from the
     config are removed after that. The raw text is retained on the document.
+    Tokens are interned, so each word type is one string object.
     """
     if rules.sentence_split:
         pieces = re.split(rules.sentence_split, doc.text)
@@ -167,36 +170,44 @@ def tokenize(doc: Document, rules: TokenizerConfig = TokenizerConfig()) -> Docum
         pieces = [doc.text]
     segments = []
     for piece in pieces:
-        seg = [
-            t
-            for t in (m.group(0).lower() for m in _WORD_RE.finditer(piece))
-            if not _DIGITS_RE.match(t) and t not in rules.stopwords
-        ]
+        words = _WORD_RE.findall(piece)
+        if not words:
+            continue
+        # Lowercase the words joined, not the piece: lowercasing never makes
+        # a space, but "İ".lower() adds U+0307, which \w does not match.
+        lowered = " ".join(words).lower().split(" ")
+        seg = list(map(sys.intern, filterfalse(
+            rules.stopwords.__contains__, filterfalse(str.isdecimal, lowered))))
         if seg:
             segments.append(seg)
-    tokens = tuple(t for seg in segments for t in seg)
-    seg_lengths = tuple(len(s) for s in segments) if rules.sentence_split else None
+    tokens = tuple(chain.from_iterable(segments))
+    seg_lengths = tuple(map(len, segments)) if rules.sentence_split else None
     return replace(doc, tokens=tokens, segment_lengths=seg_lengths)
 
 
 def apply_lemmas(doc: Document, lemma_table: Mapping[str, str]) -> Document:
     """Replace each token by its lemma when the table has one."""
-    return replace(doc, tokens=tuple(lemma_table.get(t, t) for t in doc.tokens))
+    return replace(doc, tokens=tuple(map(lemma_table.get, doc.tokens, doc.tokens)))
 
 
 def count_bigrams(corpus: Corpus) -> BigramCounts:
     """Count unordered adjacent token pairs across all documents.
 
     Pairs of identical tokens are excluded; pairs never span document (or,
-    when a sentence splitter was used, sentence) boundaries.
+    when a sentence splitter was used, sentence) boundaries. Keys are in
+    order of each pair's first occurrence.
     """
-    pairs: Counter = Counter()
+    ordered: Counter = Counter()
     for doc in corpus.documents:
         for seg in _segments(doc):
-            for u, w in zip(seg, seg[1:]):
-                if u != w:
-                    pairs[frozenset((u, w))] += 1
-    return BigramCounts(pairs=dict(pairs), threshold=1)
+            ordered.update(zip(seg, seg[1:]))
+    # (u, w) and (w, u) fold into one key at whichever came first
+    pairs: dict[frozenset, int] = {}
+    for (u, w), c in ordered.items():
+        if u != w:
+            key = frozenset((u, w))
+            pairs[key] = pairs.get(key, 0) + c
+    return BigramCounts(pairs=pairs, threshold=1)
 
 
 def _segments(doc: Document) -> Iterable[tuple[str, ...]]:
@@ -222,20 +233,30 @@ def filter_bigrams(
     return BigramCounts(pairs=kept, threshold=threshold)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path}: not UTF-8 text") from None
+
+
 def read_stopwords(path) -> frozenset[str]:
     """One token per line, UTF-8."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     return frozenset(t.strip() for t in lines if t.strip())
 
 
 def read_lemma_table(path) -> dict[str, str]:
-    """Two-column TSV, surface form then lemma."""
+    """Two-column TSV, surface form then lemma; a lemma must be one token."""
     table = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise CorpusError(f"{path}:{lineno}: expected 2 tab-separated columns")
-        table[parts[0].strip()] = parts[1].strip()
+        lemma = parts[1].strip()
+        if not lemma or _SPACE_RE.search(lemma):
+            raise CorpusError(f"{path}:{lineno}: bad lemma {lemma!r}")
+        table[parts[0].strip()] = lemma
     return table

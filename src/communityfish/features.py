@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -49,20 +51,9 @@ def community_dtm(
     if not partition.assignment:
         raise MatrixError("empty partition: no communities to count")
     cids = sorted(set(partition.assignment.values()))
-    col_of = {c: k for k, c in enumerate(cids)}
-    word_comm = partition.assignment
-    counts = np.zeros((len(corpus.documents), len(cids)), dtype=np.int64)
-    for i, doc in enumerate(corpus.documents):
-        if bigram_match:
-            for u, w in zip(doc.tokens, doc.tokens[1:]):
-                cu, cw = word_comm.get(u), word_comm.get(w)
-                if cu is not None and cu == cw and u != w:
-                    counts[i, col_of[cu]] += 1
-        else:
-            for t in doc.tokens:
-                c = word_comm.get(t)
-                if c is not None:
-                    counts[i, col_of[c]] += 1
+    col_of_cid = {c: j for j, c in enumerate(cids)}
+    col_of = {w: col_of_cid[c] for w, c in partition.assignment.items()}
+    counts = _count_matrix(corpus, col_of, len(cids), bigram_match)
     vocab = corpus.vocabulary
     labels = tuple(
         _community_label(cid, partition.members[cid], vocab) for cid in cids
@@ -87,18 +78,35 @@ def unigram_dtm(corpus: Corpus, min_count: int = 1) -> tuple[CountMatrix, TrimRe
     if not words:
         raise MatrixError("empty vocabulary after frequency threshold")
     col_of = {w: j for j, w in enumerate(words)}
-    counts = np.zeros((len(corpus.documents), len(words)), dtype=np.int64)
-    for i, doc in enumerate(corpus.documents):
-        for t in doc.tokens:
-            j = col_of.get(t)
-            if j is not None:
-                counts[i, j] += 1
+    counts = _count_matrix(corpus, col_of, len(words))
     matrix = CountMatrix(
         doc_ids=tuple(d.id for d in corpus.documents),
         feature_labels=tuple(words),
         counts=counts,
     )
     return trim(matrix)
+
+
+def _count_matrix(
+    corpus: Corpus, col_of: dict[str, int], k: int, bigram_match: bool = False
+) -> np.ndarray:
+    """Documents x k counts of the tokens whose word has a column in ``col_of``.
+
+    With ``bigram_match``, count instead the adjacent pairs of two different
+    words that share a column, at that column. Works one document at a time,
+    so no corpus-wide token array is ever built.
+    """
+    counts = np.zeros((len(corpus.documents), k), dtype=np.int64)
+    for i, doc in enumerate(corpus.documents):
+        toks = doc.tokens
+        # a word without a column goes to column k, which is cut off below
+        cols = np.fromiter(map(col_of.get, toks, repeat(k)), np.intp, len(toks))
+        if bigram_match:
+            differ = np.fromiter(map(operator.ne, toks, toks[1:]), bool,
+                                 max(len(toks) - 1, 0))
+            cols = cols[:-1][differ & (cols[:-1] == cols[1:])]
+        counts[i] = np.bincount(cols, minlength=k + 1)[:k]
+    return counts
 
 
 def trim(matrix: CountMatrix) -> tuple[CountMatrix, TrimReport]:

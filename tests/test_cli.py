@@ -66,6 +66,42 @@ class TestRunConfig:
             assert len(err.strip().splitlines()) == 1
 
 
+class TestCorpusInputs:
+    @pytest.mark.parametrize("kind, data, message", [
+        ("jsonl", b'{"id": "a", "text": "caf\xe9"}\n', ": not UTF-8 text"),
+        ("text-directory", b"caf\xe9", ": not UTF-8 text"),
+        ("csv", b"id,text\na,caf\xe9\n", ": not UTF-8 text"),
+        ("stopwords", b"the\n\xff\n", ": not UTF-8 text"),
+        ("lemmas", b"ran\trun\n\xff\tx\n", ": not UTF-8 text"),
+        ("lemmas", b"a b\n", ":1: expected 2 tab-separated columns"),
+        ("lemmas", b"ran\trun\nx\t\n", ":2: bad lemma ''"),
+        ("lemmas", b"x\tb c\n", ":1: bad lemma 'b c'"),
+    ])
+    def test_bad_input_exits_1(self, corpus_file, tmp_path, capsys, kind, data, message):
+        lines = [f"input = {corpus_file}", "format = jsonl"]
+        if kind == "text-directory":
+            docs = tmp_path / "docs"
+            docs.mkdir()
+            (docs / "a.txt").write_text("fine words")
+            bad = docs / "b.txt"
+            lines = [f"input = {docs}", f"format = {kind}"]
+        elif kind in ("jsonl", "csv"):
+            bad = tmp_path / f"bad.{kind}"
+            lines = [f"input = {bad}", f"format = {kind}"]
+        else:
+            bad = tmp_path / f"{kind}.txt"
+            lines.append(f"{kind} = {bad}")
+        bad.write_bytes(data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        rc = main(["communities", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}{message}")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 class TestCommunities:
     def test_writes_outputs(self, corpus_file, tmp_path):
         rc = main(["communities", *base_args(corpus_file, tmp_path)])

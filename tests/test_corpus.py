@@ -1,8 +1,9 @@
 import json
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from communityfish.corpus import (
     BigramCounts,
@@ -18,6 +19,26 @@ from communityfish.corpus import (
     read_stopwords,
     tokenize,
 )
+
+
+_DIGITS_RE = re.compile(r"^\d+$")
+
+
+def reference_tokenize(text, rules):
+    """The per-match tokenizer loop that ``tokenize`` must agree with."""
+    pieces = re.split(rules.sentence_split, text) if rules.sentence_split else [text]
+    segments = []
+    for piece in pieces:
+        seg = [
+            t
+            for t in (m.group(0).lower() for m in re.finditer(r"\w+", piece))
+            if not _DIGITS_RE.match(t) and t not in rules.stopwords
+        ]
+        if seg:
+            segments.append(seg)
+    tokens = tuple(t for seg in segments for t in seg)
+    lengths = tuple(len(s) for s in segments) if rules.sentence_split else None
+    return tokens, lengths
 
 
 def make_corpus(*token_lists):
@@ -84,6 +105,13 @@ class TestLoadCorpus:
             load_corpus(p, "csv")
 
 
+class TestDocument:
+    @pytest.mark.parametrize("bad", ["", "a b", "a\tb", "a\u00a0b", "a\u2028b", "a\x1cb"])
+    def test_bad_token_rejected_and_named(self, bad):
+        with pytest.raises(CorpusError, match=re.escape(repr(bad))):
+            Document(id="d", text="", tokens=("ok", bad, "fine"))
+
+
 class TestTokenize:
     def test_basic(self):
         doc = tokenize(Document(id="d", text="The Panama Canal."))
@@ -113,6 +141,20 @@ class TestTokenize:
         assert frozenset(("beta", "gamma")) not in pairs
         assert pairs[frozenset(("alpha", "beta"))] == 1
         assert pairs[frozenset(("gamma", "delta"))] == 1
+
+    @settings(deadline=None)
+    @given(
+        text=st.text(alphabet="aAbBσΣςßİǅ²٣1\u0307\u00a0_ .,!?'\n", max_size=60),
+        sentence_split=st.sampled_from([None, r"[.!?]"]),
+        stopwords=st.frozensets(st.sampled_from(["a", "ab", "σ", "ς", "ss", "i\u0307"])),
+    )
+    # "²" is a digit but not decimal, so it stays a token; "٣" is decimal
+    @example(text="x ² ٣ 12 ²٣ İ ǅ ΣΑΣ ßΣ", sentence_split=None, stopwords=frozenset())
+    @example(text="ΣΑΣ. ² a! !", sentence_split=r"[.!?]", stopwords=frozenset({"a"}))
+    def test_matches_per_match_loop(self, text, sentence_split, stopwords):
+        rules = TokenizerConfig(stopwords=stopwords, sentence_split=sentence_split)
+        doc = tokenize(Document(id="d", text=text), rules)
+        assert (doc.tokens, doc.segment_lengths) == reference_tokenize(text, rules)
 
 
 class TestApplyLemmas:
@@ -162,7 +204,10 @@ class TestCountBigrams:
             for i in range(len(toks) - 1):
                 if toks[i] != toks[i + 1]:
                     expected[frozenset((toks[i], toks[i + 1]))] += 1
-        assert count_bigrams(corpus).pairs == dict(expected)
+        pairs = count_bigrams(corpus).pairs
+        assert pairs == dict(expected)
+        # keys in first-occurrence order: the graph's adjacency order follows it
+        assert list(pairs.items()) == list(expected.items())
 
     @given(st.lists(
         st.lists(st.sampled_from("abc"), max_size=10), min_size=1, max_size=4,

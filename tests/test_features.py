@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from communityfish.corpus import Corpus, Document
 from communityfish.features import (
@@ -104,6 +107,76 @@ class TestUnigramDtm:
     def test_min_count_too_high(self):
         with pytest.raises(MatrixError, match="empty vocabulary"):
             unigram_dtm(make_corpus(["a", "b"]), min_count=5)
+
+
+def reference_counts(docs, col_of, k, bigram_match=False):
+    """Per-token (or per-adjacent-pair) counting loop, the reference."""
+    counts = np.zeros((len(docs), k), dtype=np.int64)
+    for i, toks in enumerate(docs):
+        if bigram_match:
+            for u, w in zip(toks, toks[1:]):
+                if u != w and u in col_of and col_of.get(w) == col_of[u]:
+                    counts[i, col_of[u]] += 1
+        else:
+            for t in toks:
+                if t in col_of:
+                    counts[i, col_of[t]] += 1
+    return counts
+
+
+def expected_matrix(docs, labels, col_of, bigram_match=False):
+    """The trimmed reference matrix, or None when trimming leaves nothing."""
+    ids = tuple(f"d{i}" for i in range(len(docs)))
+    ref = reference_counts(docs, col_of, len(labels), bigram_match)
+    try:
+        return trim(CountMatrix(ids, labels, ref))[0]
+    except MatrixError:
+        return None
+
+
+def assert_same_cells(matrix, expected):
+    assert matrix.doc_ids == expected.doc_ids
+    assert matrix.counts.dtype == np.int64
+    assert matrix.counts.tolist() == expected.counts.tolist()
+
+
+# words f and g are never in the partition; empty documents and adjacent
+# repeats come from the small alphabet
+DOCS = st.lists(st.lists(st.sampled_from("abcdefg"), max_size=15), min_size=1, max_size=5)
+
+
+class TestCountsMatchLoop:
+    @given(
+        docs=DOCS,
+        assignment=st.dictionaries(st.sampled_from("abcde"), st.integers(0, 3), min_size=1),
+        bigram_match=st.booleans(),
+    )
+    def test_community_dtm(self, docs, assignment, bigram_match):
+        cids = sorted(set(assignment.values()))
+        col_of = {w: cids.index(c) for w, c in assignment.items()}
+        expected = expected_matrix(docs, tuple(map(str, cids)), col_of, bigram_match)
+        corpus, partition = make_corpus(*docs), Partition(assignment)
+        if expected is None:
+            with pytest.raises(MatrixError):
+                community_dtm(corpus, partition, bigram_match)
+            return
+        matrix, _ = community_dtm(corpus, partition, bigram_match)
+        assert_same_cells(matrix, expected)
+        assert [f.split(":")[0] for f in matrix.feature_labels] == [
+            f"com_{c}" for c in expected.feature_labels]
+
+    @given(docs=DOCS, min_count=st.integers(1, 4))
+    def test_unigram_dtm(self, docs, min_count):
+        freq = Counter(t for toks in docs for t in toks)
+        words = tuple(sorted(w for w, c in freq.items() if c >= min_count))
+        if not words:
+            with pytest.raises(MatrixError, match="empty vocabulary"):
+                unigram_dtm(make_corpus(*docs), min_count)
+            return
+        matrix, _ = unigram_dtm(make_corpus(*docs), min_count)
+        expected = expected_matrix(docs, words, {w: j for j, w in enumerate(words)})
+        assert_same_cells(matrix, expected)
+        assert matrix.feature_labels == expected.feature_labels
 
 
 class TestTrim:
