@@ -44,7 +44,18 @@ from .synthbench import (
     generate_matrix,
     recovery_report,
 )
-from .cli import ComparisonReport, compare_models
+
+
+def __getattr__(name):
+    # ``compare_models`` lives in the CLI module, which imports this package:
+    # importing it on first access keeps ``python -m communityfish.cli`` from
+    # loading the CLI module twice.
+    if name in ("ComparisonReport", "compare_models"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BigramCounts",

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .corpus import (
@@ -56,7 +55,13 @@ from .scaling import (
     dispersion,
     fit,
 )
-from .synthbench import SynthError, SyntheticSpec, generate_matrix, recovery_report
+from .synthbench import (
+    SynthError,
+    SyntheticSpec,
+    generate_matrix,
+    recovery_report,
+    spearman,
+)
 
 EXIT_CONFIG = 1
 EXIT_EMPTY = 2
@@ -113,6 +118,22 @@ def _coerce(default, raw: str, where: str):
         except ValueError:
             pass
     raise CliError(f"{where}: expected {kind.__name__}, got {raw!r}", EXIT_CONFIG)
+
+
+# The values of the enumerated config keys, and the least value of the
+# integer keys; FitConfig checks tol, clamp and max_iter.
+CHOICES = {
+    "format": ("jsonl", "text-directory", "csv"),
+    "clustering": ("louvain", "leiden"),
+    "dtm": ("member-count", "bigram-match"),
+}
+FLOORS = {
+    "min_bigram_count": 1,
+    "min_community_size": 1,
+    "unigram_min_count": 1,
+    "bootstrap_b": 0,
+    "seed": 0,
+}
 
 
 @dataclass
@@ -264,8 +285,7 @@ def compare_models(
         common = [(i, ui[d]) for i, d in enumerate(com_result.matrix.doc_ids) if d in ui]
         if len(common) >= 3:
             c, u = np.array(common).T
-            rank_corr = float(stats.spearmanr(com_result.params.theta[c],
-                                              uni_result.params.theta[u]).statistic)
+            rank_corr = spearman(com_result.params.theta[c], uni_result.params.theta[u])
     clamp = config.linear_predictor_clamp
     return ComparisonReport(
         k_community_features=com_result.matrix.shape[1] if com_result else None,
@@ -305,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true")
         if name in ("communities", "scale", "compare"):
             p.add_argument("--input", help="corpus path")
-            p.add_argument("--format", choices=["jsonl", "text-directory", "csv"])
+            p.add_argument("--format", choices=CHOICES["format"])
             p.add_argument("--pi", type=int, dest="min_bigram_count",
                            help="minimum bigram count")
-            p.add_argument("--clustering", choices=["louvain", "leiden"])
+            p.add_argument("--clustering", choices=CHOICES["clustering"])
         if name == "scale":
             p.add_argument("--baseline", action="store_true",
                            help="fit the unigram baseline instead of community features")
@@ -322,6 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The run's configuration: the config file, then the flags over it.
+    Every value outside its key's domain is a one-line exit-1 error here,
+    before any stage runs."""
     config = RunConfig.from_file(Path(args.config)) if args.config else RunConfig()
     for key in ("input", "format", "min_bigram_count", "clustering", "seed", "out"):
         val = getattr(args, key, None)
@@ -329,6 +352,20 @@ def _resolve_config(args) -> RunConfig:
             setattr(config, key, val)
     if getattr(args, "no_bootstrap", False):
         config.bootstrap_b = 0
+    for key, allowed in CHOICES.items():
+        value = getattr(config, key)
+        if value not in allowed:
+            raise CliError(f"config key {key!r} must be one of {', '.join(allowed)}, "
+                           f"got {value!r}", EXIT_CONFIG)
+    for key, floor in FLOORS.items():
+        value = getattr(config, key)
+        if value < floor:
+            raise CliError(f"config key {key!r} must be >= {floor}, got {value!r}",
+                           EXIT_CONFIG)
+    try:  # tol, clamp and max_iter
+        config.fit_config()
+    except ScalingError as exc:
+        raise CliError(f"config: {exc}", EXIT_CONFIG) from None
     return config
 
 

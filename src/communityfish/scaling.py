@@ -11,6 +11,7 @@ the direction is fixed by an anchor document pair.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -44,10 +45,12 @@ class FitConfig:
     debug_ascent: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ScalingError("tol must be positive")
+        for name in ("tol", "linear_predictor_clamp"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ScalingError(f"{name} must be finite and positive, got {value!r}")
         if self.max_iter < 1:
-            raise ScalingError("max_iter must be >= 1")
+            raise ScalingError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import communityfish
 from communityfish.cli import RunConfig, CliError, main
 from communityfish.synthbench import PlantedCorpusSpec, generate_corpus
 
@@ -64,6 +69,71 @@ class TestRunConfig:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {p}{message}")
             assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("setting, message", [
+        ("clustering = foo",
+         "config key 'clustering' must be one of louvain, leiden, got 'foo'"),
+        ("dtm = foo", "config key 'dtm' must be one of member-count, bigram-match, got 'foo'"),
+        ("format = foo", "config key 'format' must be one of jsonl, text-directory, csv, "
+                         "got 'foo'"),
+        ("clamp = nan", "config: linear_predictor_clamp must be finite and positive, got nan"),
+        ("clamp = -1", "config: linear_predictor_clamp must be finite and positive, got -1.0"),
+        ("clamp = inf", "config: linear_predictor_clamp must be finite and positive, got inf"),
+        ("tol = nan", "config: tol must be finite and positive, got nan"),
+        ("tol = 0", "config: tol must be finite and positive, got 0.0"),
+        ("max_iter = 0", "config: max_iter must be >= 1, got 0"),
+        ("min_bigram_count = 0", "config key 'min_bigram_count' must be >= 1, got 0"),
+        (["--pi", "0"], "config key 'min_bigram_count' must be >= 1, got 0"),
+        ("min_community_size = 0", "config key 'min_community_size' must be >= 1, got 0"),
+        ("unigram_min_count = 0", "config key 'unigram_min_count' must be >= 1, got 0"),
+        ("bootstrap_b = -5", "config key 'bootstrap_b' must be >= 0, got -5"),
+        ("seed = -1", "config key 'seed' must be >= 0, got -1"),
+        (["--seed", "-2"], "config key 'seed' must be >= 0, got -2"),
+    ])
+    def test_out_of_domain_value_exits_1(self, corpus_file, tmp_path, capsys, setting,
+                                         message):
+        """``setting`` is a config line or, as a list, command-line flags."""
+        flags = setting if isinstance(setting, list) else []
+        p = tmp_path / "run.cfg"
+        p.write_text(f"input = {corpus_file}\n" + ("" if flags else f"{setting}\n"))
+        out = tmp_path / "o"
+        rc = main(["scale", "--config", str(p), *flags, "--out", str(out), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()  # rejected before any stage ran
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's communityfish."""
+    env = {**os.environ, "PYTHONPATH": str(Path(communityfish.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+class TestImports:
+    def test_module_run_prints_no_runtime_warning(self):
+        proc = _run_python("-W", "error::RuntimeWarning", "-m", "communityfish.cli",
+                           "--version")
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == communityfish.__version__
+        assert proc.stderr == ""
+
+    def test_cli_imports_no_scipy(self):
+        proc = _run_python("-c", "import sys, communityfish.cli; print(sorted("
+                           "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_package_loads_cli_on_first_access(self):
+        proc = _run_python("-c", "import sys, communityfish as cf; "
+                           "print('communityfish.cli' in sys.modules); "
+                           "import communityfish.cli as cli; "
+                           "print(cf.compare_models is cli.compare_models, "
+                           "cf.ComparisonReport is cli.ComparisonReport)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "True"]
+        with pytest.raises(AttributeError, match="no_such_name"):
+            communityfish.no_such_name
 
 
 class TestCorpusInputs:

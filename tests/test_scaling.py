@@ -152,6 +152,12 @@ class TestFit:
             result = fit(matrix, FitConfig(max_iter=1))
         assert result.converged is False
 
+    @pytest.mark.parametrize("key", ["tol", "linear_predictor_clamp"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_config_rejects_non_positive_or_non_finite(self, key, value):
+        with pytest.raises(ScalingError, match=f"^{key} must be finite and positive"):
+            FitConfig(**{key: value})
+
 
 class TestLineSearch:
     @settings(max_examples=60, deadline=None)

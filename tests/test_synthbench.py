@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
+from scipy import stats
 
 from communityfish.cli import RunConfig, compare_models, run_pipeline
 from communityfish.graph import build_graph, louvain
@@ -14,6 +16,7 @@ from communityfish.synthbench import (
     generate_corpus,
     generate_matrix,
     recovery_report,
+    spearman,
 )
 
 COM_A = tuple(f"alpha{i}" for i in range(6))
@@ -137,12 +140,52 @@ class TestRecoveryReport:
             result.params, theta=noise))
         assert abs(recovery_report(spec.theta_star, fake)["pearson"]) < 0.5
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ci_coverage_after_sign_alignment(self, sign):
+        spec = SyntheticSpec.create(10, 12, 400, seed=9)
+        matrix, spec = generate_matrix(spec)
+        result = fit(matrix)
+        theta = sign * spec.theta_star
+        # aligned, document i's interval is theta_star_i + 0.03 i + [-0.1, 0.1]:
+        # it holds theta_star_i for i <= 3 only
+        shift = sign * 0.03 * np.arange(10)
+        fake = dataclasses.replace(
+            result, params=dataclasses.replace(result.params, theta=theta),
+            theta_ci_low=theta + shift - 0.1, theta_ci_high=theta + shift + 0.1)
+        report = recovery_report(spec.theta_star, fake)
+        assert report["sign"] == sign
+        assert report["ci_coverage"] == 0.4
+
     def test_dimension_mismatch(self):
         spec = SyntheticSpec.create(10, 12, 400, seed=12)
         matrix, spec = generate_matrix(spec)
         result = fit(matrix)
         with pytest.raises(SynthError):
             recovery_report(spec.theta_star[:-1], result)
+
+
+# Few distinct values, so that most draws have ties, and -0.0 next to 0.0.
+_TIED = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+_VALUES = st.one_of(_TIED, st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def _rank_pairs(draw):
+    n = draw(st.integers(3, 40))
+    a = draw(st.lists(_VALUES, min_size=n, max_size=n))
+    b = draw(st.one_of(st.lists(_VALUES, min_size=n, max_size=n),
+                       st.permutations(a), st.just([-x for x in a])))
+    return a, b
+
+
+class TestSpearman:
+    @given(_rank_pairs())
+    @example(([1.0, 1.0, 2.0], [3.0, 1.0, 1.0]))
+    @example(([0.0, -0.0, 5.0, 5.0, 5.0], [2.0, 1.0, 2.0, 1.0, 2.0]))
+    def test_equals_scipy_exactly(self, pair):
+        a, b = pair
+        assume(len(set(a)) > 1 and len(set(b)) > 1)  # constant input has no rho
+        assert spearman(a, b) == stats.spearmanr(a, b).statistic
 
 
 class TestCompareModels:
