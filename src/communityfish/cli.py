@@ -12,6 +12,7 @@ command and the library's ``compare_models`` go through it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -134,6 +135,16 @@ FLOORS = {
     "bootstrap_b": 0,
     "seed": 0,
 }
+SPEC_FLOORS = {"seed": 0, "bootstrap_b": 0}
+
+
+def _check_floors(values, floors: dict, kind: str) -> None:
+    """A one-line exit-1 error for the first key of ``values`` below its floor."""
+    for key, floor in floors.items():
+        value = getattr(values, key)
+        if value < floor:
+            raise CliError(f"{kind} key {key!r} must be >= {floor}, got {value!r}",
+                           EXIT_CONFIG)
 
 
 @dataclass
@@ -242,8 +253,6 @@ def compare_models(
     corpus: Corpus,
     bigram_threshold: int,
     config: FitConfig,
-    unigram_min_count: int = 1,
-    min_community_size: int = 2,
     *,
     run_config: RunConfig | None = None,
 ) -> ComparisonReport:
@@ -251,15 +260,14 @@ def compare_models(
     tokenized corpus; one branch failing still reports the other.
 
     ``run_config`` supplies the remaining pipeline keys (``clustering``,
-    ``strict_greater``, ``dtm``); the arguments before it win over its values.
+    ``strict_greater``, ``dtm``, ``min_community_size``,
+    ``unigram_min_count``); the arguments before it win over its values.
     """
     if len(corpus) == 0:
         raise SynthError("empty corpus")
     run_config = dataclasses.replace(
         run_config or RunConfig(),
         min_bigram_count=bigram_threshold,
-        unigram_min_count=unigram_min_count,
-        min_community_size=min_community_size,
         tol=config.tol,
         max_iter=config.max_iter,
         anchor_low=config.anchor_low or "",
@@ -357,11 +365,7 @@ def _resolve_config(args) -> RunConfig:
         if value not in allowed:
             raise CliError(f"config key {key!r} must be one of {', '.join(allowed)}, "
                            f"got {value!r}", EXIT_CONFIG)
-    for key, floor in FLOORS.items():
-        value = getattr(config, key)
-        if value < floor:
-            raise CliError(f"config key {key!r} must be >= {floor}, got {value!r}",
-                           EXIT_CONFIG)
+    _check_floors(config, FLOORS, "config")
     try:  # tol, clamp and max_iter
         config.fit_config()
     except ScalingError as exc:
@@ -493,8 +497,6 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         _load_pipeline_corpus(config),
         bigram_threshold=config.min_bigram_count,
         config=config.fit_config(),
-        unigram_min_count=config.unigram_min_count,
-        min_community_size=config.min_community_size,
         run_config=config,
     )
     if report.community_result is None and report.unigram_result is None:
@@ -532,6 +534,7 @@ def cmd_simulate(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         sim = read_key_values(Path(args.spec_file), SimulationSpec, "spec")
     if args.seed is not None:
         sim.seed = args.seed
+    _check_floors(sim, SPEC_FLOORS, "spec")
     spec = SyntheticSpec.create(
         n_docs=sim.n_docs,
         n_features=sim.n_features,
@@ -562,29 +565,35 @@ _COMMANDS = {
 }
 
 
+# The exit code of each error class; a CliError carries its own.
+_EXIT_CODES = {
+    SynthError: EXIT_CONFIG,
+    OSError: EXIT_CONFIG,
+    CorpusError: EXIT_EMPTY,
+    GraphError: EXIT_EMPTY,
+    MatrixError: EXIT_EMPTY,
+    ScalingError: EXIT_ESTIMATION,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    out = None
     try:
         config = _resolve_config(args)
+        Path(config.out).mkdir(parents=True, exist_ok=True)
         out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
         summary, extra = _COMMANDS[args.command](args, config, out)
         _write_manifest(out, config, {"command": args.command, **extra, "exit_status": 0})
-    except CliError as exc:
+    except (CliError, *_EXIT_CODES) as exc:
+        code = exc.code if isinstance(exc, CliError) else next(
+            c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except SynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CorpusError, GraphError, MatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except ScalingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if out is not None:  # the run got as far as creating out/
+            with contextlib.suppress(OSError):
+                _write_manifest(out, config, {"command": args.command,
+                                              "exit_status": code, "error": str(exc)})
+        return code
     if not args.quiet:
         print(summary)
     return 0

@@ -8,9 +8,9 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 # matches exactly the characters for which str.isspace() is true
@@ -27,9 +27,6 @@ class Document:
     text: str
     metadata: Mapping[str, str] = field(default_factory=dict)
     tokens: tuple[str, ...] = ()
-    # lengths of token segments when a sentence splitter is configured;
-    # bigrams never cross segment boundaries
-    segment_lengths: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not self.id:
@@ -67,9 +64,6 @@ class Corpus:
 @dataclass(frozen=True)
 class TokenizerConfig:
     stopwords: frozenset[str] = frozenset()
-    # optional regex; when set, text is split into sentences first and
-    # bigram counting will not cross sentence boundaries
-    sentence_split: str | None = None
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,6 @@ class BigramCounts:
     """Unordered word-pair co-occurrence counts; self-pairs are excluded."""
 
     pairs: Mapping[frozenset, int]
-    threshold: int = 1
 
     def __len__(self):
         return len(self.pairs)
@@ -164,25 +157,13 @@ def tokenize(doc: Document, rules: TokenizerConfig = TokenizerConfig()) -> Docum
     config are removed after that. The raw text is retained on the document.
     Tokens are interned, so each word type is one string object.
     """
-    if rules.sentence_split:
-        pieces = re.split(rules.sentence_split, doc.text)
-    else:
-        pieces = [doc.text]
-    segments = []
-    for piece in pieces:
-        words = _WORD_RE.findall(piece)
-        if not words:
-            continue
-        # Lowercase the words joined, not the piece: lowercasing never makes
-        # a space, but "İ".lower() adds U+0307, which \w does not match.
-        lowered = " ".join(words).lower().split(" ")
-        seg = list(map(sys.intern, filterfalse(
-            rules.stopwords.__contains__, filterfalse(str.isdecimal, lowered))))
-        if seg:
-            segments.append(seg)
-    tokens = tuple(chain.from_iterable(segments))
-    seg_lengths = tuple(map(len, segments)) if rules.sentence_split else None
-    return replace(doc, tokens=tokens, segment_lengths=seg_lengths)
+    words = _WORD_RE.findall(doc.text)
+    # Lowercase the words joined, not the text: lowercasing never makes a
+    # space, but "İ".lower() adds U+0307, which \w does not match.
+    lowered = " ".join(words).lower().split(" ") if words else ()
+    tokens = tuple(map(sys.intern, filterfalse(
+        rules.stopwords.__contains__, filterfalse(str.isdecimal, lowered))))
+    return replace(doc, tokens=tokens)
 
 
 def apply_lemmas(doc: Document, lemma_table: Mapping[str, str]) -> Document:
@@ -193,31 +174,19 @@ def apply_lemmas(doc: Document, lemma_table: Mapping[str, str]) -> Document:
 def count_bigrams(corpus: Corpus) -> BigramCounts:
     """Count unordered adjacent token pairs across all documents.
 
-    Pairs of identical tokens are excluded; pairs never span document (or,
-    when a sentence splitter was used, sentence) boundaries. Keys are in
-    order of each pair's first occurrence.
+    Pairs of identical tokens are excluded; pairs never span document
+    boundaries. Keys are in order of each pair's first occurrence.
     """
     ordered: Counter = Counter()
     for doc in corpus.documents:
-        for seg in _segments(doc):
-            ordered.update(zip(seg, seg[1:]))
+        ordered.update(zip(doc.tokens, doc.tokens[1:]))
     # (u, w) and (w, u) fold into one key at whichever came first
     pairs: dict[frozenset, int] = {}
     for (u, w), c in ordered.items():
         if u != w:
             key = frozenset((u, w))
             pairs[key] = pairs.get(key, 0) + c
-    return BigramCounts(pairs=pairs, threshold=1)
-
-
-def _segments(doc: Document) -> Iterable[tuple[str, ...]]:
-    if doc.segment_lengths is None:
-        yield doc.tokens
-        return
-    pos = 0
-    for n in doc.segment_lengths:
-        yield doc.tokens[pos : pos + n]
-        pos += n
+    return BigramCounts(pairs=pairs)
 
 
 def filter_bigrams(
@@ -230,7 +199,7 @@ def filter_bigrams(
         kept = {p: c for p, c in counts.pairs.items() if c > threshold}
     else:
         kept = {p: c for p, c in counts.pairs.items() if c >= threshold}
-    return BigramCounts(pairs=kept, threshold=threshold)
+    return BigramCounts(pairs=kept)
 
 
 def _read_text(path) -> str:

@@ -198,6 +198,10 @@ def _aggregate(level: _LevelGraph, comm: list[int], ncomm: int) -> _LevelGraph:
     return _LevelGraph(adjacency, self_loops)
 
 
+# independent Louvain runs per clustering; the best modularity is kept
+_RESTARTS = 8
+
+
 def _louvain_assignment(graph: WordGraph, seed: int, q_tol: float = 1e-12) -> list[int]:
     """Raw Louvain over all nodes; returns a community id per node index."""
     m = graph.total_weight
@@ -220,16 +224,11 @@ def _louvain_assignment(graph: WordGraph, seed: int, q_tol: float = 1e-12) -> li
     return _relabel(node_comm)[0]
 
 
-def louvain(
-    graph: WordGraph,
-    seed: int = 0,
-    min_community_size: int = 2,
-    restarts: int = 8,
-) -> Partition:
+def louvain(graph: WordGraph, seed: int = 0, min_community_size: int = 2) -> Partition:
     """Two-phase modularity maximization with seeded, reproducible node order.
 
     The greedy sweeps can stall in seed-dependent local optima on small dense
-    graphs, so ``restarts`` independent runs (sub-seeds derived from ``seed``)
+    graphs, so ``_RESTARTS`` independent runs (sub-seeds derived from ``seed``)
     are performed and the highest-modularity partition kept; the result is
     still a deterministic function of the seed. Communities smaller than
     ``min_community_size`` are dropped from the returned partition; their
@@ -237,15 +236,15 @@ def louvain(
     """
     if len(graph) == 0:
         raise GraphError("empty graph")
-    comm = _best_louvain_assignment(graph, seed, restarts)
+    comm = _best_louvain_assignment(graph, seed)
     return _finalize_partition(graph, comm, min_community_size)
 
 
-def _best_louvain_assignment(graph: WordGraph, seed: int, restarts: int) -> list[int]:
+def _best_louvain_assignment(graph: WordGraph, seed: int) -> list[int]:
     m = graph.total_weight
     level = graph._level
     best_comm, best_q = None, -np.inf
-    for sub_seed in np.random.SeedSequence(seed).generate_state(max(restarts, 1)):
+    for sub_seed in np.random.SeedSequence(seed).generate_state(_RESTARTS):
         comm = _louvain_assignment(graph, int(sub_seed))
         q = _level_modularity(level, comm, m)
         if q > best_q + 1e-14:
@@ -253,12 +252,7 @@ def _best_louvain_assignment(graph: WordGraph, seed: int, restarts: int) -> list
     return best_comm
 
 
-def leiden(
-    graph: WordGraph,
-    seed: int = 0,
-    min_community_size: int = 2,
-    restarts: int = 8,
-) -> Partition:
+def leiden(graph: WordGraph, seed: int = 0, min_community_size: int = 2) -> Partition:
     """Louvain plus a refinement that guarantees internally connected
     communities: disconnected communities are split into their connected
     components and local moving is re-run until stable."""
@@ -267,7 +261,7 @@ def leiden(
     m = graph.total_weight
     if m == 0:
         raise GraphError("leiden requires a graph with at least one edge")
-    comm = _best_louvain_assignment(graph, seed, restarts)
+    comm = _best_louvain_assignment(graph, seed)
     rng = np.random.default_rng(seed + 1)
     level = graph._level
     for _ in range(10):

@@ -15,6 +15,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -150,8 +151,8 @@ def _newton_block(y, offset, slope, a, b, clamp, max_inner=40, gtol=1e-10):
     and a row failing all 30 trials keeps its point and takes no further
     step (the same step would fail again).
 
-    Returns the updated (a, b), the number of Newton steps taken and the
-    number of row step halvings."""
+    Returns the updated (a, b), the row log likelihoods there, the number of
+    Newton steps taken and the number of row step halvings."""
     a = a.copy()
     b = b.copy()
     ysum, yoff, yslope = (y @ np.column_stack([np.ones_like(offset), offset, slope])).T
@@ -201,7 +202,7 @@ def _newton_block(y, offset, slope, a, b, clamp, max_inner=40, gtol=1e-10):
                 break
         else:
             stuck[rows] = True
-    return a, b, steps, halvings
+    return a, b, ll, steps, halvings
 
 
 def _standardize(params: ScalingParams) -> ScalingParams:
@@ -249,21 +250,21 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     for _ in range(config.max_iter):
         ll_prev = trace[-1]
         # document half-step: (alpha_i, theta_i) given (psi, beta)
-        alpha, theta, s, h = _newton_block(
+        alpha, theta, _, s, h = _newton_block(
             y, params.psi, params.beta, params.alpha, params.theta, clamp
         )
         steps, halvings = steps + s, halvings + h
         params = replace(params, alpha=alpha, theta=theta)
         if config.debug_ascent:
             _check_ascent(matrix, params, ll_prev, clamp)
-        # feature half-step: (psi_j, beta_j) given (alpha, theta)
-        psi, beta, s, h = _newton_block(
+        # feature half-step: (psi_j, beta_j) given (alpha, theta); its row
+        # log likelihoods sum to the total, which _standardize keeps
+        psi, beta, ll_cols, s, h = _newton_block(
             y.T, params.alpha, params.theta, params.psi, params.beta, clamp
         )
         steps, halvings = steps + s, halvings + h
-        params = replace(params, psi=psi, beta=beta)
-        params = _standardize(params)
-        ll = log_likelihood(matrix, params, clamp)
+        params = _standardize(replace(params, psi=psi, beta=beta))
+        ll = float(ll_cols.sum())
         if config.debug_ascent:
             _check_ascent(matrix, params, ll_prev, clamp)
         trace.append(ll)
@@ -322,9 +323,10 @@ def bootstrap(
     warm-started from the fitted parameters, sign-aligns every replicate's
     theta to the point estimate, and reports the empirical standard
     deviation and the 2.5/97.5 percentile interval per document. A
-    replicate with an all-zero row or column, or whose refit does not
-    converge within ``max_iter``, counts in ``bootstrap_failures`` instead;
-    more than 20% failures is an error.
+    replicate's all-zero columns carry no information about theta, so its
+    refit leaves them out. A replicate with an all-zero row, or whose refit
+    fails or does not converge within ``max_iter``, counts in
+    ``bootstrap_failures`` instead; more than 20% failures is an error.
     """
     if B < 1:
         raise ScalingError("need at least one bootstrap replicate")
@@ -340,13 +342,16 @@ def bootstrap(
         warnings.simplefilter("ignore")
         for _ in range(B):
             y_star = rng.poisson(mu)
+            cols = y_star.any(axis=0)
             try:
-                if (y_star.sum(axis=1) == 0).any() or (y_star.sum(axis=0) == 0).any():
-                    raise ScalingError("degenerate replicate")
+                if not y_star.any(axis=1).all():
+                    raise ScalingError("replicate has an all-zero row")
                 rep = fit(
-                    CountMatrix(matrix.doc_ids, matrix.feature_labels, y_star),
+                    CountMatrix(matrix.doc_ids, tuple(compress(matrix.feature_labels, cols)),
+                                y_star[:, cols]),
                     config,
-                    start=result.params,
+                    start=replace(result.params, psi=result.params.psi[cols],
+                                  beta=result.params.beta[cols]),
                 )
                 if not rep.converged:
                     raise ScalingError("replicate did not converge")

@@ -192,6 +192,18 @@ class TestCommunities:
         assert rc == 2
         assert "no bigrams survive threshold" in capsys.readouterr().err
 
+    def test_failed_run_writes_manifest(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["communities", "--input", str(corpus_file), "--format", "jsonl",
+                   "--pi", "100000", "--out", str(out), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        manifest = json.load(open(out / "manifest.json"))
+        assert manifest["command"] == "communities"
+        assert manifest["exit_status"] == 2
+        assert manifest["config"]["min_bigram_count"] == 100000
+        assert f"error: {manifest['error']}\n" == err
+
     def test_reruns_are_byte_identical(self, corpus_file, tmp_path):
         main(["communities", *base_args(corpus_file, tmp_path, "a")])
         main(["communities", *base_args(corpus_file, tmp_path, "b")])
@@ -315,6 +327,18 @@ class TestSimulate:
         spec.write_text("whatever = 1\n")
         rc = main(["simulate", str(spec), "--out", str(tmp_path / "x"), "--quiet"])
         assert rc == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed = -1", "spec key 'seed' must be >= 0, got -1"),
+        ("bootstrap_b = -4", "spec key 'bootstrap_b' must be >= 0, got -4"),
+    ])
+    def test_out_of_domain_spec_value_exits_1(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "sim.cfg"
+        spec.write_text(f"n_docs = 10\n{line}\n")
+        rc = main(["simulate", str(spec), "--out", str(tmp_path / "x"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x" / "report.json").exists()
 
     @pytest.mark.parametrize("line", ["n_docs = x", "n_docs"])
     def test_bad_spec_line_exits_1_with_location(self, tmp_path, capsys, line):

@@ -26,19 +26,11 @@ _DIGITS_RE = re.compile(r"^\d+$")
 
 def reference_tokenize(text, rules):
     """The per-match tokenizer loop that ``tokenize`` must agree with."""
-    pieces = re.split(rules.sentence_split, text) if rules.sentence_split else [text]
-    segments = []
-    for piece in pieces:
-        seg = [
-            t
-            for t in (m.group(0).lower() for m in re.finditer(r"\w+", piece))
-            if not _DIGITS_RE.match(t) and t not in rules.stopwords
-        ]
-        if seg:
-            segments.append(seg)
-    tokens = tuple(t for seg in segments for t in seg)
-    lengths = tuple(len(s) for s in segments) if rules.sentence_split else None
-    return tokens, lengths
+    return tuple(
+        t
+        for t in (m.group(0).lower() for m in re.finditer(r"\w+", text))
+        if not _DIGITS_RE.match(t) and t not in rules.stopwords
+    )
 
 
 def make_corpus(*token_lists):
@@ -133,28 +125,18 @@ class TestTokenize:
         doc = tokenize(Document(id="d", text="Hello World"))
         assert doc.text == "Hello World"
 
-    def test_sentence_splitter_blocks_bigrams(self):
-        rules = TokenizerConfig(sentence_split=r"[.!?]")
-        doc = tokenize(Document(id="d", text="alpha beta. gamma delta"), rules)
-        corpus = Corpus((doc,))
-        pairs = count_bigrams(corpus).pairs
-        assert frozenset(("beta", "gamma")) not in pairs
-        assert pairs[frozenset(("alpha", "beta"))] == 1
-        assert pairs[frozenset(("gamma", "delta"))] == 1
-
     @settings(deadline=None)
     @given(
         text=st.text(alphabet="aAbBσΣςßİǅ²٣1\u0307\u00a0_ .,!?'\n", max_size=60),
-        sentence_split=st.sampled_from([None, r"[.!?]"]),
         stopwords=st.frozensets(st.sampled_from(["a", "ab", "σ", "ς", "ss", "i\u0307"])),
     )
     # "²" is a digit but not decimal, so it stays a token; "٣" is decimal
-    @example(text="x ² ٣ 12 ²٣ İ ǅ ΣΑΣ ßΣ", sentence_split=None, stopwords=frozenset())
-    @example(text="ΣΑΣ. ² a! !", sentence_split=r"[.!?]", stopwords=frozenset({"a"}))
-    def test_matches_per_match_loop(self, text, sentence_split, stopwords):
-        rules = TokenizerConfig(stopwords=stopwords, sentence_split=sentence_split)
+    @example(text="x ² ٣ 12 ²٣ İ ǅ ΣΑΣ ßΣ", stopwords=frozenset())
+    @example(text="ΣΑΣ. ² a! !", stopwords=frozenset({"a"}))
+    def test_matches_per_match_loop(self, text, stopwords):
+        rules = TokenizerConfig(stopwords=stopwords)
         doc = tokenize(Document(id="d", text=text), rules)
-        assert (doc.tokens, doc.segment_lengths) == reference_tokenize(text, rules)
+        assert doc.tokens == reference_tokenize(text, rules)
 
 
 class TestApplyLemmas:

@@ -95,6 +95,19 @@ class TestFit:
         diffs = np.diff(result.loglik_trace)
         assert (diffs >= -1e-9).all()
 
+    @pytest.mark.parametrize("n, k", [(60, 10), (8, 300)])
+    def test_trace_ends_at_log_likelihood(self, n, k):
+        matrix, _ = random_matrix(23, n=n, k=k, row_total=20 * k)
+        result = fit(matrix)
+        assert result.converged
+        assert result.loglik_trace[-1] == pytest.approx(
+            log_likelihood(matrix, result.params), rel=1e-12)
+
+    def test_debug_ascent_on_wide_matrix(self):
+        matrix, _ = random_matrix(23, n=8, k=300, row_total=6000)
+        result = fit(matrix, FitConfig(debug_ascent=True))
+        assert result.converged
+
     def test_identification_constraints(self):
         matrix, _ = random_matrix(13, n=9, k=11)
         result = fit(matrix)
@@ -179,9 +192,10 @@ class TestLineSearch:
             return np.sum(y * eta - np.exp(np.clip(eta, -30.0, 30.0)), axis=1)
 
         start = row_ll(a, b)
-        a_new, b_new, _, _ = _newton_block(y, offset, slope, a, b, 30.0)
+        a_new, b_new, ll, _, _ = _newton_block(y, offset, slope, a, b, 30.0)
         assert np.isfinite(a_new).all() and np.isfinite(b_new).all()
         assert (row_ll(a_new, b_new) >= start - 1e-12 * (1.0 + np.abs(start))).all()
+        np.testing.assert_allclose(ll, row_ll(a_new, b_new), rtol=1e-12, atol=1e-9)
 
     def test_row_failing_every_trial_keeps_its_point(self):
         # every cell of row 1 sits above the clamp, where the Newton
@@ -189,7 +203,7 @@ class TestLineSearch:
         rng = np.random.default_rng(0)
         y = np.vstack([rng.poisson(20.0, size=6), np.full(6, 1e12)])
         offset, slope = 0.1 * rng.normal(size=6), rng.normal(size=6)
-        a, b, _, halvings = _newton_block(
+        a, b, _, _, halvings = _newton_block(
             y, offset, slope, np.array([0.0, 40.0]), np.zeros(2), 30.0)
         assert a[1] == 40.0 and b[1] == 0.0
         assert a[0] != 0.0
@@ -256,6 +270,33 @@ class TestBootstrap:
         result = fit(matrix)
         with pytest.raises(ScalingError, match="failed on 10/10"):
             bootstrap(matrix, result, B=10, seed=9, config=FitConfig(max_iter=1))
+
+    @staticmethod
+    def _with_sparse_cells(row_or_col):
+        # one count in the median-theta document: a column (or a row) whose
+        # total is 1, so about e^-1 of the replicates leave it all zero
+        matrix, _ = random_matrix(5, n=10, k=12)
+        mid = np.argsort(fit(matrix).params.theta)[5]
+        counts = matrix.counts.copy()
+        if row_or_col == "col":
+            counts[:, -1] = 0
+            counts[mid, -1] = 1
+        else:
+            counts[mid] = 0
+            counts[mid, 0] = 1
+        matrix = CountMatrix(matrix.doc_ids, matrix.feature_labels, counts)
+        return matrix, fit(matrix)
+
+    def test_all_zero_column_is_left_out_of_the_refit(self):
+        matrix, result = self._with_sparse_cells("col")
+        boot = bootstrap(matrix, result, B=40, seed=4)
+        assert boot.bootstrap_failures == 0
+        assert np.isfinite(boot.theta_se).all() and (boot.theta_se > 0).all()
+
+    def test_all_zero_row_is_a_failure(self):
+        matrix, result = self._with_sparse_cells("row")
+        with pytest.raises(ScalingError, match="failed on"):
+            bootstrap(matrix, result, B=40, seed=4)
 
     def test_ci_brackets_point_estimate_mostly(self):
         matrix, _ = random_matrix(41, n=10, k=12)
