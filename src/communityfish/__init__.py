@@ -7,7 +7,6 @@ from .corpus import (
     Corpus,
     CorpusError,
     Document,
-    TokenizerConfig,
     apply_lemmas,
     count_bigrams,
     filter_bigrams,
@@ -73,7 +72,6 @@ __all__ = [
     "ScalingParams",
     "ScalingResult",
     "SyntheticSpec",
-    "TokenizerConfig",
     "WordGraph",
     "analytic_theta_se",
     "apply_lemmas",

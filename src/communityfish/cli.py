@@ -35,7 +35,6 @@ from .corpus import (
     read_lemma_table,
     read_stopwords,
     tokenize,
-    TokenizerConfig,
 )
 from .features import CountMatrix, MatrixError, TrimReport, community_dtm, unigram_dtm
 from .graph import (
@@ -43,7 +42,6 @@ from .graph import (
     Partition,
     WordGraph,
     build_graph,
-    export_partition_csv,
     leiden,
     louvain,
 )
@@ -135,15 +133,15 @@ FLOORS = {
     "bootstrap_b": 0,
     "seed": 0,
 }
-SPEC_FLOORS = {"seed": 0, "bootstrap_b": 0}
 
 
-def _check_floors(values, floors: dict, kind: str) -> None:
-    """A one-line exit-1 error for the first key of ``values`` below its floor."""
-    for key, floor in floors.items():
+def _check_floors(values, kind: str) -> None:
+    """A one-line exit-1 error for the first field of the dataclass ``values``
+    below its floor in ``FLOORS``."""
+    for key in (f.name for f in dataclasses.fields(values) if f.name in FLOORS):
         value = getattr(values, key)
-        if value < floor:
-            raise CliError(f"{kind} key {key!r} must be >= {floor}, got {value!r}",
+        if value < FLOORS[key]:
+            raise CliError(f"{kind} key {key!r} must be >= {FLOORS[key]}, got {value!r}",
                            EXIT_CONFIG)
 
 
@@ -196,21 +194,33 @@ class SimulationSpec:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """What the stages of one run produced; stages not run are None."""
+    """What the stages of one run produced; the unigram baseline has no
+    graph or partition."""
 
     graph: WordGraph | None
     partition: Partition | None
-    matrix: CountMatrix | None = None
-    trim_report: TrimReport | None = None
-    result: ScalingResult | None = None
+    matrix: CountMatrix
+    trim_report: TrimReport
+    result: ScalingResult
 
 
-def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False, *,
-                 communities_only: bool = False) -> PipelineRun:
-    """Run the stages on a tokenized corpus, in order: bigram counts ->
-    threshold -> word graph -> Louvain or Leiden communities -> community
-    count matrix -> fit. ``baseline`` replaces everything before the fit by
-    the unigram count matrix; ``communities_only`` stops after clustering.
+def _cluster(corpus: Corpus, config: RunConfig) -> tuple[WordGraph, Partition]:
+    """Bigram counts -> threshold -> word graph -> Louvain or Leiden
+    communities; a partition without communities is a ``GraphError``."""
+    graph = build_graph(filter_bigrams(
+        count_bigrams(corpus), config.min_bigram_count, config.strict_greater))
+    cluster = louvain if config.clustering == "louvain" else leiden
+    partition = cluster(graph, seed=config.seed,
+                        min_community_size=config.min_community_size)
+    if not partition.assignment:
+        raise GraphError("no communities")
+    return graph, partition
+
+
+def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False) -> PipelineRun:
+    """Run the stages on a tokenized corpus, in order: ``_cluster`` ->
+    community count matrix -> fit. ``baseline`` replaces everything before
+    the fit by the unigram count matrix.
 
     Failures raise the library's ``ValueError`` subclasses: ``GraphError``
     and ``MatrixError`` for an empty stage, ``ScalingError`` for the fit.
@@ -219,16 +229,7 @@ def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False, *,
     if baseline:
         matrix, trim_report = unigram_dtm(corpus, min_count=config.unigram_min_count)
     else:
-        counts = count_bigrams(corpus)
-        graph = build_graph(
-            filter_bigrams(counts, config.min_bigram_count, config.strict_greater))
-        cluster = louvain if config.clustering == "louvain" else leiden
-        partition = cluster(graph, seed=config.seed,
-                            min_community_size=config.min_community_size)
-        if not partition.assignment:
-            raise GraphError("no communities")
-        if communities_only:
-            return PipelineRun(graph, partition)
+        graph, partition = _cluster(corpus, config)
         matrix, trim_report = community_dtm(
             corpus, partition, bigram_match=(config.dtm == "bigram-match"))
     result = fit(matrix, config.fit_config())
@@ -351,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> RunConfig:
     """The run's configuration: the config file, then the flags over it.
-    Every value outside its key's domain is a one-line exit-1 error here,
-    before any stage runs."""
+    ``simulate`` also gets its spec, the spec file then ``--seed``, as
+    ``args.spec``. Every value outside its key's domain is a one-line exit-1
+    error here, before any stage runs or any output exists."""
     config = RunConfig.from_file(Path(args.config)) if args.config else RunConfig()
     for key in ("input", "format", "min_bigram_count", "clustering", "seed", "out"):
         val = getattr(args, key, None)
@@ -365,11 +367,19 @@ def _resolve_config(args) -> RunConfig:
         if value not in allowed:
             raise CliError(f"config key {key!r} must be one of {', '.join(allowed)}, "
                            f"got {value!r}", EXIT_CONFIG)
-    _check_floors(config, FLOORS, "config")
+    _check_floors(config, "config")
     try:  # tol, clamp and max_iter
         config.fit_config()
     except ScalingError as exc:
         raise CliError(f"config: {exc}", EXIT_CONFIG) from None
+    if args.command == "simulate":
+        spec = SimulationSpec()
+        if args.spec_file:
+            spec = read_key_values(Path(args.spec_file), SimulationSpec, "spec")
+        if args.seed is not None:
+            spec.seed = args.seed
+        _check_floors(spec, "spec")
+        args.spec = spec
     return config
 
 
@@ -382,8 +392,7 @@ def _load_pipeline_corpus(config: RunConfig) -> Corpus:
         table = read_lemma_table(config.lemmas) if config.lemmas else None
     except CorpusError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
-    rules = TokenizerConfig(stopwords=stopwords)
-    corpus = corpus.map_documents(lambda d: tokenize(d, rules))
+    corpus = corpus.map_documents(lambda d: tokenize(d, stopwords))
     if table is not None:
         corpus = corpus.map_documents(lambda d: apply_lemmas(d, table))
     return corpus
@@ -401,14 +410,22 @@ def _write_manifest(out: Path, config: RunConfig, extra: dict) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # Each command writes its outputs to ``out`` and returns a one-line summary
 # and the command's entries for manifest.json.
 
 def cmd_communities(args, config: RunConfig, out: Path) -> tuple[str, dict]:
-    run = run_pipeline(_load_pipeline_corpus(config), config, communities_only=True)
-    graph, partition = run.graph, run.partition
-    export_partition_csv(partition, out / "communities.csv")
-    sizes = sorted((len(v) for v in partition.members.values()), reverse=True)
+    graph, partition = _cluster(_load_pipeline_corpus(config), config)
+    members = partition.members
+    _write_csv(out / "communities.csv", ["community_id", "word"],
+               ([cid, w] for cid, words in members.items() for w in words))
+    sizes = sorted(map(len, members.values()), reverse=True)
     stats = {
         "num_communities": partition.num_communities,
         "community_sizes": sizes,
@@ -425,32 +442,20 @@ def cmd_communities(args, config: RunConfig, out: Path) -> tuple[str, dict]:
 def _write_positions(out: Path, corpus: Corpus, result: ScalingResult) -> None:
     meta_keys = sorted({k for d in corpus.documents for k in d.metadata})
     meta = {d.id: d.metadata for d in corpus.documents}
-    with open(out / "positions.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doc_id", "theta", "se", "ci_low", "ci_high", "alpha", *meta_keys])
-        for i, doc_id in enumerate(result.matrix.doc_ids):
-            se = f"{result.theta_se[i]:.6f}" if result.theta_se is not None else ""
-            lo = f"{result.theta_ci_low[i]:.6f}" if result.theta_ci_low is not None else ""
-            hi = f"{result.theta_ci_high[i]:.6f}" if result.theta_ci_high is not None else ""
-            row = [
-                doc_id,
-                f"{result.params.theta[i]:.6f}",
-                se,
-                lo,
-                hi,
-                f"{result.params.alpha[i]:.6f}",
-            ]
-            row += [meta.get(doc_id, {}).get(k, "") for k in meta_keys]
-            writer.writerow(row)
+    # an uncertainty column that was not computed is None: its cells are empty
+    columns = (result.params.theta, result.theta_se, result.theta_ci_low,
+               result.theta_ci_high, result.params.alpha)
+    _write_csv(out / "positions.csv",
+               ["doc_id", "theta", "se", "ci_low", "ci_high", "alpha", *meta_keys],
+               ([doc_id, *("" if c is None else f"{c[i]:.6f}" for c in columns),
+                 *(meta.get(doc_id, {}).get(k, "") for k in meta_keys)]
+                for i, doc_id in enumerate(result.matrix.doc_ids)))
 
 
 def _write_features(out: Path, result: ScalingResult) -> None:
-    with open(out / "features.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "beta", "psi"])
-        for j, label in enumerate(result.matrix.feature_labels):
-            writer.writerow([label, f"{result.params.beta[j]:.6f}",
-                             f"{result.params.psi[j]:.6f}"])
+    _write_csv(out / "features.csv", ["feature", "beta", "psi"],
+               ([label, f"{result.params.beta[j]:.6f}", f"{result.params.psi[j]:.6f}"]
+                for j, label in enumerate(result.matrix.feature_labels)))
 
 
 def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
@@ -507,13 +512,9 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
     )
     ci = {d: i for i, d in enumerate(com.matrix.doc_ids)} if com else {}
     ui = {d: i for i, d in enumerate(uni.matrix.doc_ids)} if uni else {}
-    with open(out / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doc_id", "theta_community", "theta_unigram"])
-        for d in doc_ids:
-            tc = f"{com.params.theta[ci[d]]:.6f}" if com and d in ci else ""
-            tu = f"{uni.params.theta[ui[d]]:.6f}" if uni and d in ui else ""
-            writer.writerow([d, tc, tu])
+    _write_csv(out / "comparison.csv", ["doc_id", "theta_community", "theta_unigram"],
+               ([d, f"{com.params.theta[ci[d]]:.6f}" if d in ci else "",
+                 f"{uni.params.theta[ui[d]]:.6f}" if d in ui else ""] for d in doc_ids))
     summary = {
         "k_community_features": report.k_community_features,
         "vocabulary_size": report.vocabulary_size,
@@ -529,12 +530,7 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
 
 
 def cmd_simulate(args, config: RunConfig, out: Path) -> tuple[str, dict]:
-    sim = SimulationSpec()
-    if args.spec_file:
-        sim = read_key_values(Path(args.spec_file), SimulationSpec, "spec")
-    if args.seed is not None:
-        sim.seed = args.seed
-    _check_floors(sim, SPEC_FLOORS, "spec")
+    sim = args.spec
     spec = SyntheticSpec.create(
         n_docs=sim.n_docs,
         n_features=sim.n_features,
@@ -581,18 +577,21 @@ def main(argv: list[str] | None = None) -> int:
     out = None
     try:
         config = _resolve_config(args)
+        entries = {"command": args.command}
+        if args.command == "simulate":
+            entries["spec"] = dataclasses.asdict(args.spec)
         Path(config.out).mkdir(parents=True, exist_ok=True)
         out = Path(config.out)
         summary, extra = _COMMANDS[args.command](args, config, out)
-        _write_manifest(out, config, {"command": args.command, **extra, "exit_status": 0})
+        _write_manifest(out, config, {**entries, **extra, "exit_status": 0})
     except (CliError, *_EXIT_CODES) as exc:
         code = exc.code if isinstance(exc, CliError) else next(
             c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
         print(f"error: {exc}", file=sys.stderr)
         if out is not None:  # the run got as far as creating out/
             with contextlib.suppress(OSError):
-                _write_manifest(out, config, {"command": args.command,
-                                              "exit_status": code, "error": str(exc)})
+                _write_manifest(out, config, {**entries, "exit_status": code,
+                                              "error": str(exc)})
         return code
     if not args.quiet:
         print(summary)

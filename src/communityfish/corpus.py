@@ -62,18 +62,10 @@ class Corpus:
 
 
 @dataclass(frozen=True)
-class TokenizerConfig:
-    stopwords: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
 class BigramCounts:
     """Unordered word-pair co-occurrence counts; self-pairs are excluded."""
 
     pairs: Mapping[frozenset, int]
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 def load_corpus(source, format: str) -> Corpus:
@@ -150,11 +142,11 @@ def _load_csv(path: Path) -> list[Document]:
     return docs
 
 
-def tokenize(doc: Document, rules: TokenizerConfig = TokenizerConfig()) -> Document:
+def tokenize(doc: Document, stopwords: frozenset[str] = frozenset()) -> Document:
     """Lowercase, Unicode-aware word tokenization.
 
-    Punctuation and purely numeric tokens are dropped; stopwords from the
-    config are removed after that. The raw text is retained on the document.
+    Punctuation and purely numeric tokens are dropped; ``stopwords`` are
+    removed after that. The raw text is retained on the document.
     Tokens are interned, so each word type is one string object.
     """
     words = _WORD_RE.findall(doc.text)
@@ -162,7 +154,7 @@ def tokenize(doc: Document, rules: TokenizerConfig = TokenizerConfig()) -> Docum
     # space, but "İ".lower() adds U+0307, which \w does not match.
     lowered = " ".join(words).lower().split(" ") if words else ()
     tokens = tuple(map(sys.intern, filterfalse(
-        rules.stopwords.__contains__, filterfalse(str.isdecimal, lowered))))
+        stopwords.__contains__, filterfalse(str.isdecimal, lowered))))
     return replace(doc, tokens=tokens)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -50,13 +50,12 @@ def community_dtm(
     """
     if not partition.assignment:
         raise MatrixError("empty partition: no communities to count")
-    cids = sorted(set(partition.assignment.values()))
-    col_of_cid = {c: j for j, c in enumerate(cids)}
-    col_of = {w: col_of_cid[c] for w, c in partition.assignment.items()}
-    counts = _count_matrix(corpus, col_of, len(cids), bigram_match)
+    members = partition.members
+    col_of = {w: j for j, words in enumerate(members.values()) for w in words}
+    counts = _count_matrix(corpus, col_of, len(members), bigram_match)
     vocab = corpus.vocabulary
     labels = tuple(
-        _community_label(cid, partition.members[cid], vocab) for cid in cids
+        _community_label(cid, words, vocab) for cid, words in members.items()
     )
     matrix = CountMatrix(
         doc_ids=tuple(d.id for d in corpus.documents),
@@ -110,23 +109,21 @@ def _count_matrix(
 
 
 def trim(matrix: CountMatrix) -> tuple[CountMatrix, TrimReport]:
-    """Iteratively drop all-zero rows and columns until none remain."""
+    """Drop all-zero rows and columns.
+
+    One pass leaves none: counts are non-negative, so dropping all-zero rows
+    leaves every column sum unchanged, and dropping all-zero columns every
+    row sum.
+    """
     counts = matrix.counts
-    doc_ids = list(matrix.doc_ids)
-    labels = list(matrix.feature_labels)
-    dropped_docs: list[str] = []
-    dropped_feats: list[str] = []
-    while True:
-        if counts.size == 0:
-            raise MatrixError("count matrix is entirely zero after trimming")
-        row_ok = counts.sum(axis=1) > 0
-        col_ok = counts.sum(axis=0) > 0
-        if row_ok.all() and col_ok.all():
-            break
-        dropped_docs += [d for d, ok in zip(doc_ids, row_ok) if not ok]
-        dropped_feats += [f for f, ok in zip(labels, col_ok) if not ok]
-        doc_ids = [d for d, ok in zip(doc_ids, row_ok) if ok]
-        labels = [f for f, ok in zip(labels, col_ok) if ok]
+    row_ok = counts.sum(axis=1) > 0
+    col_ok = counts.sum(axis=0) > 0
+    if not row_ok.any():
+        raise MatrixError("count matrix is entirely zero after trimming")
+    if not (row_ok.all() and col_ok.all()):
         counts = counts[np.ix_(row_ok, col_ok)]
-    trimmed = CountMatrix(tuple(doc_ids), tuple(labels), counts)
-    return trimmed, TrimReport(tuple(dropped_docs), tuple(dropped_feats))
+    doc_ids, labels = matrix.doc_ids, matrix.feature_labels
+    trimmed = CountMatrix(tuple(compress(doc_ids, row_ok)),
+                          tuple(compress(labels, col_ok)), counts)
+    return trimmed, TrimReport(tuple(compress(doc_ids, ~row_ok)),
+                               tuple(compress(labels, ~col_ok)))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -25,12 +24,8 @@ class WordGraph:
     adjacency: tuple[Mapping[int, float], ...]
 
     @cached_property
-    def node_index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.nodes)}
-
-    @cached_property
     def strengths(self) -> np.ndarray:
-        return np.array([sum(nbrs.values()) for nbrs in self.adjacency])
+        return np.array(self._level.strength)
 
     @cached_property
     def _level(self) -> "_LevelGraph":
@@ -56,7 +51,7 @@ class Partition:
     def num_communities(self) -> int:
         return len(set(self.assignment.values())) if self.assignment else 0
 
-    @property
+    @cached_property
     def members(self) -> dict[int, list[str]]:
         out: dict[int, list[str]] = {}
         for word, cid in self.assignment.items():
@@ -200,24 +195,25 @@ def _aggregate(level: _LevelGraph, comm: list[int], ncomm: int) -> _LevelGraph:
 
 # independent Louvain runs per clustering; the best modularity is kept
 _RESTARTS = 8
+# a Louvain run stops after a pass that raises Q by less than this
+_Q_TOL = 1e-12
 
 
-def _louvain_assignment(graph: WordGraph, seed: int, q_tol: float = 1e-12) -> list[int]:
-    """Raw Louvain over all nodes; returns a community id per node index."""
+def _louvain_assignment(graph: WordGraph, seed: int, singleton_q: float) -> list[int]:
+    """Raw Louvain over all nodes; returns a community id per node index.
+    ``singleton_q`` is the modularity of the all-singletons partition."""
     m = graph.total_weight
-    if m == 0:
-        raise GraphError("louvain requires a graph with at least one edge")
     rng = np.random.default_rng(seed)
     level = graph._level
     node_comm = list(range(len(graph)))  # original node -> current top community
-    prev_q = _level_modularity(level, list(range(len(level))), m)
+    prev_q = singleton_q
     while True:
         comm = list(range(len(level)))
         _local_move(level, comm, m, rng)
         comm, ncomm = _relabel(comm)
         q = _level_modularity(level, comm, m)
         node_comm = [comm[c] for c in node_comm]
-        if q - prev_q < q_tol or ncomm == len(level):
+        if q - prev_q < _Q_TOL or ncomm == len(level):
             break
         prev_q = q
         level = _aggregate(level, comm, ncomm)
@@ -234,34 +230,36 @@ def louvain(graph: WordGraph, seed: int = 0, min_community_size: int = 2) -> Par
     ``min_community_size`` are dropped from the returned partition; their
     words carry no feature downstream.
     """
+    comm, q = _best_louvain_assignment(graph, seed)
+    return _finalize_partition(graph, comm, q, min_community_size)
+
+
+def _best_louvain_assignment(graph: WordGraph, seed: int) -> tuple[list[int], float]:
+    """The highest-modularity assignment of ``_RESTARTS`` Louvain runs, and
+    its modularity. Both clustering algorithms start here, so the checks
+    for a graph they cannot cluster live here."""
     if len(graph) == 0:
         raise GraphError("empty graph")
-    comm = _best_louvain_assignment(graph, seed)
-    return _finalize_partition(graph, comm, min_community_size)
-
-
-def _best_louvain_assignment(graph: WordGraph, seed: int) -> list[int]:
     m = graph.total_weight
+    if m == 0:
+        raise GraphError("clustering requires a graph with at least one edge")
     level = graph._level
+    singleton_q = _level_modularity(level, list(range(len(level))), m)
     best_comm, best_q = None, -np.inf
     for sub_seed in np.random.SeedSequence(seed).generate_state(_RESTARTS):
-        comm = _louvain_assignment(graph, int(sub_seed))
+        comm = _louvain_assignment(graph, int(sub_seed), singleton_q)
         q = _level_modularity(level, comm, m)
         if q > best_q + 1e-14:
             best_comm, best_q = comm, q
-    return best_comm
+    return best_comm, best_q
 
 
 def leiden(graph: WordGraph, seed: int = 0, min_community_size: int = 2) -> Partition:
     """Louvain plus a refinement that guarantees internally connected
     communities: disconnected communities are split into their connected
     components and local moving is re-run until stable."""
-    if len(graph) == 0:
-        raise GraphError("empty graph")
+    comm, _ = _best_louvain_assignment(graph, seed)
     m = graph.total_weight
-    if m == 0:
-        raise GraphError("leiden requires a graph with at least one edge")
-    comm = _best_louvain_assignment(graph, seed)
     rng = np.random.default_rng(seed + 1)
     level = graph._level
     for _ in range(10):
@@ -272,7 +270,8 @@ def leiden(graph: WordGraph, seed: int = 0, min_community_size: int = 2) -> Part
         _local_move(level, comm, m, rng)
         comm, _ = _relabel(comm)
     comm = _split_disconnected(graph, comm)
-    return _finalize_partition(graph, comm, min_community_size)
+    return _finalize_partition(graph, comm, _level_modularity(level, comm, m),
+                               min_community_size)
 
 
 def _split_disconnected(graph: WordGraph, comm: list[int]) -> list[int]:
@@ -301,9 +300,10 @@ def _split_disconnected(graph: WordGraph, comm: list[int]) -> list[int]:
 
 
 def _finalize_partition(
-    graph: WordGraph, comm: list[int], min_community_size: int
+    graph: WordGraph, comm: list[int], q: float, min_community_size: int
 ) -> Partition:
-    q = modularity(graph, Partition({w: comm[i] for i, w in enumerate(graph.nodes)}))
+    """The partition of ``comm``, a contiguous id per node index whose
+    modularity is ``q``, without its communities below the minimum size."""
     sizes: dict[int, int] = {}
     for c in comm:
         sizes[c] = sizes.get(c, 0) + 1
@@ -351,12 +351,3 @@ def _restricted_growth_strings(n: int):
 
     yield from rec(1, 0) if n > 0 else iter(())
 
-
-def export_partition_csv(partition: Partition, path) -> None:
-    """CSV of community_id,word sorted by community then word."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["community_id", "word"])
-        for cid, words in partition.members.items():
-            for w in words:
-                writer.writerow([cid, w])

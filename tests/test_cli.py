@@ -215,6 +215,14 @@ class TestCommunities:
                    "--clustering", "leiden"])
         assert rc == 0
 
+    def test_partition_csv(self, corpus_file, tmp_path):
+        assert main(["communities", *base_args(corpus_file, tmp_path)]) == 0
+        lines = (tmp_path / "out" / "communities.csv").read_text().splitlines()
+        assert lines[0] == "community_id,word"
+        assert len(lines) == 1 + len(COM_A) + len(COM_B)
+        rows = [(int(cid), word) for cid, word in (line.split(",") for line in lines[1:])]
+        assert rows == sorted(rows)
+
 
 class TestScale:
     def test_full_run(self, corpus_file, tmp_path):
@@ -338,7 +346,20 @@ class TestSimulate:
         rc = main(["simulate", str(spec), "--out", str(tmp_path / "x"), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "x" / "report.json").exists()
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, seed", [([], 3), (["--seed", "7"], 7)],
+                             ids=["spec_seed", "seed_flag"])
+    def test_manifest_records_spec(self, tmp_path, flag, seed):
+        spec = tmp_path / "sim.cfg"
+        spec.write_text("n_docs = 10\nn_features = 12\nseed = 3\nbootstrap_b = 5\n")
+        rc = main(["simulate", str(spec), *flag, "--out", str(tmp_path / "sim"), "--quiet"])
+        assert rc == 0
+        manifest = json.load(open(tmp_path / "sim" / "manifest.json"))
+        assert manifest["spec"]["seed"] == seed
+        assert manifest["spec"]["bootstrap_b"] == 5
+        report = json.load(open(tmp_path / "sim" / "report.json"))
+        assert manifest["spec"] == report["spec"]
 
     @pytest.mark.parametrize("line", ["n_docs = x", "n_docs"])
     def test_bad_spec_line_exits_1_with_location(self, tmp_path, capsys, line):

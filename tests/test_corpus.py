@@ -10,7 +10,6 @@ from communityfish.corpus import (
     Corpus,
     CorpusError,
     Document,
-    TokenizerConfig,
     apply_lemmas,
     count_bigrams,
     filter_bigrams,
@@ -24,12 +23,12 @@ from communityfish.corpus import (
 _DIGITS_RE = re.compile(r"^\d+$")
 
 
-def reference_tokenize(text, rules):
+def reference_tokenize(text, stopwords):
     """The per-match tokenizer loop that ``tokenize`` must agree with."""
     return tuple(
         t
         for t in (m.group(0).lower() for m in re.finditer(r"\w+", text))
-        if not _DIGITS_RE.match(t) and t not in rules.stopwords
+        if not _DIGITS_RE.match(t) and t not in stopwords
     )
 
 
@@ -117,8 +116,8 @@ class TestTokenize:
         assert doc.tokens == ("bürger", "zählen")
 
     def test_stopwords(self):
-        rules = TokenizerConfig(stopwords=frozenset({"the"}))
-        doc = tokenize(Document(id="d", text="the panama canal"), rules)
+        doc = tokenize(Document(id="d", text="the panama canal"),
+                       stopwords=frozenset({"the"}))
         assert doc.tokens == ("panama", "canal")
 
     def test_original_text_retained(self):
@@ -134,9 +133,8 @@ class TestTokenize:
     @example(text="x ² ٣ 12 ²٣ İ ǅ ΣΑΣ ßΣ", stopwords=frozenset())
     @example(text="ΣΑΣ. ² a! !", stopwords=frozenset({"a"}))
     def test_matches_per_match_loop(self, text, stopwords):
-        rules = TokenizerConfig(stopwords=stopwords)
-        doc = tokenize(Document(id="d", text=text), rules)
-        assert doc.tokens == reference_tokenize(text, rules)
+        doc = tokenize(Document(id="d", text=text), stopwords=stopwords)
+        assert doc.tokens == reference_tokenize(text, stopwords)
 
 
 class TestApplyLemmas:
