@@ -485,8 +485,11 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "matrix_shape": list(matrix.shape),
         "dropped_documents": list(run.trim_report.dropped_doc_ids),
         "bootstrap_failures": result.bootstrap_failures,
+        "bootstrap_failure_reasons": result.bootstrap_failure_reasons,
         "newton_steps": result.newton_steps,
         "line_search_halvings": result.line_search_halvings,
+        "map_evaluations": result.map_evaluations,
+        "score": result.score,
         "baseline": bool(args.baseline),
     }
     (out / "fit_report.json").write_text(json.dumps(report, indent=2))

@@ -238,6 +238,11 @@ class TestScale:
         assert {"feature", "beta", "psi"} <= set(feats[0])
         report = json.load(open(tmp_path / "s" / "fit_report.json"))
         assert report["converged"] is True
+        assert report["map_evaluations"] >= report["iterations"] >= 1
+        assert 0 <= report["score"] < 1.0
+        reasons = report["bootstrap_failure_reasons"]
+        assert set(reasons) == {"zero_row", "not_converged", "error"}
+        assert sum(reasons.values()) == report["bootstrap_failures"]
 
     def test_no_bootstrap_leaves_ci_empty(self, corpus_file, tmp_path):
         rc = main(["scale", *base_args(corpus_file, tmp_path, "nb"), "--no-bootstrap"])

@@ -46,6 +46,21 @@ class TestInitialize:
         assert params.theta.mean() == pytest.approx(0.0, abs=1e-10)
         assert params.theta.std(ddof=1) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("n, k", [(6, 40), (40, 6)])
+    def test_matches_svd_oracle(self, n, k):
+        matrix, _ = random_matrix(2, n=n, k=k)
+        logy = np.log(matrix.counts + 0.1)
+        centered = (logy - logy.mean(axis=1, keepdims=True)
+                    - logy.mean(axis=0, keepdims=True) + logy.mean())
+        u, s, vt = np.linalg.svd(centered, full_matrices=False)
+        sd = u[:, 0].std(ddof=1)
+        theta = (u[:, 0] - u[:, 0].mean()) / sd
+        beta = s[0] * vt[0] * sd
+        params = initialize(matrix)
+        sign = np.sign(params.theta @ theta)  # a singular pair's sign is arbitrary
+        np.testing.assert_allclose(sign * params.theta, theta, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(sign * params.beta, beta, rtol=0, atol=1e-10)
+
 
 class TestLogLikelihood:
     def test_all_ones_zero_params(self):
@@ -107,6 +122,43 @@ class TestFit:
         matrix, _ = random_matrix(23, n=8, k=300, row_total=6000)
         result = fit(matrix, FitConfig(debug_ascent=True))
         assert result.converged
+
+    def test_singleton_columns_in_extreme_documents(self):
+        # a word seen once, only in the most extreme document, has no finite
+        # maximum likelihood estimate; the fit must still ascend and stop
+        matrix, _ = random_matrix(3, n=12, k=24)
+        order = np.argsort(fit(matrix).params.theta)
+        counts = matrix.counts.copy()
+        counts[:, :4] = 0
+        counts[order[0], :2] = 1
+        counts[order[-1], 2:4] = 1
+        matrix = CountMatrix(matrix.doc_ids, matrix.feature_labels, counts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the clamp may engage
+            result = fit(matrix, FitConfig(debug_ascent=True))
+        assert result.converged
+        assert (np.diff(result.loglik_trace) >= -1e-9).all()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tight_fit_has_small_score(self, seed):
+        matrix, _ = random_matrix(seed)
+        result = fit(matrix, FitConfig(tol=1e-12))
+        assert result.converged
+        assert result.score < 1e-4
+        assert result.map_evaluations >= len(result.loglik_trace) - 1
+
+    def test_score_is_the_scaled_gradient(self):
+        matrix, _ = random_matrix(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # not converged
+            result = fit(matrix, FitConfig(max_iter=3))
+        params = result.params
+        mu = np.exp(params.alpha[:, None] + params.psi + np.outer(params.theta, params.beta))
+        grads = gradients(matrix, params)
+        diag = {"alpha": mu.sum(axis=1), "theta": mu @ params.beta**2,
+                "psi": mu.sum(axis=0), "beta": mu.T @ params.theta**2}
+        expected = max(np.max(np.abs(grads[b]) / np.sqrt(diag[b])) for b in grads)
+        assert result.score == pytest.approx(expected, rel=1e-8)
 
     def test_identification_constraints(self):
         matrix, _ = random_matrix(13, n=9, k=11)
@@ -192,10 +244,12 @@ class TestLineSearch:
             return np.sum(y * eta - np.exp(np.clip(eta, -30.0, 30.0)), axis=1)
 
         start = row_ll(a, b)
-        a_new, b_new, ll, _, _ = _newton_block(y, offset, slope, a, b, 30.0)
+        a_new, b_new, ll, mu, _ = _newton_block(y, offset, slope, a, b, 30.0)
         assert np.isfinite(a_new).all() and np.isfinite(b_new).all()
         assert (row_ll(a_new, b_new) >= start - 1e-12 * (1.0 + np.abs(start))).all()
         np.testing.assert_allclose(ll, row_ll(a_new, b_new), rtol=1e-12, atol=1e-9)
+        eta = a_new[:, None] + offset[None, :] + b_new[:, None] * slope[None, :]
+        np.testing.assert_allclose(mu, np.exp(np.clip(eta, -30.0, 30.0)), rtol=1e-12)
 
     def test_row_failing_every_trial_keeps_its_point(self):
         # every cell of row 1 sits above the clamp, where the Newton
@@ -203,11 +257,25 @@ class TestLineSearch:
         rng = np.random.default_rng(0)
         y = np.vstack([rng.poisson(20.0, size=6), np.full(6, 1e12)])
         offset, slope = 0.1 * rng.normal(size=6), rng.normal(size=6)
-        a, b, _, _, halvings = _newton_block(
+        a, b, _, mu, halvings = _newton_block(
             y, offset, slope, np.array([0.0, 40.0]), np.zeros(2), 30.0)
         assert a[1] == 40.0 and b[1] == 0.0
         assert a[0] != 0.0
-        assert 29 <= halvings < 2 * 29  # row 1 backtracks in one step only
+        assert 29 <= halvings < 2 * 29  # row 1 backtracks through every trial
+        assert (mu[1] == np.exp(30.0)).all()  # its rates stay at the start's
+
+    @pytest.mark.parametrize("n, k", [(5, 40), (40, 5)])
+    def test_passed_rates_give_the_same_step(self, n, k):
+        rng = np.random.default_rng(n)
+        y = rng.poisson(3.0, size=(n, k)).astype(float)
+        offset, slope = rng.normal(size=k), rng.normal(size=k)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        mu = np.exp(a[:, None] + offset[None, :] + b[:, None] * slope[None, :])
+        fresh = _newton_block(y, offset, slope, a, b, 30.0)
+        passed = _newton_block(y, offset, slope, a, b, 30.0, mu=mu)
+        for x, z in zip(fresh[:4], passed[:4]):
+            np.testing.assert_allclose(z, x, rtol=1e-12, atol=1e-12)
+        assert fresh[4] == passed[4]
 
     def test_converged_start_refit_does_not_backtrack(self):
         # row log likelihoods near 1e6, where float noise alone exceeds an
@@ -268,7 +336,8 @@ class TestBootstrap:
     def test_nonconverged_replicates_are_failures(self):
         matrix, _ = random_matrix(31, n=8, k=10)
         result = fit(matrix)
-        with pytest.raises(ScalingError, match="failed on 10/10"):
+        with pytest.raises(ScalingError, match=r"failed on 10/10 replicates "
+                           r"\(zero_row 0, not_converged 10, error 0\)"):
             bootstrap(matrix, result, B=10, seed=9, config=FitConfig(max_iter=1))
 
     @staticmethod
@@ -295,8 +364,22 @@ class TestBootstrap:
 
     def test_all_zero_row_is_a_failure(self):
         matrix, result = self._with_sparse_cells("row")
-        with pytest.raises(ScalingError, match="failed on"):
+        with pytest.raises(ScalingError, match=r"failed on (\d+)/40 replicates "
+                           r"\(zero_row \1, not_converged 0, error 0\)"):
             bootstrap(matrix, result, B=40, seed=4)
+
+    def test_failures_are_counted_by_reason(self):
+        # a row total of 3 leaves the row all zero in about e^-3 of the
+        # replicates: some failures, fewer than the 20% that is an error
+        matrix, _ = random_matrix(5, n=10, k=12)
+        counts = matrix.counts.copy()
+        counts[4] = 0
+        counts[4, :3] = 1
+        matrix = CountMatrix(matrix.doc_ids, matrix.feature_labels, counts)
+        boot = bootstrap(matrix, fit(matrix), B=60, seed=1)
+        assert boot.bootstrap_failures > 0
+        assert boot.bootstrap_failure_reasons == {
+            "zero_row": boot.bootstrap_failures, "not_converged": 0, "error": 0}
 
     def test_ci_brackets_point_estimate_mostly(self):
         matrix, _ = random_matrix(41, n=10, k=12)
