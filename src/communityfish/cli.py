@@ -247,7 +247,8 @@ class ComparisonReport:
     dispersion_unigram: float | None
     community_result: ScalingResult | None
     unigram_result: ScalingResult | None
-    errors: dict = field(default_factory=dict)
+    # the exception each failed branch raised, by branch name
+    errors: dict[str, ValueError] = field(default_factory=dict)
 
 
 def compare_models(
@@ -278,7 +279,7 @@ def compare_models(
     )
     results: dict[str, ScalingResult | None] = {}
     runtimes: dict[str, float | None] = {}
-    errors: dict = {}
+    errors: dict[str, ValueError] = {}
     for branch, baseline in (("community", False), ("unigram", True)):
         results[branch] = runtimes[branch] = None
         try:
@@ -286,7 +287,7 @@ def compare_models(
             results[branch] = run_pipeline(corpus, run_config, baseline).result
             runtimes[branch] = time.perf_counter() - t0
         except ValueError as exc:
-            errors[branch] = str(exc)
+            errors[branch] = exc
     com_result, uni_result = results["community"], results["unigram"]
     rank_corr = None
     if com_result is not None and uni_result is not None:
@@ -486,7 +487,6 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "dropped_documents": list(run.trim_report.dropped_doc_ids),
         "bootstrap_failures": result.bootstrap_failures,
         "bootstrap_failure_reasons": result.bootstrap_failure_reasons,
-        "newton_steps": result.newton_steps,
         "line_search_halvings": result.line_search_halvings,
         "map_evaluations": result.map_evaluations,
         "score": result.score,
@@ -507,8 +507,12 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         config=config.fit_config(),
         run_config=config,
     )
+    errors = {branch: str(exc) for branch, exc in report.errors.items()}
     if report.community_result is None and report.unigram_result is None:
-        raise CliError(f"both branches failed: {report.errors}", EXIT_ESTIMATION)
+        # exit 2 unless a fit failed: the other errors are empty stages, as in scale
+        estimation = any(isinstance(e, ScalingError) for e in report.errors.values())
+        raise CliError(f"both branches failed: {errors}",
+                       EXIT_ESTIMATION if estimation else EXIT_EMPTY)
     com, uni = report.community_result, report.unigram_result
     doc_ids = sorted(
         set(com.matrix.doc_ids if com else ()) | set(uni.matrix.doc_ids if uni else ())
@@ -526,7 +530,7 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "rank_correlation": report.rank_correlation,
         "dispersion_community": report.dispersion_community,
         "dispersion_unigram": report.dispersion_unigram,
-        "errors": report.errors,
+        "errors": errors,
     }
     (out / "report.json").write_text(json.dumps(summary, indent=2))
     return f"wrote {out}/comparison.csv", {}

@@ -7,10 +7,13 @@ import json
 import re
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from itertools import filterfalse
+from functools import cached_property
+from itertools import chain, filterfalse
 from pathlib import Path
-from typing import Mapping
+
+import numpy as np
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 # matches exactly the characters for which str.isspace() is true
@@ -37,6 +40,17 @@ class Document:
 
 
 @dataclass(frozen=True)
+class TokenCoding:
+    """A corpus's tokens as integers: each token is the index of its word in
+    the sorted word types."""
+
+    words: tuple[str, ...]  # sorted word types
+    ids: np.ndarray  # int32 word id of every token, in document order
+    # offset of each document's first token in ``ids``, then the token count
+    starts: np.ndarray
+
+
+@dataclass(frozen=True)
 class Corpus:
     documents: tuple[Document, ...]
 
@@ -47,12 +61,27 @@ class Corpus:
                 raise CorpusError(f"duplicate document id {d.id!r}")
             seen.add(d.id)
 
+    @cached_property
+    def coding(self) -> TokenCoding:
+        """The integer coding of the tokens, built on first use."""
+        token_lists = [d.tokens for d in self.documents]
+        words = tuple(sorted(set().union(*token_lists)))
+        index = dict(zip(words, range(len(words))))
+        starts = np.zeros(len(token_lists) + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, token_lists), np.intp, len(token_lists)),
+                  out=starts[1:])
+        ids = np.fromiter(map(index.__getitem__, chain.from_iterable(token_lists)),
+                          np.int32, int(starts[-1]))
+        # every caller shares the cached arrays
+        ids.flags.writeable = starts.flags.writeable = False
+        return TokenCoding(words, ids, starts)
+
     @property
     def vocabulary(self) -> Counter:
-        vocab = Counter()
-        for d in self.documents:
-            vocab.update(d.tokens)
-        return vocab
+        """Token count of each word type, in sorted word order."""
+        coding = self.coding
+        counts = np.bincount(coding.ids, minlength=len(coding.words))
+        return Counter(dict(zip(coding.words, counts.tolist())))
 
     def __len__(self):
         return len(self.documents)
@@ -61,11 +90,58 @@ class Corpus:
         return Corpus(tuple(fn(d) for d in self.documents))
 
 
+class PairCounts(Mapping):
+    """Read-only mapping ``frozenset({u, w}) -> count`` over arrays, one
+    entry per pair: ``u[i] < w[i]`` index the sorted vocabulary ``words``.
+
+    Iteration follows the arrays. A lookup by key builds the key to
+    position table on first use; counting and filtering never need it.
+    """
+
+    def __init__(self, words: tuple[str, ...], u: np.ndarray, w: np.ndarray,
+                 counts: np.ndarray):
+        self.words, self.u, self.w, self.counts = words, u, w, counts
+
+    @classmethod
+    def from_mapping(cls, pairs: Mapping[frozenset, int]) -> "PairCounts":
+        words = tuple(sorted({x for pair in pairs for x in pair}))
+        index = dict(zip(words, range(len(words))))
+        ends = np.array([sorted(map(index.__getitem__, pair)) for pair in pairs],
+                        dtype=np.int32).reshape(-1, 2)
+        counts = np.fromiter(pairs.values(), np.int64, len(pairs))
+        return cls(words, ends[:, 0].copy(), ends[:, 1].copy(), counts)
+
+    @cached_property
+    def _position(self) -> dict[frozenset, int]:
+        return dict(zip(self, range(len(self))))
+
+    def __getitem__(self, pair: frozenset) -> int:
+        return int(self.counts[self._position[pair]])
+
+    def __iter__(self):
+        words = self.words.__getitem__
+        return map(frozenset, zip(map(words, self.u.tolist()), map(words, self.w.tolist())))
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __repr__(self) -> str:
+        return f"PairCounts({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class BigramCounts:
-    """Unordered word-pair co-occurrence counts; self-pairs are excluded."""
+    """Unordered word-pair co-occurrence counts; self-pairs are excluded.
+
+    ``pairs`` is a read-only mapping in order of each pair's first
+    occurrence, backed by arrays; a plain mapping is converted once.
+    """
 
     pairs: Mapping[frozenset, int]
+
+    def __post_init__(self):
+        if not isinstance(self.pairs, PairCounts):
+            object.__setattr__(self, "pairs", PairCounts.from_mapping(self.pairs))
 
 
 def load_corpus(source, format: str) -> Corpus:
@@ -169,16 +245,32 @@ def count_bigrams(corpus: Corpus) -> BigramCounts:
     Pairs of identical tokens are excluded; pairs never span document
     boundaries. Keys are in order of each pair's first occurrence.
     """
-    ordered: Counter = Counter()
-    for doc in corpus.documents:
-        ordered.update(zip(doc.tokens, doc.tokens[1:]))
-    # (u, w) and (w, u) fold into one key at whichever came first
-    pairs: dict[frozenset, int] = {}
-    for (u, w), c in ordered.items():
-        if u != w:
-            key = frozenset((u, w))
-            pairs[key] = pairs.get(key, 0) + c
-    return BigramCounts(pairs=pairs)
+    coding = corpus.coding
+    ids, n_words = coding.ids, len(coding.words)
+    # the pair {u, w} as one code, min * V + max; V * V marks an adjacency
+    # that is no pair (a self-pair, or two documents' ends)
+    dtype = np.int32 if n_words * n_words < 2**31 else np.int64
+    none = dtype(n_words * n_words)
+    left, right = ids[:-1], ids[1:]
+    codes = np.minimum(left, right, dtype=dtype)
+    codes *= n_words
+    codes += np.maximum(left, right)
+    codes[left == right] = none
+    # adjacency s - 1 joins the token before offset s to the one at it
+    bounds = coding.starts[1:-1]
+    codes[bounds[(bounds > 0) & (bounds < len(ids))] - 1] = none
+    order = np.argsort(codes)
+    codes.sort()
+    n = codes.searchsorted(none)
+    codes = codes[:n]
+    heads = np.flatnonzero(np.concatenate(([n > 0], codes[1:] != codes[:-1])))
+    counts = np.diff(heads, append=n)
+    # each pair's first adjacency is the least position in its run of the sort
+    by_first = np.argsort(np.minimum.reduceat(order[:n], heads))
+    pair_codes = codes[heads[by_first]]
+    return BigramCounts(PairCounts(
+        coding.words, (pair_codes // n_words).astype(np.int32),
+        (pair_codes % n_words).astype(np.int32), counts[by_first]))
 
 
 def filter_bigrams(
@@ -187,11 +279,10 @@ def filter_bigrams(
     """Keep pairs with count >= threshold (or > threshold if strict_greater)."""
     if threshold < 1:
         raise CorpusError("bigram threshold must be >= 1")
-    if strict_greater:
-        kept = {p: c for p, c in counts.pairs.items() if c > threshold}
-    else:
-        kept = {p: c for p, c in counts.pairs.items() if c >= threshold}
-    return BigramCounts(pairs=kept)
+    pairs = counts.pairs
+    keep = pairs.counts > threshold if strict_greater else pairs.counts >= threshold
+    return BigramCounts(PairCounts(pairs.words, pairs.u[keep], pairs.w[keep],
+                                   pairs.counts[keep]))
 
 
 def _read_text(path) -> str:

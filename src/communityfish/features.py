@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -93,17 +92,19 @@ def _count_matrix(
 
     With ``bigram_match``, count instead the adjacent pairs of two different
     words that share a column, at that column. Works one document at a time,
-    so no corpus-wide token array is ever built.
+    so no corpus-wide column array is ever built.
     """
+    coding = corpus.coding
+    # a word without a column goes to column k, which is cut off below
+    col_of_id = np.fromiter(map(col_of.get, coding.words, repeat(k)), np.intp,
+                            len(coding.words))
     counts = np.zeros((len(corpus.documents), k), dtype=np.int64)
-    for i, doc in enumerate(corpus.documents):
-        toks = doc.tokens
-        # a word without a column goes to column k, which is cut off below
-        cols = np.fromiter(map(col_of.get, toks, repeat(k)), np.intp, len(toks))
+    starts = coding.starts.tolist()
+    for i, (start, end) in enumerate(zip(starts, starts[1:])):
+        ids = coding.ids[start:end]
+        cols = col_of_id[ids]
         if bigram_match:
-            differ = np.fromiter(map(operator.ne, toks, toks[1:]), bool,
-                                 max(len(toks) - 1, 0))
-            cols = cols[:-1][differ & (cols[:-1] == cols[1:])]
+            cols = cols[:-1][(ids[:-1] != ids[1:]) & (cols[:-1] == cols[1:])]
         counts[i] = np.bincount(cols, minlength=k + 1)[:k]
     return counts
 

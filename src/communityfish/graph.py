@@ -61,17 +61,21 @@ class Partition:
 
 def build_graph(counts: BigramCounts) -> WordGraph:
     """One node per word in a retained pair; edge weight = pair count."""
-    if not counts.pairs:
+    pairs = counts.pairs
+    if not pairs:
         raise GraphError("empty graph: no bigrams survive threshold")
-    words = sorted({w for pair in counts.pairs for w in pair})
-    index = {w: i for i, w in enumerate(words)}
-    adjacency: list[dict[int, float]] = [dict() for _ in words]
-    for pair, count in counts.pairs.items():
-        u, w = sorted(pair)
-        iu, iw = index[u], index[w]
-        adjacency[iu][iw] = float(count)
-        adjacency[iw][iu] = float(count)
-    return WordGraph(nodes=tuple(words), adjacency=tuple(adjacency))
+    # word ids index the sorted vocabulary, so nodes in id order are sorted
+    in_graph = np.zeros(len(pairs.words), dtype=bool)
+    in_graph[pairs.u] = in_graph[pairs.w] = True
+    nodes = tuple(map(pairs.words.__getitem__, np.flatnonzero(in_graph).tolist()))
+    node_of = np.cumsum(in_graph) - 1
+    adjacency: list[dict[int, float]] = [dict() for _ in nodes]
+    # each node's neighbours in pair order
+    for iu, iw, weight in zip(node_of[pairs.u].tolist(), node_of[pairs.w].tolist(),
+                              pairs.counts.astype(float).tolist()):
+        adjacency[iu][iw] = weight
+        adjacency[iw][iu] = weight
+    return WordGraph(nodes=nodes, adjacency=tuple(adjacency))
 
 
 def modularity(graph: WordGraph, partition: Partition) -> float:

@@ -74,9 +74,7 @@ class ScalingResult:
     # bootstrap_failures by reason; they sum to it
     bootstrap_failure_reasons: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(FAILURE_REASONS, 0))
-    # Newton steps (one per block per evaluation of the fit's map) and row
-    # step halvings, summed over all evaluations
-    newton_steps: int = 0
+    # row step halvings of the Newton steps, summed over all evaluations
     line_search_halvings: int = 0
     # evaluations of the fit's map, rejected extrapolations included
     map_evaluations: int = 0
@@ -385,7 +383,6 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         converged=converged,
         runtime=time.perf_counter() - t0,
         clamp_activated=clamped,
-        newton_steps=2 * evaluations,
         line_search_halvings=halvings,
         map_evaluations=evaluations,
         score=_score(y, params, mu),

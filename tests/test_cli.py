@@ -319,6 +319,23 @@ class TestCompare:
             columns[dtm] = [r["theta_community"] for r in rows]
         assert columns["member-count"] != columns["bigram-match"]
 
+    @pytest.mark.parametrize("texts, code, message", [
+        # every token is a number: an empty graph and an empty vocabulary
+        (["12 34 56", "7 8"], 2, "empty vocabulary"),
+        # one word type: an empty graph, and a unigram matrix the fit rejects
+        (["canal canal", "canal"], 3, "need >= 2 documents and >= 2 features"),
+    ])
+    def test_both_branches_failed_exit_code(self, tmp_path, capsys, texts, code, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps({"text": t}) + "\n" for t in texts))
+        rc = main(["compare", "--input", str(path), "--pi", "1",
+                   "--out", str(tmp_path / "cmp"), "--quiet"])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert "both branches failed" in err and "empty graph" in err and message in err
+        manifest = json.load(open(tmp_path / "cmp" / "manifest.json"))
+        assert manifest["exit_status"] == code
+
 
 class TestSimulate:
     def test_default_spec_recovers(self, tmp_path):

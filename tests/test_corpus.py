@@ -1,6 +1,9 @@
 import json
 import re
+import time
 from collections import Counter
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,6 +33,16 @@ def reference_tokenize(text, stopwords):
         for t in (m.group(0).lower() for m in re.finditer(r"\w+", text))
         if not _DIGITS_RE.match(t) and t not in stopwords
     )
+
+
+def brute_force_pairs(docs) -> Counter:
+    """Unordered adjacent pairs of different words, by a scan of each document."""
+    expected = Counter()
+    for toks in docs:
+        for i in range(len(toks) - 1):
+            if toks[i] != toks[i + 1]:
+                expected[frozenset((toks[i], toks[i + 1]))] += 1
+    return expected
 
 
 def make_corpus(*token_lists):
@@ -177,17 +190,35 @@ class TestCountBigrams:
     @given(st.lists(
         st.lists(st.sampled_from("abcde"), max_size=12), min_size=1, max_size=4,
     ))
+    # empty documents first and last put document offsets at both ends
+    @example(docs=[[], ["a", "b"], ["b", "a"], []])
     def test_matches_brute_force_scan(self, docs):
         corpus = make_corpus(*docs)
-        expected = Counter()
-        for toks in docs:
-            for i in range(len(toks) - 1):
-                if toks[i] != toks[i + 1]:
-                    expected[frozenset((toks[i], toks[i + 1]))] += 1
+        expected = brute_force_pairs(docs)
         pairs = count_bigrams(corpus).pairs
+        assert len(pairs) == len(expected)
         assert pairs == dict(expected)
         # keys in first-occurrence order: the graph's adjacency order follows it
         assert list(pairs.items()) == list(expected.items())
+        with pytest.raises(TypeError):
+            pairs[frozenset(("a", "b"))] = 1
+
+    def test_vocabulary_too_large_for_int32_codes(self):
+        # 50,000 words: the largest pair code, about V**2, exceeds 2**31
+        rng = np.random.default_rng(0)
+        ids = np.concatenate((rng.permutation(50_000), rng.integers(0, 50_000, 20_000),
+                              [49_998, 49_999, 49_998, 49_999]))
+        words = [f"w{i:05d}" for i in ids.tolist()]
+        docs = [words[:25_000], words[25_000:60_000], words[60_000:]]
+        expected = brute_force_pairs(docs)
+        pairs = count_bigrams(make_corpus(*docs)).pairs
+        t0 = time.perf_counter()
+        as_dict = dict(pairs)
+        # each key lookup is O(1): a quadratic one takes minutes here
+        assert time.perf_counter() - t0 < 10
+        assert as_dict == dict(expected)
+        assert list(pairs.items()) == list(expected.items())
+        assert pairs[frozenset(("w49998", "w49999"))] >= 3
 
     @given(st.lists(
         st.lists(st.sampled_from("abc"), max_size=10), min_size=1, max_size=4,

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from communityfish.corpus import BigramCounts
+from communityfish.corpus import BigramCounts, Corpus, Document, count_bigrams, filter_bigrams
 from communityfish.graph import (
     GraphError,
     Partition,
@@ -54,6 +56,30 @@ class TestBuildGraph:
     def test_empty_is_error(self):
         with pytest.raises(GraphError, match="empty"):
             build_graph(BigramCounts({}))
+
+    @given(st.lists(
+        st.lists(st.sampled_from("abcdef"), max_size=15), min_size=1, max_size=4,
+    ))
+    def test_counted_pairs_match_reference_fold(self, docs):
+        # the reference: ordered pairs counted, then folded into unordered
+        # keys at whichever order came first
+        ordered = Counter()
+        for toks in docs:
+            ordered.update(zip(toks, toks[1:]))
+        reference = {}
+        for (u, w), c in ordered.items():
+            if u != w:
+                key = frozenset((u, w))
+                reference[key] = reference.get(key, 0) + c
+        assume(reference)
+        corpus = Corpus(tuple(Document(id=f"d{i}", text="", tokens=tuple(toks))
+                              for i, toks in enumerate(docs)))
+        g = build_graph(filter_bigrams(count_bigrams(corpus), 1))
+        want = build_graph(BigramCounts(reference))
+        assert g.nodes == want.nodes
+        # Louvain sums each node's neighbours in this order
+        assert [list(a.items()) for a in g.adjacency] == [
+            list(a.items()) for a in want.adjacency]
 
     def test_adjacency_symmetric_no_self_loops(self):
         g = random_graph(3)

@@ -284,7 +284,7 @@ class TestLineSearch:
         result = fit(matrix)
         refit = fit(matrix, start=result.params)
         assert refit.converged and len(refit.loglik_trace) == 2
-        assert refit.newton_steps > 0
+        assert refit.map_evaluations > 0
         assert refit.line_search_halvings <= 5
 
 
