@@ -490,6 +490,7 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "line_search_halvings": result.line_search_halvings,
         "map_evaluations": result.map_evaluations,
         "score": result.score,
+        "bootstrap_map_evaluations": result.bootstrap_map_evaluations,
         "baseline": bool(args.baseline),
     }
     (out / "fit_report.json").write_text(json.dumps(report, indent=2))

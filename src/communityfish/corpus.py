@@ -180,13 +180,17 @@ def _load_jsonl(path: Path) -> list[Document]:
                 raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(rec, dict) or "text" not in rec:
                 raise CorpusError(f"{path}:{lineno}: record missing 'text' key")
-            doc_id = str(rec.get("id", lineno))
+            text, doc_id = rec["text"], rec.get("id", lineno)
+            if not isinstance(text, str):
+                raise CorpusError(f"{path}:{lineno}: 'text' must be a string")
+            if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+                raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer")
             meta = {
                 k: v
                 for k, v in rec.items()
                 if k not in ("id", "text") and isinstance(v, str)
             }
-            docs.append(Document(id=doc_id, text=str(rec["text"]), metadata=meta))
+            docs.append(Document(id=str(doc_id), text=text, metadata=meta))
     return docs
 
 

@@ -6,7 +6,8 @@ theta, and feature discrimination beta. Estimation iterates one map: a
 damped Newton step on every per-document (alpha_i, theta_i) block, then on
 every per-feature (psi_j, beta_j) block (both conditional problems are
 concave), accelerated by monotone SQUAREM (Varadhan & Roland 2008, scheme
-S3).
+S3). One loop runs it over a leading replicate axis: a fit is a batch of
+one, and the bootstrap refits its replicates in batches.
 Identification: alpha of the first document is 0, theta is z-scored, and
 the direction is fixed by an anchor document pair.
 """
@@ -17,7 +18,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import compress
 
 import numpy as np
 
@@ -80,6 +80,8 @@ class ScalingResult:
     map_evaluations: int = 0
     # max over parameters of |gradient| / sqrt(Hessian diagonal) at params
     score: float = 0.0
+    # evaluations of the map summed over the bootstrap refits
+    bootstrap_map_evaluations: int = 0
 
 
 def _clamped_mu(eta: np.ndarray, clamp: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -90,31 +92,51 @@ def _clamped_mu(eta: np.ndarray, clamp: float, out: np.ndarray | None = None) ->
 def _predictor(a, offset, b, slope):
     """eta_ij = a_i + offset_j + b_i * slope_j in one array, built with the
     longer axis contiguous: numpy's broadcast loops run fastest along long
-    rows."""
-    if offset.size >= a.size:
-        eta = np.multiply.outer(b, slope)
-        eta += a[:, None]
-        eta += offset
+    rows. Leading axes, if any, index replicates."""
+    if offset.shape[-1] >= a.shape[-1]:
+        eta = b[..., :, None] * slope[..., None, :]
+        eta += a[..., :, None]
+        eta += offset[..., None, :]
         return eta
-    eta = np.multiply.outer(slope, b)
-    eta += offset[:, None]
-    eta += a
-    return eta.T
+    eta = slope[..., :, None] * b[..., None, :]
+    eta += offset[..., :, None]
+    eta += a[..., None, :]
+    return eta.swapaxes(-1, -2)
 
 
 def _eta(params: ScalingParams) -> np.ndarray:
     return _predictor(params.alpha, params.psi, params.theta, params.beta)
 
 
+def _rates(params: ScalingParams, clamp: float) -> np.ndarray:
+    """Clamped rates at params, computed in place of the linear predictor."""
+    eta = _eta(params)
+    return _clamped_mu(eta, clamp, out=eta)
+
+
+def _arrays(params: ScalingParams) -> tuple[np.ndarray, ...]:
+    return params.alpha, params.psi, params.theta, params.beta
+
+
+def _take(params: ScalingParams, index) -> ScalingParams:
+    """The replicates at index of stacked params; None adds the replicate
+    axis to unstacked ones."""
+    return ScalingParams(*(v[index] for v in _arrays(params)))
+
+
 def log_likelihood(
     matrix: CountMatrix, params: ScalingParams, clamp: float = 30.0
 ) -> float:
     """Poisson log likelihood up to the constant -sum(log y!)."""
-    for arr in (params.alpha, params.psi, params.theta, params.beta):
+    return _log_likelihood(matrix.counts, params, clamp)
+
+
+def _log_likelihood(y, params: ScalingParams, clamp: float) -> float:
+    for arr in _arrays(params):
         if not np.all(np.isfinite(arr)):
             raise ScalingError("non-finite parameter")
     eta = _eta(params)
-    return float(np.sum(matrix.counts * eta - _clamped_mu(eta, clamp)))
+    return float(np.sum(y * eta - _clamped_mu(eta, clamp)))
 
 
 def initialize(matrix: CountMatrix) -> ScalingParams:
@@ -158,36 +180,44 @@ def initialize(matrix: CountMatrix) -> ScalingParams:
     return ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta)
 
 
-def _rates(y, params: ScalingParams, clamp: float):
-    """Clamped rates at params and the log likelihood there, from one exp."""
-    eta = _eta(params)
-    ll = float(np.vdot(y, eta))
-    mu = _clamped_mu(eta, clamp, out=eta)
-    return mu, ll - float(mu.sum())
+def _with_ones(*columns):
+    """The matrix with columns 1, *columns along a new last axis."""
+    out = np.empty(columns[0].shape + (1 + len(columns),))
+    out[..., 0] = 1.0
+    for j, column in enumerate(columns, start=1):
+        out[..., j] = column
+    return out
 
 
 def _newton_block(y, offset, slope, a, b, clamp, mu=None):
-    """One damped Newton step on every row's (a_i, b_i), towards the maximum
-    of sum_j y_ij*eta - exp(eta) with eta_ij = a_i + offset_j + b_i * slope_j.
-    Rows are independent and each row problem is concave.
+    """One damped Newton step on every row's (a_i, b_i) of every replicate,
+    towards the maximum of sum_j y_ij*eta - exp(eta) with
+    eta_ij = a_i + offset_j + b_i * slope_j. y is (R, m, n), a and b are
+    (R, m), offset and slope (R, n): each replicate has its own. Rows are
+    independent and each row problem is concave.
 
-    mu holds the clamped rates at (a, b); it is updated in place, and None
-    computes it. The gradient, the Hessian and the row log likelihood depend
-    on the counts only through y @ (1, offset, slope) and on the rates only
-    through mu @ (1, slope, slope^2), so the full step costs one exp over the
+    mu holds the clamped rates at (a, b), and None computes them; it is only
+    read. The gradient, the Hessian and the row log likelihood depend on the
+    counts only through y @ (1, offset, slope) and on the rates only through
+    mu @ (1, slope, slope^2), so the full step costs one exp over the
     matrix. A row accepts a trial step when its log likelihood drops by no
     more than a relative 1e-12 (float noise on sums of 1e3-1e5); only rows
     still failing are re-evaluated at half the step, and a row failing all
-    30 trials keeps its point.
+    30 trials keeps its point. The full step is tried on all replicates at
+    once, the halved ones replicate by replicate: a matrix product's values
+    depend on its number of rows, and each replicate's must not depend on
+    the others in its batch.
 
     Returns the updated (a, b), the row log likelihoods there, the rates
-    there and the number of row step halvings."""
-    ysum, yoff, yslope = (y @ np.column_stack([np.ones_like(offset), offset, slope])).T
-    weights = np.column_stack([np.ones_like(slope), slope, slope**2])
+    there and each replicate's number of row step halvings."""
+    sums = y @ _with_ones(offset, slope)
+    ysum, yoff, yslope = sums[..., 0], sums[..., 1], sums[..., 2]
+    weights = _with_ones(slope, slope**2)
     if mu is None:
         mu = _predictor(a, offset, b, slope)
         _clamped_mu(mu, clamp, out=mu)
-    h11, h12, h22 = (mu @ weights).T
+    h = mu @ weights
+    h11, h12, h22 = h[..., 0], h[..., 1], h[..., 2]
     ll = a * ysum + yoff + b * yslope - h11
     g1 = ysum - h11
     g2 = yslope - h12
@@ -198,72 +228,92 @@ def _newton_block(y, offset, slope, a, b, clamp, mu=None):
     det_safe = np.where(singular, 1.0, det)
     da = np.where(singular, g1 / np.maximum(h11, 1e-300), (h22 * g1 - h12 * g2) / det_safe)
     db = np.where(singular, 0.0, (h11 * g2 - h12 * g1) / det_safe)
-    a, b = a.copy(), b.copy()
-    rows = np.arange(a.size)
-    step = 1.0
-    halvings = 0
-    for trial in range(30):
-        if trial:
-            step /= 2.0
-            halvings += rows.size
-        a_try = a[rows] + step * da[rows]
-        b_try = b[rows] + step * db[rows]
+
+    def trial(a_try, b_try, offset, slope, ysum, yoff, yslope, weights, ll_old):
         eta = _predictor(a_try, offset, b_try, slope)
         mu_try = _clamped_mu(eta, clamp, out=eta)
-        h_try = mu_try @ weights
-        ll_try = a_try * ysum[rows] + yoff[rows] + b_try * yslope[rows] - h_try[:, 0]
-        ll_old = ll[rows]
-        ok = ll_try >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
-        if not trial and ok.all():
-            return a_try, b_try, ll_try, mu_try, 0
-        done = rows[ok]
-        a[done], b[done], ll[done], mu[done] = a_try[ok], b_try[ok], ll_try[ok], mu_try[ok]
-        rows = rows[~ok]
-        if not rows.size:
-            break
-    return a, b, ll, mu, halvings
+        ll_try = a_try * ysum + yoff + b_try * yslope - (mu_try @ weights)[..., 0]
+        return ll_try, mu_try, ll_try >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
+
+    a_try, b_try = a + da, b + db
+    ll_try, mu_try, ok = trial(a_try, b_try, offset, slope, ysum, yoff, yslope, weights, ll)
+    halvings = np.zeros(len(a), dtype=int)
+    if ok.all():
+        return a_try, b_try, ll_try, mu_try, halvings
+    a, b, ll = np.where(ok, a_try, a), np.where(ok, b_try, b), np.where(ok, ll_try, ll)
+    mu_try[~ok] = mu[~ok]
+    for r in np.flatnonzero(~ok.all(axis=1)):
+        rows = np.flatnonzero(~ok[r])
+        step = 1.0
+        for _ in range(29):
+            step /= 2.0
+            halvings[r] += rows.size
+            a_try = a[r, rows] + step * da[r, rows]
+            b_try = b[r, rows] + step * db[r, rows]
+            ll_try, mu_rows, done = trial(a_try, b_try, offset[r], slope[r], ysum[r, rows],
+                                          yoff[r, rows], yslope[r, rows], weights[r], ll[r, rows])
+            accepted = rows[done]
+            a[r, accepted], b[r, accepted] = a_try[done], b_try[done]
+            ll[r, accepted], mu_try[r, accepted] = ll_try[done], mu_rows[done]
+            rows = rows[~done]
+            if not rows.size:
+                break
+    return a, b, ll, mu_try, halvings
 
 
-def _standardize(params: ScalingParams) -> ScalingParams:
+def _standardize(params: ScalingParams) -> tuple[ScalingParams, np.ndarray]:
     """Apply the identification constraints without changing the linear
     predictor: theta is z-scored (shift absorbed into psi, scale into beta)
-    and alpha_0 is set to zero (shift absorbed into psi)."""
+    and alpha_0 is set to zero (shift absorbed into psi). Leading axes index
+    replicates. Also returns where theta has zero variance: there the new
+    point is meaningless."""
     theta = params.theta
-    mean = theta.mean()
-    sd = theta.std(ddof=1)
-    if sd < 1e-12:
-        raise ScalingError("degenerate theta: zero variance")
-    theta_new = (theta - mean) / sd
+    n = theta.shape[-1]
+    mean = theta.sum(axis=-1, keepdims=True) / n
+    centered = theta - mean
+    # theta.std(ddof=1), step by step, so that centered serves twice
+    sd = np.sqrt(np.square(centered).sum(axis=-1, keepdims=True) / (n - 1))
+    degenerate = sd[..., 0] < 1e-12
+    sd[degenerate] = 1.0
+    theta_new = centered / sd
     beta_new = params.beta * sd
     psi_new = params.psi + mean * params.beta
-    shift = params.alpha[0]
+    shift = params.alpha[..., :1]
     alpha_new = params.alpha - shift
-    alpha_new[0] = 0.0
+    alpha_new[..., 0] = 0.0
     psi_new = psi_new + shift
-    return ScalingParams(alpha=alpha_new, psi=psi_new, theta=theta_new, beta=beta_new)
+    return ScalingParams(alpha=alpha_new, psi=psi_new, theta=theta_new, beta=beta_new), degenerate
 
 
 def _flat(params: ScalingParams) -> np.ndarray:
-    return np.concatenate([params.alpha, params.theta, params.psi, params.beta])
+    return np.concatenate([params.alpha, params.theta, params.psi, params.beta], axis=-1)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm, from the dot product np.linalg.norm takes."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 def _extrapolate(x0: ScalingParams, x1: ScalingParams, x2: ScalingParams):
-    """The SQUAREM S3 point x0 - 2*s*r + s^2*v with r = x1 - x0,
-    v = x2 - 2*x1 + x0 and step s = min(-|r|/|v|, -1). That is x2 itself
-    at s = -1 or where the step is undefined; None if it is not finite."""
+    """Each replicate's SQUAREM S3 point x0 - 2*s*r + s^2*v with r = x1 - x0,
+    v = x2 - 2*x1 + x0 and step s = min(-|r|/|v|, -1). That is x2 itself at
+    s = -1 or where the step is undefined. Returns the points and each one's
+    kind: 1 extrapolated, 0 x2 itself, -1 not finite."""
     f0, f1, f2 = _flat(x0), _flat(x1), _flat(x2)
     r = f1 - f0
     v = f2 - 2.0 * f1 + f0
-    v_norm = np.linalg.norm(v)
-    s = -np.linalg.norm(r) / v_norm if v_norm > 0 else -1.0
-    if not s < -1.0:
-        return x2
-    x = f0 - 2.0 * s * r + s * s * v
-    if not np.isfinite(x).all():
-        return None
-    n = x0.alpha.size
-    alpha, theta, psi, beta = np.split(x, [n, 2 * n, 2 * n + x0.psi.size])
-    return ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta)
+    v_norm = _norms(v)
+    s = np.divide(-_norms(r), v_norm, out=np.full_like(v_norm, -1.0), where=v_norm > 0)
+    kind = (s < -1.0).astype(int)
+    x = f2
+    ext = np.flatnonzero(kind)
+    if ext.size:
+        s = s[ext, None]
+        x[ext] = f0[ext] - 2.0 * s * r[ext] + s * s * v[ext]
+        kind[ext[~np.isfinite(x[ext]).all(axis=1)]] = -1
+    n, k = x0.alpha.shape[-1], x0.psi.shape[-1]
+    return ScalingParams(alpha=x[:, :n], psi=x[:, 2 * n:2 * n + k], theta=x[:, n:2 * n],
+                         beta=x[:, 2 * n + k:]), kind
 
 
 def _score(y, params: ScalingParams, mu) -> float:
@@ -271,16 +321,29 @@ def _score(y, params: ScalingParams, mu) -> float:
     document rows (alpha_i, theta_i), then the feature rows (psi_j, beta_j)."""
     score = 0.0
     for counts, rates, slope in ((y, mu, params.beta), (y.T, mu.T, params.theta)):
-        w = np.column_stack([np.ones_like(slope), slope])
+        w = _with_ones(slope)
         g = counts @ w - rates @ w
         h = rates @ (w * w)
         score = max(score, float(np.max(np.abs(g) / np.sqrt(np.maximum(h, 1e-300)))))
     return score
 
 
-def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
-        start: ScalingParams | None = None) -> ScalingResult:
-    """Maximize the Poisson likelihood by SQUAREM-accelerated block ascent.
+@dataclass(frozen=True)
+class _Refits:
+    """Where _squarem leaves each of its R replicates."""
+    params: ScalingParams  # (R, ·) arrays
+    traces: list[list[float]]  # the log likelihoods of the kept points
+    converged: np.ndarray
+    evaluations: np.ndarray
+    halvings: np.ndarray
+    errors: list[str | None]  # the ScalingError message that stopped it
+    rates: np.ndarray | None  # a lone replicate's rates at its final point
+
+
+def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
+    """Maximize the Poisson likelihood of R replicates at once by
+    SQUAREM-accelerated block ascent: y is (R, n, k), start holds
+    standardized (R, ·) arrays.
 
     One evaluation of the map F takes a damped Newton step on every document
     block (alpha_i, theta_i), then on every feature block (psi_j, beta_j),
@@ -288,16 +351,158 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     step ended on, and the next document step those of the feature step.
     Each cycle takes F(x0), F(F(x0)) and F of the S3 extrapolation of the
     three, and keeps that last point only if its log likelihood is at least
-    that of F(F(x0)). The fit stops when a kept point raises the log
-    likelihood by less than tol * (1 + |LL|); max_iter bounds the number of
-    evaluations of F, rejected extrapolations included."""
+    that of F(F(x0)); an extrapolation that is not finite is skipped. A
+    replicate stops when a kept point raises its log likelihood by less than
+    tol * (1 + |LL|), once it has spent max_iter evaluations of F, rejected
+    extrapolations included, or with an error when F(x0) or F(F(x0)) leaves
+    theta without variance. Every replicate runs the same cycle, so those
+    still running advance phase by phase together, each with the numbers of
+    its run alone."""
+    clamp = config.linear_predictor_clamp
+    R = y.shape[0]
+    final = ScalingParams(*map(np.empty_like, _arrays(start)))
+    traces = [[] for _ in range(R)]
+    converged = np.zeros(R, dtype=bool)
+    evaluations = np.zeros(R, dtype=int)
+    halvings = np.zeros(R, dtype=int)
+    errors: list[str | None] = [None] * R
+    final_rates = None
+    live = np.arange(R)  # the replicates still running, by position
+    x = start
+    mu = _eta(x)
+    ll = np.array([np.vdot(y_r, eta_r) for y_r, eta_r in zip(y, mu)])
+    _clamped_mu(mu, clamp, out=mu)  # the rates at x, the only full-size state
+    ll -= [mu_r.sum() for mu_r in mu]
+    for trace, ll_r in zip(traces, ll):
+        trace.append(float(ll_r))
+
+    def evaluate(x: ScalingParams, pos=None):
+        """F(x) for the live replicates at pos (all if None), taking over
+        their rates, the rates at x: the new points, their log likelihoods
+        (the feature rows' sums, which _standardize keeps), their rates, and
+        where theta lost its variance."""
+        nonlocal mu
+        if pos is None:
+            y_pos, rates, mu = y, mu, None
+        else:
+            y_pos, rates = y[pos], mu[pos]
+        alpha, theta, _, rates, h_doc = _newton_block(
+            y_pos, x.psi, x.beta, x.alpha, x.theta, clamp, rates)
+        psi, beta, ll_cols, rates, h_feat = _newton_block(
+            y_pos.swapaxes(1, 2), alpha, theta, x.psi, x.beta, clamp, rates.swapaxes(1, 2))
+        ids = live if pos is None else live[pos]
+        evaluations[ids] += 1
+        halvings[ids] += h_doc + h_feat
+        new, degenerate = _standardize(ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta))
+        return new, ll_cols.sum(axis=-1), rates.swapaxes(1, 2), degenerate
+
+    def keep(pos, new: ScalingParams, ll_new) -> np.ndarray:
+        """Move the live replicates at pos (all if None) to the points new,
+        whose log likelihoods ll_new are at least their last kept ones';
+        returns where they stop: converged, out of evaluations or, under
+        debug_ascent, not ascending."""
+        nonlocal x, ll
+        ids = live if pos is None else live[pos]
+        ll_prev = ll if pos is None else ll[pos]
+        stop = np.abs(ll_new - ll_prev) < config.tol * (1.0 + np.abs(ll_prev))
+        converged[ids] = stop
+        for i, r in enumerate(ids):
+            traces[r].append(float(ll_new[i]))
+            if config.debug_ascent:
+                try:
+                    _check_ascent(y[i if pos is None else pos[i]], _take(new, i), ll_prev[i], clamp)
+                except ScalingError as exc:
+                    errors[r], stop[i] = str(exc), True
+        if pos is None:
+            x, ll = new, ll_new
+        else:
+            x = ScalingParams(*map(np.copy, _arrays(x)))
+            for mine, theirs in zip(_arrays(x), _arrays(new)):
+                mine[pos] = theirs
+            ll = ll.copy()
+            ll[pos] = ll_new
+        return stop | (evaluations[ids] >= config.max_iter)
+
+    def finish(stop: np.ndarray) -> np.ndarray:
+        """Record the live replicates where stop holds and drop them; returns
+        where the others were."""
+        nonlocal live, y, x, mu, ll, final_rates
+        for mine, theirs in zip(_arrays(final), _arrays(x)):
+            mine[live[stop]] = theirs[stop]
+        if R == 1:
+            final_rates = mu[0]
+        going = ~stop
+        live = live[going]
+        if live.size:
+            y, x, mu, ll = y[going], _take(x, going), mu[going], ll[going]
+        return going
+
+    while live.size:
+        points = [x]  # x0, x1 and x2 of this cycle
+        for _ in range(2):
+            new, ll_new, mu, degenerate = evaluate(x)
+            stop = keep(None, new, ll_new)
+            for i in np.flatnonzero(degenerate):
+                errors[live[i]] = "degenerate theta: zero variance"
+            if (stop := stop | degenerate).any():
+                going = finish(stop)
+                if not live.size:
+                    break
+                points = [_take(p, going) for p in points]
+            points.append(x)
+        if not live.size:
+            break
+        x2, ll2 = x, ll
+        x_ext, kind = _extrapolate(*points)
+        tried = np.flatnonzero(kind >= 0)
+        if not tried.size:
+            continue
+        extrapolated = np.flatnonzero(kind == 1)
+        if extrapolated.size == live.size:
+            mu = None  # x2's rates go before those of x_ext exist
+            mu = _rates(x_ext, clamp)
+        elif extrapolated.size:
+            mu[extrapolated] = _rates(_take(x_ext, extrapolated), clamp)
+        every = tried.size == live.size
+        new, ll_new, rates, degenerate = evaluate(
+            x_ext if every else _take(x_ext, tried), None if every else tried)
+        ascended = ~degenerate & (ll_new >= ll2[tried])
+        if every:
+            mu = rates
+        else:
+            mu[tried] = rates
+        del rates  # mu alone holds rates between evaluations
+        # a rejected point falls back to x2, with x2's rates
+        fallen = tried[~ascended]
+        if fallen.size:
+            mu[fallen] = _rates(_take(x2, fallen), clamp)
+        stop = np.zeros(live.size, dtype=bool)
+        stop[fallen] = evaluations[live[fallen]] >= config.max_iter
+        if ascended.all() and every:
+            stop = keep(None, new, ll_new)
+        elif ascended.any():
+            stop[tried[ascended]] = keep(tried[ascended], _take(new, ascended), ll_new[ascended])
+        if stop.any():
+            finish(stop)
+    for r, error in enumerate(errors):
+        converged[r] &= error is None
+    return _Refits(final, traces, converged, evaluations, halvings, errors, final_rates)
+
+
+def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
+        start: ScalingParams | None = None) -> ScalingResult:
+    """Maximize the Poisson likelihood by SQUAREM-accelerated block ascent:
+    _squarem on one replicate, from start or from initialize's values."""
     t0 = time.perf_counter()
     y = matrix.counts.astype(float)
     n, k = y.shape
     if n < 2 or k < 2:
         raise ScalingError("need >= 2 documents and >= 2 features")
     clamp = config.linear_predictor_clamp
-    params = _standardize(start if start is not None else initialize(matrix))
+    params, degenerate = _standardize(
+        _take(start if start is not None else initialize(matrix), np.newaxis))
+    if degenerate.any():
+        raise ScalingError("degenerate theta: zero variance")
     doc_index = {d: i for i, d in enumerate(matrix.doc_ids)}
     for anchor in (config.anchor_low, config.anchor_high):
         if anchor and anchor not in doc_index:
@@ -308,89 +513,34 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     if lo == hi:
         raise ScalingError("anchor documents must be distinct")
 
-    mu, ll = _rates(y, params, clamp)  # the rates at params
-    trace = [ll]
-    evaluations = halvings = 0
-    converged = False
-
-    def evaluate_map(x: ScalingParams):
-        """F(x), taking over mu, the rates at x, so that one rate matrix is
-        carried between the blocks: the new point, its log likelihood (the
-        feature rows' sum, which _standardize keeps) and its rates."""
-        nonlocal mu, evaluations, halvings
-        rates, mu = mu, None
-        evaluations += 1
-        alpha, theta, _, rates, h_doc = _newton_block(
-            y, x.psi, x.beta, x.alpha, x.theta, clamp, rates)
-        psi, beta, ll_cols, rates, h_feat = _newton_block(
-            y.T, alpha, theta, x.psi, x.beta, clamp, rates.T)
-        halvings += h_doc + h_feat
-        new = _standardize(ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta))
-        return new, float(ll_cols.sum()), rates.T
-
-    def keep(new: ScalingParams, ll: float, rates) -> bool:
-        """Move to a point whose log likelihood is at least the last kept
-        one's; True once the fit has converged or spent max_iter."""
-        nonlocal params, mu, converged
-        ll_prev = trace[-1]
-        if config.debug_ascent:
-            _check_ascent(matrix, new, ll_prev, clamp)
-        params, mu = new, rates
-        trace.append(ll)
-        converged = abs(ll - ll_prev) < config.tol * (1.0 + abs(ll_prev))
-        return converged or evaluations >= config.max_iter
-
-    while True:
-        x0 = params
-        if keep(*evaluate_map(params)):
-            break
-        x1 = params
-        if keep(*evaluate_map(params)):
-            break
-        x2, ll2 = params, trace[-1]
-        x_ext = _extrapolate(x0, x1, x2)
-        if x_ext is None:
-            continue
-        if x_ext is not x2:
-            mu = None  # x2's rates go before those of x_ext exist
-            mu = _rates(y, x_ext, clamp)[0]
-        try:
-            stabilized = evaluate_map(x_ext)
-        except ScalingError:
-            stabilized = None
-        if stabilized is not None and stabilized[1] >= ll2:
-            if keep(*stabilized):
-                break
-            continue
-        # fall back to x2, whose rates evaluate_map took over or were
-        # dropped; the rejected point's rates go first
-        stabilized = None
-        mu = _rates(y, x2, clamp)[0]
-        if evaluations >= config.max_iter:
-            break
+    run = _squarem(y[np.newaxis], params, config)
+    if run.errors[0]:
+        raise ScalingError(run.errors[0])
+    params = _take(run.params, 0)
     if params.theta[lo] > params.theta[hi]:
         params = replace(params, theta=-params.theta, beta=-params.beta)
     eta = _eta(params)
     clamped = bool(eta.max() > clamp or eta.min() < -clamp)
     if clamped:
         warnings.warn("linear predictor clamp active; extreme rates truncated")
+    converged = bool(run.converged[0])
     if not converged:
         warnings.warn("fit did not converge within max_iter")
     return ScalingResult(
         matrix=matrix,
         params=params,
-        loglik_trace=tuple(trace),
+        loglik_trace=tuple(run.traces[0]),
         converged=converged,
         runtime=time.perf_counter() - t0,
         clamp_activated=clamped,
-        line_search_halvings=halvings,
-        map_evaluations=evaluations,
-        score=_score(y, params, mu),
+        line_search_halvings=int(run.halvings[0]),
+        map_evaluations=int(run.evaluations[0]),
+        score=_score(y, params, run.rates),
     )
 
 
-def _check_ascent(matrix, params, ll_prev, clamp):
-    ll = log_likelihood(matrix, params, clamp)
+def _check_ascent(y, params, ll_prev, clamp):
+    ll = _log_likelihood(y, params, clamp)
     if ll < ll_prev - 1e-9:
         raise ScalingError(f"log-likelihood decreased: {ll_prev} -> {ll}")
 
@@ -406,6 +556,12 @@ def gradients(matrix: CountMatrix, params: ScalingParams, clamp: float = 30.0):
         "psi": r.sum(axis=0),
         "beta": r.T @ params.theta,
     }
+
+
+# Cells (replicates x documents x features) in one batch of bootstrap
+# refits: ten replicates of a 100 x 30 matrix. A replicate larger than this
+# is refit alone.
+BATCH_CELLS = 2**15
 
 
 def bootstrap(
@@ -427,6 +583,12 @@ def bootstrap(
     ``bootstrap_failures`` instead, and by reason (``zero_row``,
     ``error``, ``not_converged``) in ``bootstrap_failure_reasons``; more
     than 20% failures is an error.
+
+    Replicates are drawn and refit in batches of at most BATCH_CELLS cells,
+    those with the same non-zero columns together. The draws come from one
+    stream in replicate order, and a refit's numbers do not depend on the
+    other replicates in its batch, so the results do not depend on the
+    batching.
     """
     if B < 1:
         raise ScalingError("need at least one bootstrap replicate")
@@ -435,41 +597,46 @@ def bootstrap(
     config = config or FitConfig()
     rng = np.random.default_rng(seed)
     mu = _clamped_mu(_eta(result.params), config.linear_predictor_clamp)
-    theta_hat = result.params.theta
-    reps = []
+    n, k = mu.shape
+    start = _standardize(result.params)[0]  # where every refit starts
+    batch = max(1, BATCH_CELLS // mu.size)
+    thetas = np.empty((B, n))
+    refit = np.zeros(B, dtype=bool)  # replicates whose refit converged
     failures = dict.fromkeys(FAILURE_REASONS, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        for _ in range(B):
-            y_star = rng.poisson(mu)
-            if not y_star.any(axis=1).all():
-                failures["zero_row"] += 1
+    evaluations = 0
+    for first in range(0, B, batch):
+        y_star = rng.poisson(mu, size=(min(batch, B - first), n, k))
+        full_rows = y_star.any(axis=2).all(axis=1)
+        failures["zero_row"] += int(np.count_nonzero(~full_rows))
+        nonzero = y_star.any(axis=1)
+        groups: dict[bytes, list[int]] = {}
+        for b in np.flatnonzero(full_rows):
+            groups.setdefault(nonzero[b].tobytes(), []).append(b)
+        for members in map(np.array, groups.values()):
+            cols = nonzero[members[0]]
+            if np.count_nonzero(cols) < 2:  # fit needs two features
+                failures["error"] += members.size
                 continue
-            cols = y_star.any(axis=0)
-            try:
-                rep = fit(
-                    CountMatrix(matrix.doc_ids, tuple(compress(matrix.feature_labels, cols)),
-                                y_star[:, cols]),
-                    config,
-                    start=replace(result.params, psi=result.params.psi[cols],
-                                  beta=result.params.beta[cols]),
-                )
-            except ScalingError:
-                failures["error"] += 1
-                continue
-            if not rep.converged:
-                failures["not_converged"] += 1
-                continue
-            theta_b = rep.params.theta
-            if np.corrcoef(theta_b, theta_hat)[0, 1] < 0:
-                theta_b = -theta_b
-            reps.append(theta_b)
+            starts = replace(start, psi=start.psi[cols], beta=start.beta[cols])
+            run = _squarem(y_star[members][:, :, cols].astype(float),
+                           ScalingParams(*(np.tile(v, (members.size, 1)) for v in _arrays(starts))),
+                           config)
+            evaluations += int(run.evaluations.sum())
+            errored = np.array([error is not None for error in run.errors])
+            failures["error"] += int(np.count_nonzero(errored))
+            failures["not_converged"] += int(np.count_nonzero(~errored & ~run.converged))
+            thetas[first + members] = run.params.theta
+            refit[first + members] = run.converged
     failed = sum(failures.values())
     if failed > 0.2 * B:
         reasons = ", ".join(f"{reason} {count}" for reason, count in failures.items())
         raise ScalingError(f"bootstrap failed on {failed}/{B} replicates ({reasons})")
-    thetas = np.array(reps)
-    se = thetas.std(axis=0, ddof=1) if len(reps) > 1 else np.zeros(theta_hat.shape)
+    theta_hat = result.params.theta
+    thetas = thetas[refit]
+    # flip the replicates whose correlation with the point estimate is negative
+    flip = (thetas - thetas.mean(axis=1, keepdims=True)) @ (theta_hat - theta_hat.mean()) < 0
+    thetas[flip] *= -1.0
+    se = thetas.std(axis=0, ddof=1) if len(thetas) > 1 else np.zeros(theta_hat.shape)
     ci_low = np.percentile(thetas, 2.5, axis=0)
     ci_high = np.percentile(thetas, 97.5, axis=0)
     return replace(
@@ -479,6 +646,7 @@ def bootstrap(
         theta_ci_high=ci_high,
         bootstrap_failures=failed,
         bootstrap_failure_reasons=failures,
+        bootstrap_map_evaluations=evaluations,
     )
 
 

@@ -139,6 +139,8 @@ class TestImports:
 class TestCorpusInputs:
     @pytest.mark.parametrize("kind, data, message", [
         ("jsonl", b'{"id": "a", "text": "caf\xe9"}\n', ": not UTF-8 text"),
+        ("jsonl", b'{"id": "a", "text": null}\n', ":1: 'text' must be a string"),
+        ("jsonl", b'{"id": null, "text": "x"}\n', ":1: 'id' must be a string or an integer"),
         ("text-directory", b"caf\xe9", ": not UTF-8 text"),
         ("csv", b"id,text\na,caf\xe9\n", ": not UTF-8 text"),
         ("stopwords", b"the\n\xff\n", ": not UTF-8 text"),
@@ -243,6 +245,18 @@ class TestScale:
         reasons = report["bootstrap_failure_reasons"]
         assert set(reasons) == {"zero_row", "not_converged", "error"}
         assert sum(reasons.values()) == report["bootstrap_failures"]
+
+    def test_bootstrap_map_evaluations(self, corpus_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {corpus_file}\nmin_bigram_count = 30\nbootstrap_b = 10\n")
+        for name, flags in (("boot", []), ("nb", ["--no-bootstrap"])):
+            rc = main(["scale", "--config", str(cfg), "--out", str(tmp_path / name), "--quiet",
+                       *flags])
+            assert rc == 0
+        report = json.load(open(tmp_path / "boot" / "fit_report.json"))
+        assert report["bootstrap_map_evaluations"] >= 10 - report["bootstrap_failures"]
+        report = json.load(open(tmp_path / "nb" / "fit_report.json"))
+        assert report["bootstrap_map_evaluations"] == 0
 
     def test_no_bootstrap_leaves_ci_empty(self, corpus_file, tmp_path):
         rc = main(["scale", *base_args(corpus_file, tmp_path, "nb"), "--no-bootstrap"])

@@ -67,6 +67,28 @@ class TestLoadCorpus:
         assert corpus.documents[0].id == "1"
         assert corpus.documents[0].metadata == {"party": "spd"}
 
+    def test_jsonl_integer_id_is_kept(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"id": 7, "text": "x"}\n')
+        assert load_corpus(p, "jsonl").documents[0].id == "7"
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"id": "a", "text": null}', ":2: 'text' must be a string"),
+        ('{"id": "a", "text": 5}', ":2: 'text' must be a string"),
+        ('{"id": "a", "text": ["x"]}', ":2: 'text' must be a string"),
+        ('{"id": null, "text": "x"}', ":2: 'id' must be a string or an integer"),
+        ('{"id": true, "text": "x"}', ":2: 'id' must be a string or an integer"),
+        ('{"id": 1.5, "text": "x"}', ":2: 'id' must be a string or an integer"),
+        ('{"id": [1], "text": "x"}', ":2: 'id' must be a string or an integer"),
+        ('{"id": {"a": 1}, "text": "x"}', ":2: 'id' must be a string or an integer"),
+    ])
+    def test_jsonl_field_of_wrong_type_reports_line(self, tmp_path, record, message):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"id": "ok", "text": "x"}\n' + record + "\n")
+        with pytest.raises(CorpusError) as info:
+            load_corpus(p, "jsonl")
+        assert str(info.value) == f"{p}{message}"
+
     def test_empty_jsonl_is_error(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text("")

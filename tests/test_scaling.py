@@ -1,15 +1,18 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from communityfish import scaling
 from communityfish.features import CountMatrix
 from communityfish.scaling import (
     FitConfig,
     ScalingError,
     ScalingParams,
+    _eta,
     _newton_block,
     analytic_theta_se,
     bootstrap,
@@ -224,6 +227,13 @@ class TestFit:
             FitConfig(**{key: value})
 
 
+def newton_block(y, offset, slope, a, b, clamp, mu=None):
+    """_newton_block on a batch of one replicate."""
+    stacked = _newton_block(y[None], offset[None], slope[None], a[None], b[None], clamp,
+                            None if mu is None else mu[None])
+    return tuple(v[0] for v in stacked)
+
+
 class TestLineSearch:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -244,7 +254,7 @@ class TestLineSearch:
             return np.sum(y * eta - np.exp(np.clip(eta, -30.0, 30.0)), axis=1)
 
         start = row_ll(a, b)
-        a_new, b_new, ll, mu, _ = _newton_block(y, offset, slope, a, b, 30.0)
+        a_new, b_new, ll, mu, _ = newton_block(y, offset, slope, a, b, 30.0)
         assert np.isfinite(a_new).all() and np.isfinite(b_new).all()
         assert (row_ll(a_new, b_new) >= start - 1e-12 * (1.0 + np.abs(start))).all()
         np.testing.assert_allclose(ll, row_ll(a_new, b_new), rtol=1e-12, atol=1e-9)
@@ -257,7 +267,7 @@ class TestLineSearch:
         rng = np.random.default_rng(0)
         y = np.vstack([rng.poisson(20.0, size=6), np.full(6, 1e12)])
         offset, slope = 0.1 * rng.normal(size=6), rng.normal(size=6)
-        a, b, _, mu, halvings = _newton_block(
+        a, b, _, mu, halvings = newton_block(
             y, offset, slope, np.array([0.0, 40.0]), np.zeros(2), 30.0)
         assert a[1] == 40.0 and b[1] == 0.0
         assert a[0] != 0.0
@@ -271,8 +281,8 @@ class TestLineSearch:
         offset, slope = rng.normal(size=k), rng.normal(size=k)
         a, b = rng.normal(size=n), rng.normal(size=n)
         mu = np.exp(a[:, None] + offset[None, :] + b[:, None] * slope[None, :])
-        fresh = _newton_block(y, offset, slope, a, b, 30.0)
-        passed = _newton_block(y, offset, slope, a, b, 30.0, mu=mu)
+        fresh = newton_block(y, offset, slope, a, b, 30.0)
+        passed = newton_block(y, offset, slope, a, b, 30.0, mu=mu)
         for x, z in zip(fresh[:4], passed[:4]):
             np.testing.assert_allclose(z, x, rtol=1e-12, atol=1e-12)
         assert fresh[4] == passed[4]
@@ -369,6 +379,66 @@ class TestBootstrap:
             bootstrap(matrix, result, B=40, seed=4)
 
     def test_failures_are_counted_by_reason(self):
+        matrix, result = self._with_zero_row_failures()
+        boot = bootstrap(matrix, result, B=60, seed=1)
+        assert boot.bootstrap_failures > 0
+        assert boot.bootstrap_failure_reasons == {
+            "zero_row": boot.bootstrap_failures, "not_converged": 0, "error": 0}
+
+    @staticmethod
+    def _one_fit_per_replicate(matrix, result, B, seed):
+        """The bootstrap as one fit per replicate: the same draws in order,
+        each refit on its non-zero columns from the point estimate, theta
+        sign-aligned by correlation. Also counts the replicates that drop a
+        column."""
+        rng = np.random.default_rng(seed)
+        mu = np.exp(np.clip(_eta(result.params), -30.0, 30.0))
+        failures = dict.fromkeys(("zero_row", "not_converged", "error"), 0)
+        reps, dropped = [], 0
+        for _ in range(B):
+            y = rng.poisson(mu)
+            if not y.any(axis=1).all():
+                failures["zero_row"] += 1
+                continue
+            cols = y.any(axis=0)
+            dropped += not cols.all()
+            labels = tuple(np.array(matrix.feature_labels)[cols])
+            start = dataclasses.replace(result.params, psi=result.params.psi[cols],
+                                        beta=result.params.beta[cols])
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    rep = fit(CountMatrix(matrix.doc_ids, labels, y[:, cols]), start=start)
+            except ScalingError:
+                failures["error"] += 1
+                continue
+            if not rep.converged:
+                failures["not_converged"] += 1
+                continue
+            theta = rep.params.theta
+            reps.append(-theta if np.corrcoef(theta, result.params.theta)[0, 1] < 0 else theta)
+        thetas = np.array(reps)
+        return (thetas.std(axis=0, ddof=1), np.percentile(thetas, 2.5, axis=0),
+                np.percentile(thetas, 97.5, axis=0), failures, dropped)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_batches_equal_one_fit_per_replicate(self, sparse):
+        if sparse:
+            matrix, result = self._with_sparse_cells("col")
+        else:
+            matrix, _ = random_matrix(31, n=8, k=10)
+            result = fit(matrix)
+        boot = bootstrap(matrix, result, B=40, seed=4)
+        se, low, high, failures, dropped = self._one_fit_per_replicate(matrix, result, 40, 4)
+        if sparse:  # some replicates keep the sparse column, others drop it
+            assert 0 < dropped < 40
+        np.testing.assert_allclose(boot.theta_se, se, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(boot.theta_ci_low, low, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(boot.theta_ci_high, high, rtol=0, atol=1e-10)
+        assert boot.bootstrap_failure_reasons == failures
+
+    @staticmethod
+    def _with_zero_row_failures():
         # a row total of 3 leaves the row all zero in about e^-3 of the
         # replicates: some failures, fewer than the 20% that is an error
         matrix, _ = random_matrix(5, n=10, k=12)
@@ -376,10 +446,62 @@ class TestBootstrap:
         counts[4] = 0
         counts[4, :3] = 1
         matrix = CountMatrix(matrix.doc_ids, matrix.feature_labels, counts)
-        boot = bootstrap(matrix, fit(matrix), B=60, seed=1)
-        assert boot.bootstrap_failures > 0
-        assert boot.bootstrap_failure_reasons == {
-            "zero_row": boot.bootstrap_failures, "not_converged": 0, "error": 0}
+        return matrix, fit(matrix)
+
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_results_do_not_depend_on_batch_size(self, monkeypatch, zero_row):
+        if zero_row:
+            matrix, result = self._with_zero_row_failures()
+        else:
+            matrix, _ = random_matrix(41, n=10, k=12)
+            result = fit(matrix)
+        assert scaling.BATCH_CELLS // matrix.counts.size >= 60  # one batch
+        batched = bootstrap(matrix, result, B=60, seed=1)
+        monkeypatch.setattr(scaling, "BATCH_CELLS", 1)  # one replicate a batch
+        alone = bootstrap(matrix, result, B=60, seed=1)
+        for name in ("theta_se", "theta_ci_low", "theta_ci_high"):
+            np.testing.assert_array_equal(getattr(alone, name), getattr(batched, name))
+        assert alone.bootstrap_failures == batched.bootstrap_failures
+        assert alone.bootstrap_failure_reasons == batched.bootstrap_failure_reasons
+        assert alone.bootstrap_map_evaluations == batched.bootstrap_map_evaluations
+        assert (batched.bootstrap_failures > 0) == zero_row
+
+    def test_replicates_sitting_out_stabilisation_stay_in_step(self, monkeypatch):
+        # a replicate whose extrapolation is not finite sits out the
+        # stabilisation step while the rest of its batch takes it; mark about
+        # half of them so, each by its own state
+        matrix, _ = random_matrix(41, n=10, k=12)
+        result = fit(matrix)
+        extrapolate, mixed = scaling._extrapolate, []
+
+        def some_not_finite(x0, x1, x2):
+            x, kind = extrapolate(x0, x1, x2)
+            kind = np.where(np.floor(x2.theta[:, 0] * 1e4) % 2 == 0, -1, kind)
+            mixed.append(-1 in kind and (kind >= 0).any())
+            return x, kind
+
+        monkeypatch.setattr(scaling, "_extrapolate", some_not_finite)
+        batched = bootstrap(matrix, result, B=30, seed=2)
+        monkeypatch.setattr(scaling, "BATCH_CELLS", 1)
+        alone = bootstrap(matrix, result, B=30, seed=2)
+        assert any(mixed)
+        for name in ("theta_se", "theta_ci_low", "theta_ci_high"):
+            np.testing.assert_array_equal(getattr(alone, name), getattr(batched, name))
+        assert alone.bootstrap_map_evaluations == batched.bootstrap_map_evaluations
+
+    def test_large_bootstrap_memory_stays_bounded(self):
+        # refitting all 50 replicates of this 60 x 2000 matrix in one batch
+        # peaks near 234 MiB; batches of at most BATCH_CELLS cells near 6 MiB
+        matrix, _ = generate_matrix(SyntheticSpec.create(60, 2000, 20000, seed=3))
+        result = fit(matrix)
+        tracemalloc.start()
+        try:
+            boot = bootstrap(matrix, result, B=50, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert boot.bootstrap_failures == 0
+        assert peak < 16e6  # bytes
 
     def test_ci_brackets_point_estimate_mostly(self):
         matrix, _ = random_matrix(41, n=10, k=12)
