@@ -39,7 +39,7 @@ def main():
             scale=args.polarity, size=args.n_communities))
 
     rows = []
-    wins = 0
+    wins = both = 0
     for rep in range(args.replications):
         seed = args.seed + rep
         spec = cf.PlantedCorpusSpec(
@@ -49,31 +49,45 @@ def main():
         )
         corpus, spec = cf.generate_corpus(spec)
         comparison = cf.compare_models(corpus, args.pi, cf.FitConfig(seed=seed))
-        rho_com = abs(np.corrcoef(
-            comparison.community_result.params.theta, spec.theta_star)[0, 1])
-        rho_uni = abs(np.corrcoef(
-            comparison.unigram_result.params.theta, spec.theta_star)[0, 1])
-        wins += int(rho_com >= rho_uni)
+        # a branch that failed has no rho; its error goes into the row
+        rho = {
+            branch: None if result is None else float(abs(np.corrcoef(
+                result.params.theta, spec.theta_star)[0, 1]))
+            for branch, result in (("community", comparison.community_result),
+                                   ("unigram", comparison.unigram_result))
+        }
+        if None not in rho.values():
+            both += 1
+            wins += int(rho["community"] >= rho["unigram"])
         rows.append({
             "seed": seed,
-            "rho_community": float(rho_com),
-            "rho_unigram": float(rho_uni),
-            "k_features": int(comparison.k_community_features),
-            "vocabulary": int(comparison.vocabulary_size),
+            "rho_community": rho["community"],
+            "rho_unigram": rho["unigram"],
+            "k_features": comparison.k_community_features,
+            "vocabulary": comparison.vocabulary_size,
             "runtime_community": comparison.runtime_community,
             "runtime_unigram": comparison.runtime_unigram,
+            "errors": {branch: str(exc) for branch, exc in comparison.errors.items()},
         })
-        print(f"seed {seed}: community {rho_com:.4f} vs unigram {rho_uni:.4f}")
+        print(f"seed {seed}: " + " vs ".join(
+            f"{branch} {value:.4f}" if value is not None
+            else f"{branch} failed ({comparison.errors[branch]})"
+            for branch, value in rho.items()))
+
+    def mean(key):
+        values = [r[key] for r in rows if r[key] is not None]
+        return float(np.mean(values)) if values else None
 
     summary = {
         "replications": rows,
+        "both_fitted": both,
         "community_wins": wins,
-        "mean_rho_community": float(np.mean([r["rho_community"] for r in rows])),
-        "mean_rho_unigram": float(np.mean([r["rho_unigram"] for r in rows])),
+        "mean_rho_community": mean("rho_community"),
+        "mean_rho_unigram": mean("rho_unigram"),
     }
     with open(args.out, "w") as fh:
         json.dump(summary, fh, indent=2)
-    print(f"\ncommunity wins {wins}/{args.replications} -> {args.out}")
+    print(f"\ncommunity wins {wins}/{both} with both branches fitted -> {args.out}")
 
 
 if __name__ == "__main__":

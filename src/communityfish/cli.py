@@ -120,7 +120,7 @@ def _coerce(default, raw: str, where: str):
 
 
 # The values of the enumerated config keys, and the least value of the
-# integer keys; FitConfig checks tol, clamp and max_iter.
+# integer config and spec keys; FitConfig checks tol, clamp and max_iter.
 CHOICES = {
     "format": ("jsonl", "text-directory", "csv"),
     "clustering": ("louvain", "leiden"),
@@ -132,6 +132,9 @@ FLOORS = {
     "unigram_min_count": 1,
     "bootstrap_b": 0,
     "seed": 0,
+    "n_docs": 2,
+    "n_features": 2,
+    "expected_row_total": 1,
 }
 
 

@@ -205,20 +205,26 @@ def _load_textdir(path: Path) -> list[Document]:
 
 def _load_csv(path: Path) -> list[Document]:
     docs = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "text" not in reader.fieldnames:
-            raise CorpusError(f"{path}: CSV must have a header with a 'text' column")
-        for lineno, row in enumerate(reader, start=2):
-            if row["text"] is None:
-                raise CorpusError(f"{path}:{lineno}: missing text field")
-            doc_id = row.get("id") or str(lineno - 1)
-            meta = {
-                k: v
-                for k, v in row.items()
-                if k not in ("id", "text") and v is not None
-            }
-            docs.append(Document(id=doc_id, text=row["text"], metadata=meta))
+    # a field is at most as long as the file; a manifesto can run past the
+    # csv module's default limit of 131,072 characters
+    limit = csv.field_size_limit(max(csv.field_size_limit(), path.stat().st_size))
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "text" not in reader.fieldnames:
+                raise CorpusError(f"{path}: CSV must have a header with a 'text' column")
+            for lineno, row in enumerate(reader, start=2):
+                if row["text"] is None:
+                    raise CorpusError(f"{path}:{lineno}: missing text field")
+                doc_id = row.get("id") or str(lineno - 1)
+                meta = {
+                    k: v
+                    for k, v in row.items()
+                    if k not in ("id", "text") and v is not None
+                }
+                docs.append(Document(id=doc_id, text=row["text"], metadata=meta))
+    finally:
+        csv.field_size_limit(limit)
     return docs
 
 

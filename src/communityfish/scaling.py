@@ -297,23 +297,20 @@ def _norms(x: np.ndarray) -> np.ndarray:
 def _extrapolate(x0: ScalingParams, x1: ScalingParams, x2: ScalingParams):
     """Each replicate's SQUAREM S3 point x0 - 2*s*r + s^2*v with r = x1 - x0,
     v = x2 - 2*x1 + x0 and step s = min(-|r|/|v|, -1). That is x2 itself at
-    s = -1 or where the step is undefined. Returns the points and each one's
-    kind: 1 extrapolated, 0 x2 itself, -1 not finite."""
+    s = -1, where the step is undefined, and where the point is not finite.
+    Returns the points and where each was extrapolated rather than x2."""
     f0, f1, f2 = _flat(x0), _flat(x1), _flat(x2)
     r = f1 - f0
     v = f2 - 2.0 * f1 + f0
     v_norm = _norms(v)
     s = np.divide(-_norms(r), v_norm, out=np.full_like(v_norm, -1.0), where=v_norm > 0)
-    kind = (s < -1.0).astype(int)
-    x = f2
-    ext = np.flatnonzero(kind)
-    if ext.size:
-        s = s[ext, None]
-        x[ext] = f0[ext] - 2.0 * s * r[ext] + s * s * v[ext]
-        kind[ext[~np.isfinite(x[ext]).all(axis=1)]] = -1
+    s = s[:, None]
+    x = f0 - 2.0 * s * r + s * s * v
+    extrapolated = (s[:, 0] < -1.0) & np.isfinite(x).all(axis=1)
+    np.copyto(x, f2, where=~extrapolated[:, None])
     n, k = x0.alpha.shape[-1], x0.psi.shape[-1]
     return ScalingParams(alpha=x[:, :n], psi=x[:, 2 * n:2 * n + k], theta=x[:, n:2 * n],
-                         beta=x[:, 2 * n + k:]), kind
+                         beta=x[:, 2 * n + k:]), extrapolated
 
 
 def _score(y, params: ScalingParams, mu) -> float:
@@ -351,13 +348,13 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
     step ended on, and the next document step those of the feature step.
     Each cycle takes F(x0), F(F(x0)) and F of the S3 extrapolation of the
     three, and keeps that last point only if its log likelihood is at least
-    that of F(F(x0)); an extrapolation that is not finite is skipped. A
-    replicate stops when a kept point raises its log likelihood by less than
-    tol * (1 + |LL|), once it has spent max_iter evaluations of F, rejected
-    extrapolations included, or with an error when F(x0) or F(F(x0)) leaves
-    theta without variance. Every replicate runs the same cycle, so those
-    still running advance phase by phase together, each with the numbers of
-    its run alone."""
+    that of F(F(x0)); where the extrapolation is not finite it falls back to
+    F(F(x0)), as it does at a step of -1. A replicate stops when a kept
+    point raises its log likelihood by less than tol * (1 + |LL|), once it
+    has spent max_iter evaluations of F, rejected extrapolations included,
+    or with an error when F(x0) or F(F(x0)) leaves theta without variance.
+    Every replicate still running takes every phase of the cycle together,
+    each with the numbers of its run alone."""
     clamp = config.linear_predictor_clamp
     R = y.shape[0]
     final = ScalingParams(*map(np.empty_like, _arrays(start)))
@@ -376,52 +373,43 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
     for trace, ll_r in zip(traces, ll):
         trace.append(float(ll_r))
 
-    def evaluate(x: ScalingParams, pos=None):
-        """F(x) for the live replicates at pos (all if None), taking over
-        their rates, the rates at x: the new points, their log likelihoods
-        (the feature rows' sums, which _standardize keeps), their rates, and
-        where theta lost its variance."""
+    def evaluate(x: ScalingParams):
+        """F(x) for the live replicates, taking over mu, the rates at x: the
+        new points, their log likelihoods (the feature rows' sums, which
+        _standardize keeps), their rates, and where theta lost its
+        variance."""
         nonlocal mu
-        if pos is None:
-            y_pos, rates, mu = y, mu, None
-        else:
-            y_pos, rates = y[pos], mu[pos]
+        rates, mu = mu, None
         alpha, theta, _, rates, h_doc = _newton_block(
-            y_pos, x.psi, x.beta, x.alpha, x.theta, clamp, rates)
+            y, x.psi, x.beta, x.alpha, x.theta, clamp, rates)
         psi, beta, ll_cols, rates, h_feat = _newton_block(
-            y_pos.swapaxes(1, 2), alpha, theta, x.psi, x.beta, clamp, rates.swapaxes(1, 2))
-        ids = live if pos is None else live[pos]
-        evaluations[ids] += 1
-        halvings[ids] += h_doc + h_feat
+            y.swapaxes(1, 2), alpha, theta, x.psi, x.beta, clamp, rates.swapaxes(1, 2))
+        evaluations[live] += 1
+        halvings[live] += h_doc + h_feat
         new, degenerate = _standardize(ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta))
         return new, ll_cols.sum(axis=-1), rates.swapaxes(1, 2), degenerate
 
-    def keep(pos, new: ScalingParams, ll_new) -> np.ndarray:
-        """Move the live replicates at pos (all if None) to the points new,
-        whose log likelihoods ll_new are at least their last kept ones';
-        returns where they stop: converged, out of evaluations or, under
+    def keep(new: ScalingParams, ll_new, accept) -> np.ndarray:
+        """Move the live replicates where accept holds to the points new,
+        whose log likelihoods ll_new are at least their last kept ones', and
+        write the others' points into new, which becomes x; returns where the
+        live replicates stop: converged, out of evaluations or, under
         debug_ascent, not ascending."""
         nonlocal x, ll
-        ids = live if pos is None else live[pos]
-        ll_prev = ll if pos is None else ll[pos]
-        stop = np.abs(ll_new - ll_prev) < config.tol * (1.0 + np.abs(ll_prev))
-        converged[ids] = stop
-        for i, r in enumerate(ids):
-            traces[r].append(float(ll_new[i]))
+        ll_new = np.where(accept, ll_new, ll)
+        stop = accept & (np.abs(ll_new - ll) < config.tol * (1.0 + np.abs(ll)))
+        converged[live] = stop
+        for i in np.flatnonzero(accept):
+            traces[live[i]].append(float(ll_new[i]))
             if config.debug_ascent:
                 try:
-                    _check_ascent(y[i if pos is None else pos[i]], _take(new, i), ll_prev[i], clamp)
+                    _check_ascent(y[i], _take(new, i), ll[i], clamp)
                 except ScalingError as exc:
-                    errors[r], stop[i] = str(exc), True
-        if pos is None:
-            x, ll = new, ll_new
-        else:
-            x = ScalingParams(*map(np.copy, _arrays(x)))
-            for mine, theirs in zip(_arrays(x), _arrays(new)):
-                mine[pos] = theirs
-            ll = ll.copy()
-            ll[pos] = ll_new
-        return stop | (evaluations[ids] >= config.max_iter)
+                    errors[live[i]], stop[i] = str(exc), True
+        for mine, theirs in zip(_arrays(x), _arrays(new)):
+            np.copyto(theirs, mine, where=~accept[:, None])
+        x, ll = new, ll_new
+        return stop | (evaluations[live] >= config.max_iter)
 
     def finish(stop: np.ndarray) -> np.ndarray:
         """Record the live replicates where stop holds and drop them; returns
@@ -441,7 +429,7 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
         points = [x]  # x0, x1 and x2 of this cycle
         for _ in range(2):
             new, ll_new, mu, degenerate = evaluate(x)
-            stop = keep(None, new, ll_new)
+            stop = keep(new, ll_new, np.ones(live.size, dtype=bool))
             for i in np.flatnonzero(degenerate):
                 errors[live[i]] = "degenerate theta: zero variance"
             if (stop := stop | degenerate).any():
@@ -452,37 +440,18 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
             points.append(x)
         if not live.size:
             break
-        x2, ll2 = x, ll
-        x_ext, kind = _extrapolate(*points)
-        tried = np.flatnonzero(kind >= 0)
-        if not tried.size:
-            continue
-        extrapolated = np.flatnonzero(kind == 1)
-        if extrapolated.size == live.size:
+        x_ext, extrapolated = _extrapolate(*points)  # x is x2 until keep
+        if extrapolated.all():
             mu = None  # x2's rates go before those of x_ext exist
             mu = _rates(x_ext, clamp)
-        elif extrapolated.size:
+        elif extrapolated.any():
             mu[extrapolated] = _rates(_take(x_ext, extrapolated), clamp)
-        every = tried.size == live.size
-        new, ll_new, rates, degenerate = evaluate(
-            x_ext if every else _take(x_ext, tried), None if every else tried)
-        ascended = ~degenerate & (ll_new >= ll2[tried])
-        if every:
-            mu = rates
-        else:
-            mu[tried] = rates
-        del rates  # mu alone holds rates between evaluations
+        new, ll_new, mu, degenerate = evaluate(x_ext)
+        ascended = ~degenerate & (ll_new >= ll)
         # a rejected point falls back to x2, with x2's rates
-        fallen = tried[~ascended]
-        if fallen.size:
-            mu[fallen] = _rates(_take(x2, fallen), clamp)
-        stop = np.zeros(live.size, dtype=bool)
-        stop[fallen] = evaluations[live[fallen]] >= config.max_iter
-        if ascended.all() and every:
-            stop = keep(None, new, ll_new)
-        elif ascended.any():
-            stop[tried[ascended]] = keep(tried[ascended], _take(new, ascended), ll_new[ascended])
-        if stop.any():
+        if not ascended.all():
+            mu[~ascended] = _rates(_take(x, ~ascended), clamp)
+        if (stop := keep(new, ll_new, ascended)).any():
             finish(stop)
     for r, error in enumerate(errors):
         converged[r] &= error is None

@@ -136,6 +136,21 @@ class TestImports:
             communityfish.no_such_name
 
 
+class TestScripts:
+    def test_model_comparison_records_a_failed_branch(self, tmp_path):
+        # no bigram reaches the threshold: the community branch fails
+        script = Path(communityfish.__file__).parents[2] / "scripts" / "run_model_comparison.py"
+        out = tmp_path / "comparison.json"
+        proc = _run_python("-W", "error::RuntimeWarning", str(script), "--pi", "100000",
+                           "--replications", "1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(out.read_text())
+        row = summary["replications"][0]
+        assert row["rho_community"] is None and 0 <= row["rho_unigram"] <= 1
+        assert row["errors"] == {"community": "empty graph: no bigrams survive threshold"}
+        assert summary["both_fitted"] == summary["community_wins"] == 0
+
+
 class TestCorpusInputs:
     @pytest.mark.parametrize("kind, data, message", [
         ("jsonl", b'{"id": "a", "text": "caf\xe9"}\n', ": not UTF-8 text"),
@@ -245,6 +260,22 @@ class TestScale:
         reasons = report["bootstrap_failure_reasons"]
         assert set(reasons) == {"zero_row", "not_converged", "error"}
         assert sum(reasons.values()) == report["bootstrap_failures"]
+
+    def test_csv_document_longer_than_the_csv_field_limit(self, corpus_file, tmp_path):
+        rows = [json.loads(line) for line in open(corpus_file)]
+        long = rows[0]["text"]
+        rows[0]["text"] = " ".join([long] * (200_000 // len(long) + 1))
+        assert len(rows[0]["text"]) > 200_000
+        path = tmp_path / "corpus.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("id", "text"))
+            writer.writerows((r["id"], r["text"]) for r in rows)
+        rc = main(["scale", "--input", str(path), "--format", "csv", "--pi", "30",
+                   "--no-bootstrap", "--out", str(tmp_path / "s"), "--quiet"])
+        assert rc == 0
+        positions = list(csv.DictReader(open(tmp_path / "s" / "positions.csv")))
+        assert rows[0]["id"] in {r["doc_id"] for r in positions}
 
     def test_bootstrap_map_evaluations(self, corpus_file, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -375,10 +406,13 @@ class TestSimulate:
     @pytest.mark.parametrize("line, message", [
         ("seed = -1", "spec key 'seed' must be >= 0, got -1"),
         ("bootstrap_b = -4", "spec key 'bootstrap_b' must be >= 0, got -4"),
+        ("n_docs = 1", "spec key 'n_docs' must be >= 2, got 1"),
+        ("n_features = 1", "spec key 'n_features' must be >= 2, got 1"),
+        ("expected_row_total = 0", "spec key 'expected_row_total' must be >= 1, got 0"),
     ])
     def test_out_of_domain_spec_value_exits_1(self, tmp_path, capsys, line, message):
         spec = tmp_path / "sim.cfg"
-        spec.write_text(f"n_docs = 10\n{line}\n")
+        spec.write_text(f"{line}\n")
         rc = main(["simulate", str(spec), "--out", str(tmp_path / "x"), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import time
@@ -123,6 +124,16 @@ class TestLoadCorpus:
         corpus = load_corpus(p, "csv")
         assert [d.id for d in corpus.documents] == ["a", "b"]
         assert corpus.documents[1].metadata["year"] == "1994"
+
+    def test_csv_document_longer_than_the_csv_field_limit(self, tmp_path):
+        limit = csv.field_size_limit()
+        text = "word " * 40_000  # 200,000 characters, past csv's default 131,072
+        p = tmp_path / "c.csv"
+        with open(p, "w", newline="") as fh:
+            csv.writer(fh).writerows([("id", "text"), ("long", text), ("short", "a b")])
+        corpus = load_corpus(p, "csv")
+        assert [d.text for d in corpus.documents] == [text, "a b"]
+        assert csv.field_size_limit() == limit
 
     def test_csv_requires_text_column(self, tmp_path):
         p = tmp_path / "c.csv"

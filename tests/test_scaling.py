@@ -320,6 +320,29 @@ class TestGradients:
                 assert abs(grads[block][idx] - fd) / scale < 1e-4
 
 
+class TestExtrapolate:
+    @staticmethod
+    def _params(*reps):
+        """Stacked params of n = k = 2 from each replicate's flat
+        (alpha, theta, psi, beta) vector."""
+        flat = np.array(reps, dtype=float)
+        return ScalingParams(alpha=flat[:, 0:2], theta=flat[:, 2:4], psi=flat[:, 4:6],
+                             beta=flat[:, 6:8])
+
+    def test_non_finite_point_falls_back_to_x2(self):
+        # replicate 0: |r| = 1e100 over |v| = 1e-100, whose S3 point
+        # overflows; 1: a step of -2 to the point 2; 2: no movement, s = -1
+        x0 = self._params([0.0] * 8, [0.0] * 8, [3.0] * 8)
+        x1 = self._params([1e100] + [0.0] * 7, [1.0] * 8, [3.0] * 8)
+        x2 = self._params([2e100, 0.0, 1e-100] + [0.0] * 5, [1.5] * 8, [3.0] * 8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, extrapolated = scaling._extrapolate(x0, x1, x2)
+        assert extrapolated.tolist() == [False, True, False]
+        for mine, theirs in zip(scaling._arrays(x), scaling._arrays(x2)):
+            np.testing.assert_array_equal(mine[[0, 2]], theirs[[0, 2]])
+            np.testing.assert_array_equal(mine[1], 2.0)
+
+
 class TestBootstrap:
     def test_deterministic(self):
         matrix, _ = random_matrix(31, n=8, k=10)
@@ -466,21 +489,25 @@ class TestBootstrap:
         assert alone.bootstrap_map_evaluations == batched.bootstrap_map_evaluations
         assert (batched.bootstrap_failures > 0) == zero_row
 
-    def test_replicates_sitting_out_stabilisation_stay_in_step(self, monkeypatch):
-        # a replicate whose extrapolation is not finite sits out the
-        # stabilisation step while the rest of its batch takes it; mark about
-        # half of them so, each by its own state
+    def test_mixed_stabilisations_stay_in_step(self, monkeypatch):
+        # by its own state, a replicate's stabilisation step starts from x2
+        # (not extrapolated), from x0 (F of it lands near x1, so the step is
+        # rejected) or from the real S3 point; batches mix all three
         matrix, _ = random_matrix(41, n=10, k=12)
         result = fit(matrix)
         extrapolate, mixed = scaling._extrapolate, []
 
-        def some_not_finite(x0, x1, x2):
-            x, kind = extrapolate(x0, x1, x2)
-            kind = np.where(np.floor(x2.theta[:, 0] * 1e4) % 2 == 0, -1, kind)
-            mixed.append(-1 in kind and (kind >= 0).any())
-            return x, kind
+        def three_ways(x0, x1, x2):
+            x, extrapolated = extrapolate(x0, x1, x2)
+            case = np.floor(x2.theta[:, 0] * 1e4) % 3
+            x = ScalingParams(*(
+                np.where((case == 0)[:, None], p2, np.where((case == 1)[:, None], p0, p))
+                for p0, p2, p in zip(scaling._arrays(x0), scaling._arrays(x2),
+                                     scaling._arrays(x))))
+            mixed.append(len(set(case)) == 3)
+            return x, np.where(case == 0, False, np.where(case == 1, True, extrapolated))
 
-        monkeypatch.setattr(scaling, "_extrapolate", some_not_finite)
+        monkeypatch.setattr(scaling, "_extrapolate", three_ways)
         batched = bootstrap(matrix, result, B=30, seed=2)
         monkeypatch.setattr(scaling, "BATCH_CELLS", 1)
         alone = bootstrap(matrix, result, B=30, seed=2)
