@@ -36,7 +36,7 @@ from .corpus import (
     read_stopwords,
     tokenize,
 )
-from .features import CountMatrix, MatrixError, TrimReport, community_dtm, unigram_dtm
+from .features import MatrixError, TrimReport, community_dtm, unigram_dtm
 from .graph import (
     GraphError,
     Partition,
@@ -120,7 +120,7 @@ def _coerce(default, raw: str, where: str):
 
 
 # The values of the enumerated config keys, and the least value of the
-# integer config and spec keys; FitConfig checks tol, clamp and max_iter.
+# integer config and spec keys; FitConfig checks tol, clamp, max_iter and anchors.
 CHOICES = {
     "format": ("jsonl", "text-directory", "csv"),
     "clustering": ("louvain", "leiden"),
@@ -197,12 +197,11 @@ class SimulationSpec:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """What the stages of one run produced; the unigram baseline has no
-    graph or partition."""
+    """What the stages of one run produced that a command reads: the
+    partition (None for the unigram baseline), the trimming of the count
+    matrix, and the fit, which holds the matrix."""
 
-    graph: WordGraph | None
     partition: Partition | None
-    matrix: CountMatrix
     trim_report: TrimReport
     result: ScalingResult
 
@@ -228,15 +227,14 @@ def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False) -> P
     Failures raise the library's ``ValueError`` subclasses: ``GraphError``
     and ``MatrixError`` for an empty stage, ``ScalingError`` for the fit.
     """
-    graph = partition = None
+    partition = None
     if baseline:
         matrix, trim_report = unigram_dtm(corpus, min_count=config.unigram_min_count)
     else:
-        graph, partition = _cluster(corpus, config)
+        _, partition = _cluster(corpus, config)
         matrix, trim_report = community_dtm(
             corpus, partition, bigram_match=(config.dtm == "bigram-match"))
-    result = fit(matrix, config.fit_config())
-    return PipelineRun(graph, partition, matrix, trim_report, result)
+    return PipelineRun(partition, trim_report, fit(matrix, config.fit_config()))
 
 
 @dataclass(frozen=True)
@@ -246,8 +244,6 @@ class ComparisonReport:
     runtime_community: float | None
     runtime_unigram: float | None
     rank_correlation: float | None
-    dispersion_community: float | None
-    dispersion_unigram: float | None
     community_result: ScalingResult | None
     unigram_result: ScalingResult | None
     # the exception each failed branch raised, by branch name
@@ -299,19 +295,12 @@ def compare_models(
         if len(common) >= 3:
             c, u = np.array(common).T
             rank_corr = spearman(com_result.params.theta[c], uni_result.params.theta[u])
-    clamp = config.linear_predictor_clamp
     return ComparisonReport(
         k_community_features=com_result.matrix.shape[1] if com_result else None,
         vocabulary_size=uni_result.matrix.shape[1] if uni_result else None,
         runtime_community=runtimes["community"],
         runtime_unigram=runtimes["unigram"],
         rank_correlation=rank_corr,
-        dispersion_community=(
-            dispersion(com_result.matrix, com_result.params, clamp) if com_result else None
-        ),
-        dispersion_unigram=(
-            dispersion(uni_result.matrix, uni_result.params, clamp) if uni_result else None
-        ),
         community_result=com_result,
         unigram_result=uni_result,
         errors=errors,
@@ -364,7 +353,7 @@ def _resolve_config(args) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(config, key, val)
-    if getattr(args, "no_bootstrap", False):
+    if getattr(args, "no_bootstrap", False) or getattr(args, "se", None) == "analytic":
         config.bootstrap_b = 0
     for key, allowed in CHOICES.items():
         value = getattr(config, key)
@@ -372,7 +361,7 @@ def _resolve_config(args) -> RunConfig:
             raise CliError(f"config key {key!r} must be one of {', '.join(allowed)}, "
                            f"got {value!r}", EXIT_CONFIG)
     _check_floors(config, "config")
-    try:  # tol, clamp and max_iter
+    try:  # tol, clamp, max_iter and the anchors
         config.fit_config()
     except ScalingError as exc:
         raise CliError(f"config: {exc}", EXIT_CONFIG) from None
@@ -465,7 +454,8 @@ def _write_features(out: Path, result: ScalingResult) -> None:
 def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
     corpus = _load_pipeline_corpus(config)
     run = run_pipeline(corpus, config, baseline=args.baseline)
-    matrix, result = run.matrix, run.result
+    result = run.result
+    matrix = result.matrix
     if args.se == "analytic":
         se = analytic_theta_se(result, config.clamp)
         result = dataclasses.replace(
@@ -532,8 +522,8 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "runtime_community": report.runtime_community,
         "runtime_unigram": report.runtime_unigram,
         "rank_correlation": report.rank_correlation,
-        "dispersion_community": report.dispersion_community,
-        "dispersion_unigram": report.dispersion_unigram,
+        "dispersion_community": dispersion(com.matrix, com.params, config.clamp) if com else None,
+        "dispersion_unigram": dispersion(uni.matrix, uni.params, config.clamp) if uni else None,
         "errors": errors,
     }
     (out / "report.json").write_text(json.dumps(summary, indent=2))

@@ -133,8 +133,8 @@ class PairCounts(Mapping):
 class BigramCounts:
     """Unordered word-pair co-occurrence counts; self-pairs are excluded.
 
-    ``pairs`` is a read-only mapping in order of each pair's first
-    occurrence, backed by arrays; a plain mapping is converted once.
+    ``pairs`` is a read-only mapping backed by arrays; a plain mapping is
+    converted once, in its own order.
     """
 
     pairs: Mapping[frozenset, int]
@@ -253,7 +253,7 @@ def count_bigrams(corpus: Corpus) -> BigramCounts:
     """Count unordered adjacent token pairs across all documents.
 
     Pairs of identical tokens are excluded; pairs never span document
-    boundaries. Keys are in order of each pair's first occurrence.
+    boundaries.
     """
     coding = corpus.coding
     ids, n_words = coding.ids, len(coding.words)
@@ -269,18 +269,14 @@ def count_bigrams(corpus: Corpus) -> BigramCounts:
     # adjacency s - 1 joins the token before offset s to the one at it
     bounds = coding.starts[1:-1]
     codes[bounds[(bounds > 0) & (bounds < len(ids))] - 1] = none
-    order = np.argsort(codes)
     codes.sort()
     n = codes.searchsorted(none)
     codes = codes[:n]
     heads = np.flatnonzero(np.concatenate(([n > 0], codes[1:] != codes[:-1])))
-    counts = np.diff(heads, append=n)
-    # each pair's first adjacency is the least position in its run of the sort
-    by_first = np.argsort(np.minimum.reduceat(order[:n], heads))
-    pair_codes = codes[heads[by_first]]
+    pair_codes = codes[heads]
     return BigramCounts(PairCounts(
         coding.words, (pair_codes // n_words).astype(np.int32),
-        (pair_codes % n_words).astype(np.int32), counts[by_first]))
+        (pair_codes % n_words).astype(np.int32), np.diff(heads, append=n)))
 
 
 def filter_bigrams(

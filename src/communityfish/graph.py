@@ -70,7 +70,7 @@ def build_graph(counts: BigramCounts) -> WordGraph:
     nodes = tuple(map(pairs.words.__getitem__, np.flatnonzero(in_graph).tolist()))
     node_of = np.cumsum(in_graph) - 1
     adjacency: list[dict[int, float]] = [dict() for _ in nodes]
-    # each node's neighbours in pair order
+    # integer weights: the clustering's sums are exact in any neighbour order
     for iu, iw, weight in zip(node_of[pairs.u].tolist(), node_of[pairs.w].tolist(),
                               pairs.counts.astype(float).tolist()):
         adjacency[iu][iw] = weight
@@ -273,7 +273,8 @@ def leiden(graph: WordGraph, seed: int = 0, min_community_size: int = 2) -> Part
         comm = refined
         _local_move(level, comm, m, rng)
         comm, _ = _relabel(comm)
-    comm = _split_disconnected(graph, comm)
+    else:
+        comm = _split_disconnected(graph, comm)
     return _finalize_partition(graph, comm, _level_modularity(level, comm, m),
                                min_community_size)
 

@@ -54,6 +54,8 @@ class FitConfig:
                 raise ScalingError(f"{name} must be finite and positive, got {value!r}")
         if self.max_iter < 1:
             raise ScalingError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if self.anchor_low and self.anchor_low == self.anchor_high:
+            raise ScalingError("anchor documents must be distinct")
 
 
 FAILURE_REASONS = ("zero_row", "not_converged", "error")
@@ -189,16 +191,16 @@ def _with_ones(*columns):
     return out
 
 
-def _newton_block(y, offset, slope, a, b, clamp, mu=None):
+def _newton_block(y, offset, slope, a, b, clamp, mu):
     """One damped Newton step on every row's (a_i, b_i) of every replicate,
     towards the maximum of sum_j y_ij*eta - exp(eta) with
     eta_ij = a_i + offset_j + b_i * slope_j. y is (R, m, n), a and b are
     (R, m), offset and slope (R, n): each replicate has its own. Rows are
     independent and each row problem is concave.
 
-    mu holds the clamped rates at (a, b), and None computes them; it is only
-    read. The gradient, the Hessian and the row log likelihood depend on the
-    counts only through y @ (1, offset, slope) and on the rates only through
+    mu holds the clamped rates at (a, b); it is only read. The gradient,
+    the Hessian and the row log likelihood depend on the counts only through
+    y @ (1, offset, slope) and on the rates only through
     mu @ (1, slope, slope^2), so the full step costs one exp over the
     matrix. A row accepts a trial step when its log likelihood drops by no
     more than a relative 1e-12 (float noise on sums of 1e3-1e5); only rows
@@ -213,9 +215,6 @@ def _newton_block(y, offset, slope, a, b, clamp, mu=None):
     sums = y @ _with_ones(offset, slope)
     ysum, yoff, yslope = sums[..., 0], sums[..., 1], sums[..., 2]
     weights = _with_ones(slope, slope**2)
-    if mu is None:
-        mu = _predictor(a, offset, b, slope)
-        _clamped_mu(mu, clamp, out=mu)
     h = mu @ weights
     h11, h12, h22 = h[..., 0], h[..., 1], h[..., 2]
     ll = a * ysum + yoff + b * yslope - h11
@@ -334,7 +333,6 @@ class _Refits:
     evaluations: np.ndarray
     halvings: np.ndarray
     errors: list[str | None]  # the ScalingError message that stopped it
-    rates: np.ndarray | None  # a lone replicate's rates at its final point
 
 
 def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
@@ -363,7 +361,6 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
     evaluations = np.zeros(R, dtype=int)
     halvings = np.zeros(R, dtype=int)
     errors: list[str | None] = [None] * R
-    final_rates = None
     live = np.arange(R)  # the replicates still running, by position
     x = start
     mu = _eta(x)
@@ -414,11 +411,9 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
     def finish(stop: np.ndarray) -> np.ndarray:
         """Record the live replicates where stop holds and drop them; returns
         where the others were."""
-        nonlocal live, y, x, mu, ll, final_rates
+        nonlocal live, y, x, mu, ll
         for mine, theirs in zip(_arrays(final), _arrays(x)):
             mine[live[stop]] = theirs[stop]
-        if R == 1:
-            final_rates = mu[0]
         going = ~stop
         live = live[going]
         if live.size:
@@ -455,7 +450,7 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
             finish(stop)
     for r, error in enumerate(errors):
         converged[r] &= error is None
-    return _Refits(final, traces, converged, evaluations, halvings, errors, final_rates)
+    return _Refits(final, traces, converged, evaluations, halvings, errors)
 
 
 def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
@@ -504,7 +499,7 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         clamp_activated=clamped,
         line_search_halvings=int(run.halvings[0]),
         map_evaluations=int(run.evaluations[0]),
-        score=_score(y, params, run.rates),
+        score=_score(y, params, _clamped_mu(eta, clamp, out=eta)),
     )
 
 
@@ -516,9 +511,7 @@ def _check_ascent(y, params, ll_prev, clamp):
 
 def gradients(matrix: CountMatrix, params: ScalingParams, clamp: float = 30.0):
     """Analytic gradients of the log likelihood for every parameter block."""
-    y = matrix.counts.astype(float)
-    mu = _clamped_mu(_eta(params), clamp)
-    r = y - mu
+    r = matrix.counts - _rates(params, clamp)
     return {
         "alpha": r.sum(axis=1),
         "theta": r @ params.beta,
@@ -565,7 +558,7 @@ def bootstrap(
         raise ScalingError("bootstrap requires a converged fit")
     config = config or FitConfig()
     rng = np.random.default_rng(seed)
-    mu = _clamped_mu(_eta(result.params), config.linear_predictor_clamp)
+    mu = _rates(result.params, config.linear_predictor_clamp)
     n, k = mu.shape
     start = _standardize(result.params)[0]  # where every refit starts
     batch = max(1, BATCH_CELLS // mu.size)
@@ -622,9 +615,8 @@ def bootstrap(
 def analytic_theta_se(result: ScalingResult, clamp: float = 30.0) -> np.ndarray:
     """Standard errors from the observed information of the per-document
     (alpha_i, theta_i) blocks, conditioning on (psi, beta)."""
-    params = result.params
-    mu = _clamped_mu(_eta(params), clamp)
-    beta = params.beta
+    mu = _rates(result.params, clamp)
+    beta = result.params.beta
     h11 = mu.sum(axis=1)
     h12 = mu @ beta
     h22 = mu @ beta**2
@@ -636,7 +628,7 @@ def dispersion(matrix: CountMatrix, params: ScalingParams, clamp: float = 30.0) 
     """Pearson chi-square over residual degrees of freedom; values well above
     1 indicate overdispersion relative to the Poisson assumption."""
     y = matrix.counts.astype(float)
-    mu = _clamped_mu(_eta(params), clamp)
+    mu = _rates(params, clamp)
     chi2 = float(np.sum((y - mu) ** 2 / mu))
     n, k = y.shape
     df = n * k - (2 * n + 2 * k - 3)

@@ -42,14 +42,13 @@ class SyntheticSpec:
         n_features: int = 40,
         expected_row_total: int = 500,
         seed: int = 0,
-        beta_scale: float = 1.0,
     ) -> "SyntheticSpec":
         if n_docs < 2 or n_features < 2 or expected_row_total < 1:
             raise SynthError("spec dimensions must be positive (>= 2 docs/features)")
         rng = np.random.default_rng(seed)
         theta = rng.normal(size=n_docs)
         theta = (theta - theta.mean()) / theta.std(ddof=1)
-        beta = rng.normal(scale=beta_scale, size=n_features)
+        beta = rng.normal(size=n_features)
         psi = rng.normal(scale=0.5, size=n_features)
         alpha = rng.normal(scale=0.3, size=n_docs)
         alpha[0] = 0.0

@@ -89,6 +89,7 @@ class TestRunConfig:
         ("bootstrap_b = -5", "config key 'bootstrap_b' must be >= 0, got -5"),
         ("seed = -1", "config key 'seed' must be >= 0, got -1"),
         (["--seed", "-2"], "config key 'seed' must be >= 0, got -2"),
+        ("anchor_low = doc_1\nanchor_high = doc_1", "config: anchor documents must be distinct"),
     ])
     def test_out_of_domain_value_exits_1(self, corpus_file, tmp_path, capsys, setting,
                                          message):
@@ -321,6 +322,18 @@ class TestScale:
             assert lo < float(r["theta"]) < hi
         manifest = json.load(open(tmp_path / "anb" / "manifest.json"))
         assert manifest["config"]["bootstrap_b"] == 0
+
+    def test_analytic_se_records_no_bootstrap(self, corpus_file, tmp_path):
+        # analytic SEs replace the bootstrap: the manifest must not claim one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {corpus_file}\nmin_bigram_count = 30\nbootstrap_b = 10\n")
+        rc = main(["scale", "--config", str(cfg), "--out", str(tmp_path / "an"), "--quiet",
+                   "--se", "analytic"])
+        assert rc == 0
+        manifest = json.load(open(tmp_path / "an" / "manifest.json"))
+        assert manifest["config"]["bootstrap_b"] == 0
+        report = json.load(open(tmp_path / "an" / "fit_report.json"))
+        assert report["bootstrap_map_evaluations"] == 0
 
     @pytest.mark.parametrize("anchor", ["nosuchdoc", "empty"])
     def test_unknown_anchor_exit_3(self, corpus_file, tmp_path, capsys, anchor):

@@ -1,9 +1,11 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from communityfish import graph as graph_module
 from communityfish.corpus import BigramCounts, Corpus, Document, count_bigrams, filter_bigrams
 from communityfish.graph import (
     GraphError,
@@ -77,9 +79,7 @@ class TestBuildGraph:
         g = build_graph(filter_bigrams(count_bigrams(corpus), 1))
         want = build_graph(BigramCounts(reference))
         assert g.nodes == want.nodes
-        # Louvain sums each node's neighbours in this order
-        assert [list(a.items()) for a in g.adjacency] == [
-            list(a.items()) for a in want.adjacency]
+        assert [dict(a) for a in g.adjacency] == [dict(a) for a in want.adjacency]
 
     def test_adjacency_symmetric_no_self_loops(self):
         g = random_graph(3)
@@ -235,3 +235,33 @@ class TestLeiden:
         part = leiden(g, seed=0, min_community_size=1)
         assert part.quality is not None
 
+
+class TestPairOrder:
+    """Edge weights are bigram counts, so every sum the clustering forms is
+    exact: the order of the pairs, which sets each node's neighbour order,
+    cannot change a partition or its modularity."""
+
+    @pytest.mark.parametrize("cluster", [louvain, leiden], ids=["louvain", "leiden"])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_partition_does_not_depend_on_pair_order(self, cluster, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 31))
+        names = [f"w{i:02d}" for i in range(n)]
+        u, w = np.triu_indices(n, 1)
+        keep = rng.random(u.size) < rng.uniform(0.1, 0.6)
+        # few distinct weights: many equal gains, so ties are broken often
+        weights = rng.integers(1, int(rng.integers(2, 9)), size=u.size)
+        pairs = [(frozenset((names[i], names[j])), int(c))
+                 for i, j, c in zip(u[keep], w[keep], weights[keep])]
+        assume(pairs)
+        shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
+        results = []
+        for order in (pairs, shuffled):
+            with mock.patch.object(graph_module, "_aggregate",
+                                   wraps=graph_module._aggregate) as aggregate:
+                results.append(cluster(build_graph(BigramCounts(dict(order))),
+                                       seed=seed, min_community_size=1))
+            assert aggregate.call_count > 0  # the run reached an aggregated level
+        assert results[1].assignment == results[0].assignment
+        assert results[1].quality == results[0].quality

@@ -228,9 +228,12 @@ class TestFit:
 
 
 def newton_block(y, offset, slope, a, b, clamp, mu=None):
-    """_newton_block on a batch of one replicate."""
+    """_newton_block on a batch of one replicate; mu None computes the rates."""
+    if mu is None:
+        mu = np.exp(np.clip(a[:, None] + offset[None, :] + b[:, None] * slope[None, :],
+                            -clamp, clamp))
     stacked = _newton_block(y[None], offset[None], slope[None], a[None], b[None], clamp,
-                            None if mu is None else mu[None])
+                            mu[None])
     return tuple(v[0] for v in stacked)
 
 
