@@ -106,21 +106,14 @@ def read_key_values(path: Path, cls, kind: str):
 
 def _coerce(default, raw: str, where: str):
     kind = type(default)
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-    else:
-        try:
-            return kind(raw)
-        except ValueError:
-            pass
-    raise CliError(f"{where}: expected {kind.__name__}, got {raw!r}", EXIT_CONFIG)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise CliError(f"{where}: expected {kind.__name__}, got {raw!r}", EXIT_CONFIG) from None
 
 
 # The values of the enumerated config keys, and the least value of the
-# integer config and spec keys; FitConfig checks tol, clamp, max_iter and anchors.
+# integer config and spec keys; FitConfig checks tol, max_iter and the anchors.
 CHOICES = {
     "format": ("jsonl", "text-directory", "csv"),
     "clustering": ("louvain", "leiden"),
@@ -155,7 +148,6 @@ class RunConfig:
     stopwords: str = ""
     lemmas: str = ""
     min_bigram_count: int = 30
-    strict_greater: bool = False
     clustering: str = "louvain"
     min_community_size: int = 2
     dtm: str = "member-count"
@@ -164,7 +156,6 @@ class RunConfig:
     max_iter: int = 500
     anchor_low: str = ""
     anchor_high: str = ""
-    clamp: float = 30.0
     bootstrap_b: int = 200
     seed: int = 0
     out: str = "run_output"
@@ -179,7 +170,6 @@ class RunConfig:
             max_iter=self.max_iter,
             anchor_low=self.anchor_low or None,
             anchor_high=self.anchor_high or None,
-            linear_predictor_clamp=self.clamp,
             seed=self.seed,
         )
 
@@ -209,8 +199,7 @@ class PipelineRun:
 def _cluster(corpus: Corpus, config: RunConfig) -> tuple[WordGraph, Partition]:
     """Bigram counts -> threshold -> word graph -> Louvain or Leiden
     communities; a partition without communities is a ``GraphError``."""
-    graph = build_graph(filter_bigrams(
-        count_bigrams(corpus), config.min_bigram_count, config.strict_greater))
+    graph = build_graph(filter_bigrams(count_bigrams(corpus), config.min_bigram_count))
     cluster = louvain if config.clustering == "louvain" else leiden
     partition = cluster(graph, seed=config.seed,
                         min_community_size=config.min_community_size)
@@ -219,10 +208,12 @@ def _cluster(corpus: Corpus, config: RunConfig) -> tuple[WordGraph, Partition]:
     return graph, partition
 
 
-def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False) -> PipelineRun:
+def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False,
+                 fit_config: FitConfig | None = None) -> PipelineRun:
     """Run the stages on a tokenized corpus, in order: ``_cluster`` ->
     community count matrix -> fit. ``baseline`` replaces everything before
-    the fit by the unigram count matrix.
+    the fit by the unigram count matrix. The fit runs with ``fit_config``,
+    by default ``config.fit_config()``.
 
     Failures raise the library's ``ValueError`` subclasses: ``GraphError``
     and ``MatrixError`` for an empty stage, ``ScalingError`` for the fit.
@@ -234,7 +225,7 @@ def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False) -> P
         _, partition = _cluster(corpus, config)
         matrix, trim_report = community_dtm(
             corpus, partition, bigram_match=(config.dtm == "bigram-match"))
-    return PipelineRun(partition, trim_report, fit(matrix, config.fit_config()))
+    return PipelineRun(partition, trim_report, fit(matrix, fit_config or config.fit_config()))
 
 
 @dataclass(frozen=True)
@@ -260,22 +251,15 @@ def compare_models(
     """Fit the community-feature model and the unigram baseline on the same
     tokenized corpus; one branch failing still reports the other.
 
-    ``run_config`` supplies the remaining pipeline keys (``clustering``,
-    ``strict_greater``, ``dtm``, ``min_community_size``,
-    ``unigram_min_count``); the arguments before it win over its values.
+    Both fits run with ``config`` itself. ``run_config`` supplies the
+    remaining pipeline keys (``clustering``, ``dtm``,
+    ``min_community_size``, ``unigram_min_count``); ``bigram_threshold``
+    and ``config.seed``, the clustering seed, win over its values.
     """
     if len(corpus) == 0:
         raise SynthError("empty corpus")
     run_config = dataclasses.replace(
-        run_config or RunConfig(),
-        min_bigram_count=bigram_threshold,
-        tol=config.tol,
-        max_iter=config.max_iter,
-        anchor_low=config.anchor_low or "",
-        anchor_high=config.anchor_high or "",
-        clamp=config.linear_predictor_clamp,
-        seed=config.seed,
-    )
+        run_config or RunConfig(), min_bigram_count=bigram_threshold, seed=config.seed)
     results: dict[str, ScalingResult | None] = {}
     runtimes: dict[str, float | None] = {}
     errors: dict[str, ValueError] = {}
@@ -283,7 +267,7 @@ def compare_models(
         results[branch] = runtimes[branch] = None
         try:
             t0 = time.perf_counter()
-            results[branch] = run_pipeline(corpus, run_config, baseline).result
+            results[branch] = run_pipeline(corpus, run_config, baseline, config).result
             runtimes[branch] = time.perf_counter() - t0
         except ValueError as exc:
             errors[branch] = exc
@@ -361,7 +345,7 @@ def _resolve_config(args) -> RunConfig:
             raise CliError(f"config key {key!r} must be one of {', '.join(allowed)}, "
                            f"got {value!r}", EXIT_CONFIG)
     _check_floors(config, "config")
-    try:  # tol, clamp, max_iter and the anchors
+    try:  # tol, max_iter and the anchors
         config.fit_config()
     except ScalingError as exc:
         raise CliError(f"config: {exc}", EXIT_CONFIG) from None
@@ -432,14 +416,26 @@ def cmd_communities(args, config: RunConfig, out: Path) -> tuple[str, dict]:
             f"Q={partition.quality:.4f})", {"k": partition.num_communities})
 
 
-def _write_positions(out: Path, corpus: Corpus, result: ScalingResult) -> None:
-    meta_keys = sorted({k for d in corpus.documents for k in d.metadata})
+# positions.csv's own columns; the corpus's metadata keys follow them
+_POSITION_COLUMNS = ("doc_id", "theta", "se", "ci_low", "ci_high", "alpha")
+
+
+def _metadata_keys(corpus: Corpus) -> list[str]:
+    """The corpus's sorted metadata keys; a key that names a positions.csv
+    column is an exit-1 error."""
+    keys = sorted({k for d in corpus.documents for k in d.metadata})
+    if clash := [k for k in keys if k in _POSITION_COLUMNS]:
+        raise CliError(f"metadata key {clash[0]!r} is also a positions.csv column", EXIT_CONFIG)
+    return keys
+
+
+def _write_positions(out: Path, corpus: Corpus, meta_keys: list[str],
+                     result: ScalingResult) -> None:
     meta = {d.id: d.metadata for d in corpus.documents}
     # an uncertainty column that was not computed is None: its cells are empty
     columns = (result.params.theta, result.theta_se, result.theta_ci_low,
                result.theta_ci_high, result.params.alpha)
-    _write_csv(out / "positions.csv",
-               ["doc_id", "theta", "se", "ci_low", "ci_high", "alpha", *meta_keys],
+    _write_csv(out / "positions.csv", [*_POSITION_COLUMNS, *meta_keys],
                ([doc_id, *("" if c is None else f"{c[i]:.6f}" for c in columns),
                  *(meta.get(doc_id, {}).get(k, "") for k in meta_keys)]
                 for i, doc_id in enumerate(result.matrix.doc_ids)))
@@ -453,11 +449,13 @@ def _write_features(out: Path, result: ScalingResult) -> None:
 
 def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
     corpus = _load_pipeline_corpus(config)
-    run = run_pipeline(corpus, config, baseline=args.baseline)
+    meta_keys = _metadata_keys(corpus)  # a clash fails before the fit
+    fit_config = config.fit_config()
+    run = run_pipeline(corpus, config, args.baseline, fit_config)
     result = run.result
     matrix = result.matrix
     if args.se == "analytic":
-        se = analytic_theta_se(result, config.clamp)
+        se = analytic_theta_se(result)
         result = dataclasses.replace(
             result,
             theta_se=se,
@@ -466,14 +464,14 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         )
     elif config.bootstrap_b > 0:
         result = bootstrap(matrix, result, B=config.bootstrap_b,
-                           seed=config.seed, config=config.fit_config())
-    _write_positions(out, corpus, result)
+                           seed=config.seed, config=fit_config)
+    _write_positions(out, corpus, meta_keys, result)
     _write_features(out, result)
     report = {
         "converged": result.converged,
         "iterations": len(result.loglik_trace) - 1,
         "log_likelihood": result.loglik_trace[-1],
-        "dispersion": dispersion(matrix, result.params, config.clamp),
+        "dispersion": dispersion(matrix, result.params),
         "runtime_seconds": result.runtime,
         "clamp_activated": result.clamp_activated,
         "matrix_shape": list(matrix.shape),
@@ -522,8 +520,8 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "runtime_community": report.runtime_community,
         "runtime_unigram": report.runtime_unigram,
         "rank_correlation": report.rank_correlation,
-        "dispersion_community": dispersion(com.matrix, com.params, config.clamp) if com else None,
-        "dispersion_unigram": dispersion(uni.matrix, uni.params, config.clamp) if uni else None,
+        "dispersion_community": dispersion(com.matrix, com.params) if com else None,
+        "dispersion_unigram": dispersion(uni.matrix, uni.params) if uni else None,
         "errors": errors,
     }
     (out / "report.json").write_text(json.dumps(summary, indent=2))

@@ -150,7 +150,8 @@ def load_corpus(source, format: str) -> Corpus:
     JSONL: one object per line, required key ``text``, optional ``id``
     (defaults to the 1-based line number); every other string-valued key
     becomes metadata. CSV: header row with a mandatory ``text`` column and
-    optional ``id``. Text directory: every ``*.txt`` file is one document
+    optional ``id`` (defaults to the record number); errors name the line a
+    record ends on. Text directory: every ``*.txt`` file is one document
     whose id is the filename without extension.
     """
     path = Path(source)
@@ -213,10 +214,12 @@ def _load_csv(path: Path) -> list[Document]:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "text" not in reader.fieldnames:
                 raise CorpusError(f"{path}: CSV must have a header with a 'text' column")
-            for lineno, row in enumerate(reader, start=2):
+            for record, row in enumerate(reader, start=1):
                 if row["text"] is None:
-                    raise CorpusError(f"{path}:{lineno}: missing text field")
-                doc_id = row.get("id") or str(lineno - 1)
+                    raise CorpusError(f"{path}:{reader.line_num}: missing text field")
+                if None in row:  # DictReader's key for the fields past the header
+                    raise CorpusError(f"{path}:{reader.line_num}: more fields than the header")
+                doc_id = row.get("id") or str(record)
                 meta = {
                     k: v
                     for k, v in row.items()
@@ -279,14 +282,12 @@ def count_bigrams(corpus: Corpus) -> BigramCounts:
         (pair_codes % n_words).astype(np.int32), np.diff(heads, append=n)))
 
 
-def filter_bigrams(
-    counts: BigramCounts, threshold: int, strict_greater: bool = False
-) -> BigramCounts:
-    """Keep pairs with count >= threshold (or > threshold if strict_greater)."""
+def filter_bigrams(counts: BigramCounts, threshold: int) -> BigramCounts:
+    """Keep pairs with count >= threshold."""
     if threshold < 1:
         raise CorpusError("bigram threshold must be >= 1")
     pairs = counts.pairs
-    keep = pairs.counts > threshold if strict_greater else pairs.counts >= threshold
+    keep = pairs.counts >= threshold
     return BigramCounts(PairCounts(pairs.words, pairs.u[keep], pairs.w[keep],
                                    pairs.counts[keep]))
 
@@ -299,13 +300,14 @@ def _read_text(path) -> str:
 
 
 def read_stopwords(path) -> frozenset[str]:
-    """One token per line, UTF-8."""
+    """One token per line, UTF-8, lowercased like the tokens."""
     lines = _read_text(path).splitlines()
-    return frozenset(t.strip() for t in lines if t.strip())
+    return frozenset(t.strip().lower() for t in lines if t.strip())
 
 
 def read_lemma_table(path) -> dict[str, str]:
-    """Two-column TSV, surface form then lemma; a lemma must be one token."""
+    """Two-column TSV, surface form then lemma; a lemma must be one token.
+    Both columns are lowercased like the tokens."""
     table = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
@@ -313,8 +315,8 @@ def read_lemma_table(path) -> dict[str, str]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise CorpusError(f"{path}:{lineno}: expected 2 tab-separated columns")
-        lemma = parts[1].strip()
+        lemma = parts[1].strip().lower()
         if not lemma or _SPACE_RE.search(lemma):
             raise CorpusError(f"{path}:{lineno}: bad lemma {lemma!r}")
-        table[parts[0].strip()] = lemma
+        table[parts[0].strip().lower()] = lemma
     return table

@@ -42,16 +42,13 @@ class FitConfig:
     max_iter: int = 500
     anchor_low: str | None = None  # defaults to first document
     anchor_high: str | None = None  # defaults to last document
-    linear_predictor_clamp: float = 30.0
     seed: int = 0
     # cross-check every accepted half-step against a full LL recomputation
     debug_ascent: bool = False
 
     def __post_init__(self):
-        for name in ("tol", "linear_predictor_clamp"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ScalingError(f"{name} must be finite and positive, got {value!r}")
+        if not 0 < self.tol < math.inf:
+            raise ScalingError(f"tol must be finite and positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise ScalingError(f"max_iter must be >= 1, got {self.max_iter!r}")
         if self.anchor_low and self.anchor_low == self.anchor_high:
@@ -86,8 +83,11 @@ class ScalingResult:
     bootstrap_map_evaluations: int = 0
 
 
-def _clamped_mu(eta: np.ndarray, clamp: float, out: np.ndarray | None = None) -> np.ndarray:
-    mu = np.clip(eta, -clamp, clamp, out=out)
+_CLAMP = 30.0  # bound on the linear predictor inside every exponential
+
+
+def _clamped_mu(eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    mu = np.clip(eta, -_CLAMP, _CLAMP, out=out)
     return np.exp(mu, out=mu)
 
 
@@ -110,10 +110,10 @@ def _eta(params: ScalingParams) -> np.ndarray:
     return _predictor(params.alpha, params.psi, params.theta, params.beta)
 
 
-def _rates(params: ScalingParams, clamp: float) -> np.ndarray:
+def _rates(params: ScalingParams) -> np.ndarray:
     """Clamped rates at params, computed in place of the linear predictor."""
     eta = _eta(params)
-    return _clamped_mu(eta, clamp, out=eta)
+    return _clamped_mu(eta, out=eta)
 
 
 def _arrays(params: ScalingParams) -> tuple[np.ndarray, ...]:
@@ -126,19 +126,18 @@ def _take(params: ScalingParams, index) -> ScalingParams:
     return ScalingParams(*(v[index] for v in _arrays(params)))
 
 
-def log_likelihood(
-    matrix: CountMatrix, params: ScalingParams, clamp: float = 30.0
-) -> float:
-    """Poisson log likelihood up to the constant -sum(log y!)."""
-    return _log_likelihood(matrix.counts, params, clamp)
+def log_likelihood(matrix: CountMatrix, params: ScalingParams) -> float:
+    """Poisson log likelihood up to the constant -sum(log y!), with the
+    linear predictor clamped to +-30 inside the exponential."""
+    return _log_likelihood(matrix.counts, params)
 
 
-def _log_likelihood(y, params: ScalingParams, clamp: float) -> float:
+def _log_likelihood(y, params: ScalingParams) -> float:
     for arr in _arrays(params):
         if not np.all(np.isfinite(arr)):
             raise ScalingError("non-finite parameter")
     eta = _eta(params)
-    return float(np.sum(y * eta - _clamped_mu(eta, clamp)))
+    return float(np.sum(y * eta - _clamped_mu(eta)))
 
 
 def initialize(matrix: CountMatrix) -> ScalingParams:
@@ -191,7 +190,7 @@ def _with_ones(*columns):
     return out
 
 
-def _newton_block(y, offset, slope, a, b, clamp, mu):
+def _newton_block(y, offset, slope, a, b, mu):
     """One damped Newton step on every row's (a_i, b_i) of every replicate,
     towards the maximum of sum_j y_ij*eta - exp(eta) with
     eta_ij = a_i + offset_j + b_i * slope_j. y is (R, m, n), a and b are
@@ -230,7 +229,7 @@ def _newton_block(y, offset, slope, a, b, clamp, mu):
 
     def trial(a_try, b_try, offset, slope, ysum, yoff, yslope, weights, ll_old):
         eta = _predictor(a_try, offset, b_try, slope)
-        mu_try = _clamped_mu(eta, clamp, out=eta)
+        mu_try = _clamped_mu(eta, out=eta)
         ll_try = a_try * ysum + yoff + b_try * yslope - (mu_try @ weights)[..., 0]
         return ll_try, mu_try, ll_try >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
 
@@ -353,7 +352,6 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
     or with an error when F(x0) or F(F(x0)) leaves theta without variance.
     Every replicate still running takes every phase of the cycle together,
     each with the numbers of its run alone."""
-    clamp = config.linear_predictor_clamp
     R = y.shape[0]
     final = ScalingParams(*map(np.empty_like, _arrays(start)))
     traces = [[] for _ in range(R)]
@@ -365,7 +363,7 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
     x = start
     mu = _eta(x)
     ll = np.array([np.vdot(y_r, eta_r) for y_r, eta_r in zip(y, mu)])
-    _clamped_mu(mu, clamp, out=mu)  # the rates at x, the only full-size state
+    _clamped_mu(mu, out=mu)  # the rates at x, the only full-size state
     ll -= [mu_r.sum() for mu_r in mu]
     for trace, ll_r in zip(traces, ll):
         trace.append(float(ll_r))
@@ -378,9 +376,9 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
         nonlocal mu
         rates, mu = mu, None
         alpha, theta, _, rates, h_doc = _newton_block(
-            y, x.psi, x.beta, x.alpha, x.theta, clamp, rates)
+            y, x.psi, x.beta, x.alpha, x.theta, rates)
         psi, beta, ll_cols, rates, h_feat = _newton_block(
-            y.swapaxes(1, 2), alpha, theta, x.psi, x.beta, clamp, rates.swapaxes(1, 2))
+            y.swapaxes(1, 2), alpha, theta, x.psi, x.beta, rates.swapaxes(1, 2))
         evaluations[live] += 1
         halvings[live] += h_doc + h_feat
         new, degenerate = _standardize(ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta))
@@ -400,7 +398,7 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
             traces[live[i]].append(float(ll_new[i]))
             if config.debug_ascent:
                 try:
-                    _check_ascent(y[i], _take(new, i), ll[i], clamp)
+                    _check_ascent(y[i], _take(new, i), ll[i])
                 except ScalingError as exc:
                     errors[live[i]], stop[i] = str(exc), True
         for mine, theirs in zip(_arrays(x), _arrays(new)):
@@ -438,14 +436,14 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
         x_ext, extrapolated = _extrapolate(*points)  # x is x2 until keep
         if extrapolated.all():
             mu = None  # x2's rates go before those of x_ext exist
-            mu = _rates(x_ext, clamp)
+            mu = _rates(x_ext)
         elif extrapolated.any():
-            mu[extrapolated] = _rates(_take(x_ext, extrapolated), clamp)
+            mu[extrapolated] = _rates(_take(x_ext, extrapolated))
         new, ll_new, mu, degenerate = evaluate(x_ext)
         ascended = ~degenerate & (ll_new >= ll)
         # a rejected point falls back to x2, with x2's rates
         if not ascended.all():
-            mu[~ascended] = _rates(_take(x, ~ascended), clamp)
+            mu[~ascended] = _rates(_take(x, ~ascended))
         if (stop := keep(new, ll_new, ascended)).any():
             finish(stop)
     for r, error in enumerate(errors):
@@ -462,7 +460,6 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     n, k = y.shape
     if n < 2 or k < 2:
         raise ScalingError("need >= 2 documents and >= 2 features")
-    clamp = config.linear_predictor_clamp
     params, degenerate = _standardize(
         _take(start if start is not None else initialize(matrix), np.newaxis))
     if degenerate.any():
@@ -484,7 +481,7 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     if params.theta[lo] > params.theta[hi]:
         params = replace(params, theta=-params.theta, beta=-params.beta)
     eta = _eta(params)
-    clamped = bool(eta.max() > clamp or eta.min() < -clamp)
+    clamped = bool(eta.max() > _CLAMP or eta.min() < -_CLAMP)
     if clamped:
         warnings.warn("linear predictor clamp active; extreme rates truncated")
     converged = bool(run.converged[0])
@@ -499,19 +496,19 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         clamp_activated=clamped,
         line_search_halvings=int(run.halvings[0]),
         map_evaluations=int(run.evaluations[0]),
-        score=_score(y, params, _clamped_mu(eta, clamp, out=eta)),
+        score=_score(y, params, _clamped_mu(eta, out=eta)),
     )
 
 
-def _check_ascent(y, params, ll_prev, clamp):
-    ll = _log_likelihood(y, params, clamp)
+def _check_ascent(y, params, ll_prev):
+    ll = _log_likelihood(y, params)
     if ll < ll_prev - 1e-9:
         raise ScalingError(f"log-likelihood decreased: {ll_prev} -> {ll}")
 
 
-def gradients(matrix: CountMatrix, params: ScalingParams, clamp: float = 30.0):
+def gradients(matrix: CountMatrix, params: ScalingParams):
     """Analytic gradients of the log likelihood for every parameter block."""
-    r = matrix.counts - _rates(params, clamp)
+    r = matrix.counts - _rates(params)
     return {
         "alpha": r.sum(axis=1),
         "theta": r @ params.beta,
@@ -558,7 +555,7 @@ def bootstrap(
         raise ScalingError("bootstrap requires a converged fit")
     config = config or FitConfig()
     rng = np.random.default_rng(seed)
-    mu = _rates(result.params, config.linear_predictor_clamp)
+    mu = _rates(result.params)
     n, k = mu.shape
     start = _standardize(result.params)[0]  # where every refit starts
     batch = max(1, BATCH_CELLS // mu.size)
@@ -612,10 +609,10 @@ def bootstrap(
     )
 
 
-def analytic_theta_se(result: ScalingResult, clamp: float = 30.0) -> np.ndarray:
+def analytic_theta_se(result: ScalingResult) -> np.ndarray:
     """Standard errors from the observed information of the per-document
     (alpha_i, theta_i) blocks, conditioning on (psi, beta)."""
-    mu = _rates(result.params, clamp)
+    mu = _rates(result.params)
     beta = result.params.beta
     h11 = mu.sum(axis=1)
     h12 = mu @ beta
@@ -624,11 +621,11 @@ def analytic_theta_se(result: ScalingResult, clamp: float = 30.0) -> np.ndarray:
     return np.sqrt(h11 / det)
 
 
-def dispersion(matrix: CountMatrix, params: ScalingParams, clamp: float = 30.0) -> float:
+def dispersion(matrix: CountMatrix, params: ScalingParams) -> float:
     """Pearson chi-square over residual degrees of freedom; values well above
     1 indicate overdispersion relative to the Poisson assumption."""
     y = matrix.counts.astype(float)
-    mu = _rates(params, clamp)
+    mu = _rates(params)
     chi2 = float(np.sum((y - mu) ** 2 / mu))
     n, k = y.shape
     df = n * k - (2 * n + 2 * k - 3)

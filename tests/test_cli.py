@@ -48,10 +48,10 @@ class TestRunConfig:
 
     def test_parses_types(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("min_bigram_count = 10\nstrict_greater = true\ntol = 1e-6\n")
+        p.write_text("min_bigram_count = 10\nclustering = leiden\ntol = 1e-6\n")
         config = RunConfig.from_file(p)
         assert config.min_bigram_count == 10
-        assert config.strict_greater is True
+        assert config.clustering == "leiden"
         assert config.tol == 1e-6
 
     def test_missing_file(self, tmp_path):
@@ -76,9 +76,10 @@ class TestRunConfig:
         ("dtm = foo", "config key 'dtm' must be one of member-count, bigram-match, got 'foo'"),
         ("format = foo", "config key 'format' must be one of jsonl, text-directory, csv, "
                          "got 'foo'"),
-        ("clamp = nan", "config: linear_predictor_clamp must be finite and positive, got nan"),
-        ("clamp = -1", "config: linear_predictor_clamp must be finite and positive, got -1.0"),
-        ("clamp = inf", "config: linear_predictor_clamp must be finite and positive, got inf"),
+        # keys that are not config keys, whatever their value
+        ("clamp = 30", "{config}:2: unknown config key 'clamp'"),
+        ("clamp = nan", "{config}:2: unknown config key 'clamp'"),
+        ("strict_greater = true", "{config}:2: unknown config key 'strict_greater'"),
         ("tol = nan", "config: tol must be finite and positive, got nan"),
         ("tol = 0", "config: tol must be finite and positive, got 0.0"),
         ("max_iter = 0", "config: max_iter must be >= 1, got 0"),
@@ -93,14 +94,15 @@ class TestRunConfig:
     ])
     def test_out_of_domain_value_exits_1(self, corpus_file, tmp_path, capsys, setting,
                                          message):
-        """``setting`` is a config line or, as a list, command-line flags."""
+        """``setting`` is a config line or, as a list, command-line flags;
+        ``{config}`` in ``message`` stands for the config file's path."""
         flags = setting if isinstance(setting, list) else []
         p = tmp_path / "run.cfg"
         p.write_text(f"input = {corpus_file}\n" + ("" if flags else f"{setting}\n"))
         out = tmp_path / "o"
         rc = main(["scale", "--config", str(p), *flags, "--out", str(out), "--quiet"])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(config=p)}\n"
         assert not out.exists()  # rejected before any stage ran
 
 
@@ -159,6 +161,7 @@ class TestCorpusInputs:
         ("jsonl", b'{"id": null, "text": "x"}\n', ":1: 'id' must be a string or an integer"),
         ("text-directory", b"caf\xe9", ": not UTF-8 text"),
         ("csv", b"id,text\na,caf\xe9\n", ": not UTF-8 text"),
+        ("csv", b"id,text\na,x\nb,y,z\n", ":3: more fields than the header"),
         ("stopwords", b"the\n\xff\n", ": not UTF-8 text"),
         ("lemmas", b"ran\trun\n\xff\tx\n", ": not UTF-8 text"),
         ("lemmas", b"a b\n", ":1: expected 2 tab-separated columns"),
@@ -322,6 +325,26 @@ class TestScale:
             assert lo < float(r["theta"]) < hi
         manifest = json.load(open(tmp_path / "anb" / "manifest.json"))
         assert manifest["config"]["bootstrap_b"] == 0
+
+    @pytest.mark.parametrize("fmt, key", [("jsonl", "theta"), ("csv", "se")])
+    def test_metadata_key_naming_a_column_exits_1(self, corpus_file, tmp_path, capsys,
+                                                  monkeypatch, fmt, key):
+        rows = [json.loads(line) for line in open(corpus_file)]
+        path = tmp_path / f"corpus.{fmt}"
+        if fmt == "jsonl":
+            path.write_text("".join(json.dumps({**r, key: "left"}) + "\n" for r in rows))
+        else:
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([("id", "text", key),
+                                          *((r["id"], r["text"], "left") for r in rows)])
+        monkeypatch.setattr("communityfish.cli.fit", lambda *a: pytest.fail("fit ran"))
+        out = tmp_path / "s"
+        rc = main(["scale", "--input", str(path), "--format", fmt, "--pi", "30",
+                   "--no-bootstrap", "--out", str(out), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: metadata key {key!r} is also a positions.csv column\n")
+        assert not (out / "positions.csv").exists()
 
     def test_analytic_se_records_no_bootstrap(self, corpus_file, tmp_path):
         # analytic SEs replace the bootstrap: the manifest must not claim one

@@ -135,6 +135,16 @@ class TestLoadCorpus:
         assert [d.text for d in corpus.documents] == [text, "a b"]
         assert csv.field_size_limit() == limit
 
+    def test_csv_error_names_the_file_line(self, tmp_path):
+        # a quoted field spans lines 2-3, so the short record is on line 4
+        p = tmp_path / "bad.csv"
+        p.write_text('id,text\na,"two\nlines"\nb\n')
+        with pytest.raises(CorpusError, match=r"bad\.csv:4: missing text field$"):
+            load_corpus(p, "csv")
+        # default ids stay record numbers
+        p.write_text('text\n"two\nlines"\nthird\n')
+        assert [d.id for d in load_corpus(p, "csv").documents] == ["1", "2"]
+
     def test_csv_requires_text_column(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("id,body\na,hello\n")
@@ -283,9 +293,9 @@ class TestFilterBigrams:
         assert filter_bigrams(counts, 5).pairs == {}
 
     def test_strict_greater(self):
+        # the threshold is inclusive
         counts = BigramCounts({frozenset(("a", "b")): 4})
         assert filter_bigrams(counts, 4).pairs != {}
-        assert filter_bigrams(counts, 4, strict_greater=True).pairs == {}
 
     def test_zero_threshold_rejected(self):
         with pytest.raises(CorpusError):
@@ -297,6 +307,17 @@ def test_read_stopwords_and_lemmas(tmp_path):
     assert read_stopwords(tmp_path / "stop.txt") == frozenset({"the", "of"})
     (tmp_path / "lem.tsv").write_text("ran\trun\nislands\tisland\n")
     assert read_lemma_table(tmp_path / "lem.tsv") == {"ran": "run", "islands": "island"}
+
+
+def test_stopword_and_lemma_entries_are_lowercased(tmp_path):
+    # tokens are lowercased, so an entry as written in capitals must match too
+    (tmp_path / "stop.txt").write_text("The\n")
+    (tmp_path / "lem.tsv").write_text("Islands\tIsland\n")
+    stopwords = read_stopwords(tmp_path / "stop.txt")
+    table = read_lemma_table(tmp_path / "lem.tsv")
+    assert stopwords == frozenset({"the"}) and table == {"islands": "island"}
+    doc = tokenize(Document(id="d", text="The Islands of the north"), stopwords)
+    assert apply_lemmas(doc, table).tokens == ("island", "of", "north")
 
 
 def test_vocabulary_matches_token_union():

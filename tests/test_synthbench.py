@@ -209,6 +209,19 @@ class TestCompareModels:
         assert "community" in report.errors
         assert report.unigram_result is not None
 
+    def test_both_fits_get_the_callers_config(self, monkeypatch):
+        seen = []
+
+        def recording_fit(matrix, config):
+            seen.append(config)
+            return fit(matrix, config)
+
+        monkeypatch.setattr("communityfish.cli.fit", recording_fit)
+        config = FitConfig(seed=13, debug_ascent=True)
+        report = compare_models(generate_corpus(planted_spec(13))[0], 30, config)
+        assert report.errors == {}
+        assert len(seen) == 2 and all(c is config for c in seen)
+
     def test_empty_corpus_rejected(self):
         from communityfish.corpus import Corpus
         with pytest.raises(SynthError):
