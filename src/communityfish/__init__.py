@@ -7,7 +7,6 @@ from .corpus import (
     Corpus,
     CorpusError,
     Document,
-    apply_lemmas,
     count_bigrams,
     filter_bigrams,
     load_corpus,
@@ -74,7 +73,6 @@ __all__ = [
     "SyntheticSpec",
     "WordGraph",
     "analytic_theta_se",
-    "apply_lemmas",
     "bootstrap",
     "brute_force_best_partition",
     "build_graph",

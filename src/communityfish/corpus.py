@@ -5,17 +5,15 @@ from __future__ import annotations
 import csv
 import json
 import re
-import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, filterfalse
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-_WORD_RE = re.compile(r"\w+", re.UNICODE)
 # matches exactly the characters for which str.isspace() is true
 _SPACE_RE = re.compile(r"\s")
 
@@ -86,8 +84,37 @@ class Corpus:
     def __len__(self):
         return len(self.documents)
 
-    def map_documents(self, fn) -> "Corpus":
-        return Corpus(tuple(fn(d) for d in self.documents))
+    def tokenized(self, stopwords: frozenset[str] = frozenset(),
+                  lemmas: Mapping[str, str] | None = None) -> "Corpus":
+        """The corpus with each document's tokens read from its text: the
+        ``\\w+`` words, each lowercased on its own, less decimal numbers and
+        ``stopwords``, then mapped through ``lemmas``. The rule runs once per
+        distinct word, so all tokens of one word are one string object."""
+
+        def token(word: str) -> str | None:
+            low = word.lower()
+            if low.isdecimal() or low in stopwords:
+                return None
+            return lemmas.get(low, low) if lemmas else low
+        # \w matches exactly the characters that are str.isalnum() or "_"
+        spaces = _Memo(lambda c: c if chr(c).isalnum() or c == 0x5F else " ")
+        token_of = _Memo(token)
+        docs = []
+        for d in self.documents:  # one document's words at a time
+            words = map(token_of.__getitem__, d.text.translate(spaces).split())
+            docs.append(replace(d, tokens=tuple([t for t in words if t is not None])))
+        return Corpus(tuple(docs))
+
+
+class _Memo(dict):
+    """A dict that fills in a missing key with ``fn(key)`` on first lookup."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
 
 
 class PairCounts(Mapping):
@@ -232,24 +259,8 @@ def _load_csv(path: Path) -> list[Document]:
 
 
 def tokenize(doc: Document, stopwords: frozenset[str] = frozenset()) -> Document:
-    """Lowercase, Unicode-aware word tokenization.
-
-    Punctuation and purely numeric tokens are dropped; ``stopwords`` are
-    removed after that. The raw text is retained on the document.
-    Tokens are interned, so each word type is one string object.
-    """
-    words = _WORD_RE.findall(doc.text)
-    # Lowercase the words joined, not the text: lowercasing never makes a
-    # space, but "İ".lower() adds U+0307, which \w does not match.
-    lowered = " ".join(words).lower().split(" ") if words else ()
-    tokens = tuple(map(sys.intern, filterfalse(
-        stopwords.__contains__, filterfalse(str.isdecimal, lowered))))
-    return replace(doc, tokens=tokens)
-
-
-def apply_lemmas(doc: Document, lemma_table: Mapping[str, str]) -> Document:
-    """Replace each token by its lemma when the table has one."""
-    return replace(doc, tokens=tuple(map(lemma_table.get, doc.tokens, doc.tokens)))
+    """``doc`` with its tokens read from its text by ``Corpus.tokenized``."""
+    return Corpus((doc,)).tokenized(stopwords).documents[0]
 
 
 def count_bigrams(corpus: Corpus) -> BigramCounts:

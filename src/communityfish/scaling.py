@@ -621,12 +621,14 @@ def analytic_theta_se(result: ScalingResult) -> np.ndarray:
     return np.sqrt(h11 / det)
 
 
-def dispersion(matrix: CountMatrix, params: ScalingParams) -> float:
+def dispersion(matrix: CountMatrix, params: ScalingParams) -> float | None:
     """Pearson chi-square over residual degrees of freedom; values well above
-    1 indicate overdispersion relative to the Poisson assumption."""
+    1 indicate overdispersion relative to the Poisson assumption. None when
+    the fit leaves no residual degrees of freedom."""
+    n, k = matrix.shape
+    df = n * k - (2 * n + 2 * k - 3)
+    if df <= 0:
+        return None
     y = matrix.counts.astype(float)
     mu = _rates(params)
-    chi2 = float(np.sum((y - mu) ** 2 / mu))
-    n, k = y.shape
-    df = n * k - (2 * n + 2 * k - 3)
-    return chi2 / max(df, 1)
+    return float(np.sum((y - mu) ** 2 / mu)) / df

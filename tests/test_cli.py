@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import communityfish
 from communityfish.cli import RunConfig, CliError, main
@@ -235,6 +237,26 @@ class TestCommunities:
         rc = main(["communities", *base_args(corpus_file, tmp_path),
                    "--clustering", "leiden"])
         assert rc == 0
+
+    def test_stopwords_and_lemmas(self, tmp_path):
+        # the table entries are written in capitals; "the" is a stopword and
+        # also the lemma of "zetas", which keeps it as a word
+        (tmp_path / "stop.txt").write_text("The\nOf\n")
+        (tmp_path / "lem.tsv").write_text("Betas\tBeta\ngammas\tGAMMA\nzetas\tthe\n")
+        texts = ["Alpha the betas of gamma. Alpha beta GAMMAS of the alpha."] * 6
+        texts += ["Delta the epsilon zetas, delta of epsilon Zetas the delta."] * 6
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps({"text": t}) + "\n" for t in texts))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {corpus}\nstopwords = {tmp_path / 'stop.txt'}\n"
+                       f"lemmas = {tmp_path / 'lem.tsv'}\nmin_bigram_count = 5\n")
+        assert main(["communities", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+        members = {}
+        for row in csv.DictReader(open(tmp_path / "o" / "communities.csv")):
+            members.setdefault(row["community_id"], set()).add(row["word"])
+        assert sorted(map(sorted, members.values())) == [
+            ["alpha", "beta", "gamma"], ["delta", "epsilon", "the"]]
 
     def test_partition_csv(self, corpus_file, tmp_path):
         assert main(["communities", *base_args(corpus_file, tmp_path)]) == 0
@@ -476,3 +498,34 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {spec}:2: ")
         assert len(err.strip().splitlines()) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+# words, numbers, punctuation and stopwords; a document of no pieces has an empty text
+_PIECES = ["alpha", "Beta", "gamma", "delta", "the", "Of", "42", "٣", "3.5", "!", ", ", "ß"]
+
+
+# fits of a few tokens may clamp or stop at max_iter; they warn, and that is allowed
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=30, deadline=None)
+@given(texts=st.lists(st.lists(st.sampled_from(_PIECES), max_size=12).map(" ".join),
+                      min_size=1, max_size=6),
+       pi=st.sampled_from(["1", "2"]))
+def test_pipeline_commands_keep_the_error_contract(texts, pi):
+    """Every run exits 0 to 3 without a traceback and writes only strict JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus = tmp / "c.jsonl"
+        corpus.write_text("".join(json.dumps({"text": t}) + "\n" for t in texts))
+        (tmp / "stop.txt").write_text("the\nof\n")
+        cfg = tmp / "run.cfg"
+        cfg.write_text(f"input = {corpus}\nstopwords = {tmp / 'stop.txt'}\n")
+        for n, argv in enumerate((["communities"], ["scale", "--no-bootstrap"], ["compare"])):
+            out = tmp / f"out{n}"
+            rc = main([*argv, "--config", str(cfg), "--pi", pi, "--out", str(out), "--quiet"])
+            assert rc in (0, 1, 2, 3)
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=_reject_constant)

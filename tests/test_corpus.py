@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import sys
 import time
 from collections import Counter
 
@@ -14,7 +15,6 @@ from communityfish.corpus import (
     Corpus,
     CorpusError,
     Document,
-    apply_lemmas,
     count_bigrams,
     filter_bigrams,
     load_corpus,
@@ -194,24 +194,61 @@ class TestTokenize:
 
 
 class TestApplyLemmas:
+    @staticmethod
+    def lemmatized(tokens, table):
+        doc = Document(id="d", text=" ".join(tokens))
+        return Corpus((doc,)).tokenized(lemmas=table).documents[0].tokens
+
     def test_basic(self):
-        doc = Document(id="d", text="", tokens=("ran", "fast"))
-        assert apply_lemmas(doc, {"ran": "run"}).tokens == ("run", "fast")
+        assert self.lemmatized(("ran", "fast"), {"ran": "run"}) == ("run", "fast")
 
     def test_empty_table_is_identity(self):
-        doc = Document(id="d", text="", tokens=("ran", "fast"))
-        assert apply_lemmas(doc, {}).tokens == ("ran", "fast")
+        assert self.lemmatized(("ran", "fast"), {}) == ("ran", "fast")
 
     def test_plural(self):
-        doc = Document(id="d", text="", tokens=("islands",))
-        assert apply_lemmas(doc, {"islands": "island"}).tokens == ("island",)
+        assert self.lemmatized(("islands",), {"islands": "island"}) == ("island",)
 
     @given(st.lists(st.sampled_from(["run", "island", "fast"]), max_size=10))
     def test_idempotent_on_identity_lemmas(self, tokens):
         table = {"run": "run", "island": "island"}
-        doc = Document(id="d", text="", tokens=tuple(tokens))
-        once = apply_lemmas(doc, table)
-        assert apply_lemmas(once, table).tokens == once.tokens
+        once = self.lemmatized(tokens, table)
+        assert self.lemmatized(once, table) == once
+
+
+class TestTokenized:
+    @settings(deadline=None)
+    @given(
+        texts=st.lists(st.text(alphabet="aAbBσΣςßİ²٣1\u0307_ .,!'\n", max_size=30),
+                       max_size=5),
+        stopwords=st.frozensets(st.sampled_from(["a", "ab", "σ", "ς", "ss", "i\u0307"])),
+        lemmas=st.dictionaries(st.sampled_from(["a", "b", "ab", "ba", "σ", "ς", "ß", "i\u0307"]),
+                               st.sampled_from(["a", "b", "ab", "σ", "ς", "ss", "1"]),
+                               max_size=5),
+    )
+    # a lemma that is a stopword stays; a lemma is not looked up again
+    @example(texts=["Ab a B ba", "", "b ab 12"], stopwords=frozenset({"a"}),
+             lemmas={"ab": "a", "b": "ab", "ba": "1"})
+    def test_matches_per_match_loop_then_lemmas(self, texts, stopwords, lemmas):
+        corpus = Corpus(tuple(Document(id=f"d{i}", text=t) for i, t in enumerate(texts)))
+        assert [d.tokens for d in corpus.tokenized(stopwords, lemmas).documents] == [
+            tuple(lemmas.get(t, t) for t in reference_tokenize(text, stopwords))
+            for text in texts]
+
+    def test_a_word_is_one_object_across_documents(self):
+        corpus = Corpus((Document(id="a", text="the canal"),
+                         Document(id="b", text="Canal, canal"))).tokenized()
+        first, second = corpus.documents
+        assert first.tokens[1] is second.tokens[1]
+
+    def test_word_characters_are_isalnum_or_underscore(self):
+        chars = list(map(chr, range(sys.maxunicode + 1)))
+        assert ([c for c in chars if c.isalnum() or c == "_"]
+                == [c for c in chars if re.fullmatch(r"\w", c)])
+        # no word character is a space that str.split() would cut at
+        assert not [c for c in chars if c.isalnum() and c.isspace()]
+        text = "\x00".join(chars)
+        assert tokenize(Document(id="d", text=text)).tokens == reference_tokenize(
+            text, frozenset())
 
 
 class TestCountBigrams:
@@ -316,8 +353,9 @@ def test_stopword_and_lemma_entries_are_lowercased(tmp_path):
     stopwords = read_stopwords(tmp_path / "stop.txt")
     table = read_lemma_table(tmp_path / "lem.tsv")
     assert stopwords == frozenset({"the"}) and table == {"islands": "island"}
-    doc = tokenize(Document(id="d", text="The Islands of the north"), stopwords)
-    assert apply_lemmas(doc, table).tokens == ("island", "of", "north")
+    corpus = Corpus((Document(id="d", text="The Islands of the north"),))
+    assert corpus.tokenized(stopwords, table).documents[0].tokens == (
+        "island", "of", "north")
 
 
 def test_vocabulary_matches_token_union():

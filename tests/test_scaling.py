@@ -555,3 +555,9 @@ def test_dispersion_near_one_for_true_poisson():
     matrix, _ = random_matrix(47, n=20, k=30, row_total=500)
     result = fit(matrix)
     assert 0.5 < dispersion(matrix, result.params) < 2.0
+
+
+def test_dispersion_is_none_without_residual_degrees_of_freedom():
+    # 4 x 2 cells against 2n + 2k - 3 = 9 parameters: df = -1
+    matrix, _ = random_matrix(48, n=4, k=2, row_total=200)
+    assert dispersion(matrix, fit(matrix).params) is None
