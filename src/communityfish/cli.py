@@ -78,7 +78,8 @@ def read_key_values(path: Path, cls, kind: str):
     """Fill the dataclass ``cls`` from a flat ``key = value`` file.
 
     Blank lines and ``#`` comments are skipped; each value takes the type of
-    the field's default. Every bad line is a one-line ``path:line:`` error.
+    the field's default. Every bad line, a key set twice included, is a
+    one-line ``path:line:`` error.
     """
     if not path.exists():
         raise CliError(f"{kind} file not found: {path}", EXIT_CONFIG)
@@ -88,7 +89,7 @@ def read_key_values(path: Path, cls, kind: str):
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise CliError(f"{path}: not UTF-8 text", EXIT_CONFIG) from None
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -100,6 +101,10 @@ def read_key_values(path: Path, cls, kind: str):
             raise CliError(f"{where}: expected key = value", EXIT_CONFIG)
         if key not in names:
             raise CliError(f"{where}: unknown {kind} key {key!r}", EXIT_CONFIG)
+        if key in first_line:
+            raise CliError(f"{where}: duplicate {kind} key {key!r} "
+                           f"(first on line {first_line[key]})", EXIT_CONFIG)
+        first_line[key] = lineno
         values[key] = _coerce(getattr(defaults, key), raw.strip(),
                               f"{where}: {kind} key {key!r}")
     return cls(**values)
@@ -217,7 +222,9 @@ def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False,
     by default ``config.fit_config()``.
 
     Failures raise the library's ``ValueError`` subclasses: ``GraphError``
-    and ``MatrixError`` for an empty stage, ``ScalingError`` for the fit.
+    and ``MatrixError`` for an empty stage, ``ScalingError`` for the fit. A
+    count matrix left below 2 x 2 by trimming, which no fit can scale, is
+    an empty stage.
     """
     partition = None
     if baseline:
@@ -226,6 +233,10 @@ def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False,
         _, partition = _cluster(corpus, config)
         matrix, trim_report = community_dtm(
             corpus, partition, bigram_match=(config.dtm == "bigram-match"))
+    n, k = matrix.shape
+    if n < 2 or k < 2:
+        raise MatrixError(f"count matrix is {n} x {k} after trimming; "
+                          "need >= 2 documents and >= 2 features")
     return PipelineRun(partition, trim_report, fit(matrix, fit_config or config.fit_config()))
 
 
@@ -368,9 +379,9 @@ def _load_pipeline_corpus(config: RunConfig) -> Corpus:
         corpus = load_corpus(config.input, config.format)
         stopwords = read_stopwords(config.stopwords) if config.stopwords else frozenset()
         table = read_lemma_table(config.lemmas) if config.lemmas else None
+        return corpus.tokenized(stopwords, table)
     except CorpusError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
-    return corpus.tokenized(stopwords, table)
 
 
 def _write_manifest(out: Path, config: RunConfig, extra: dict) -> None:

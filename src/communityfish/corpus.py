@@ -6,10 +6,10 @@ import csv
 import json
 import re
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -61,18 +61,19 @@ class Corpus:
 
     @cached_property
     def coding(self) -> TokenCoding:
-        """The integer coding of the tokens, built on first use."""
-        token_lists = [d.tokens for d in self.documents]
-        words = tuple(sorted(set().union(*token_lists)))
-        index = dict(zip(words, range(len(words))))
-        starts = np.zeros(len(token_lists) + 1, dtype=np.intp)
-        np.cumsum(np.fromiter(map(len, token_lists), np.intp, len(token_lists)),
-                  out=starts[1:])
-        ids = np.fromiter(map(index.__getitem__, chain.from_iterable(token_lists)),
-                          np.int32, int(starts[-1]))
-        # every caller shares the cached arrays
-        ids.flags.writeable = starts.flags.writeable = False
-        return TokenCoding(words, ids, starts)
+        """The integer coding of the documents' tokens, built on first use.
+        A corpus from ``tokenized`` holds the coding of its texts instead,
+        and its documents hold no tokens."""
+        return _code((d.tokens for d in self.documents), lambda token: token)
+
+    @property
+    def token_lists(self) -> list[tuple[str, ...]]:
+        """Each document's tokens, read from the coding; all tokens of one
+        word are one string object."""
+        coding = self.coding
+        word = coding.words.__getitem__
+        ids, starts = coding.ids.tolist(), coding.starts.tolist()
+        return [tuple(map(word, ids[start:end])) for start, end in zip(starts, starts[1:])]
 
     @property
     def vocabulary(self) -> Counter:
@@ -86,24 +87,59 @@ class Corpus:
 
     def tokenized(self, stopwords: frozenset[str] = frozenset(),
                   lemmas: Mapping[str, str] | None = None) -> "Corpus":
-        """The corpus with each document's tokens read from its text: the
-        ``\\w+`` words, each lowercased on its own, less decimal numbers and
-        ``stopwords``, then mapped through ``lemmas``. The rule runs once per
-        distinct word, so all tokens of one word are one string object."""
+        """The corpus coded from its texts: each document's tokens are the
+        ``\\w+`` words of its text, each lowercased on its own, less decimal
+        numbers and ``stopwords``, then mapped through ``lemmas``. The rule
+        runs once per distinct word. The documents keep their ids, texts and
+        metadata but no tokens; ``token_lists`` reads them from the coding."""
 
         def token(word: str) -> str | None:
             low = word.lower()
             if low.isdecimal() or low in stopwords:
                 return None
-            return lemmas.get(low, low) if lemmas else low
+            if not lemmas or low not in lemmas:
+                return low
+            lemma = lemmas[low]
+            if not lemma or _SPACE_RE.search(lemma):
+                raise CorpusError(f"bad lemma {lemma!r} for word {low!r}")
+            return lemma
         # \w matches exactly the characters that are str.isalnum() or "_"
         spaces = _Memo(lambda c: c if chr(c).isalnum() or c == 0x5F else " ")
-        token_of = _Memo(token)
-        docs = []
-        for d in self.documents:  # one document's words at a time
-            words = map(token_of.__getitem__, d.text.translate(spaces).split())
-            docs.append(replace(d, tokens=tuple([t for t in words if t is not None])))
-        return Corpus(tuple(docs))
+        corpus = Corpus(tuple(replace(d, tokens=()) if d.tokens else d
+                              for d in self.documents))
+        # fills in the cached property, which has no setter
+        object.__setattr__(corpus, "coding", _code(
+            (d.text.translate(spaces).split() for d in self.documents), token))
+        return corpus
+
+
+def _code(word_lists: Iterable[Sequence[str]],
+          token: Callable[[str], str | None]) -> TokenCoding:
+    """Code each document's raw words by the rule ``token`` (a word's token,
+    or None to drop it), which runs once per distinct raw word.
+
+    The raw words are numbered on first sight, one document at a time, so
+    only one document's words are held; one remap then gives the tokens'
+    ids in the sorted word types, and the dropped words are cut out.
+    """
+    raw_id = _Memo(lambda word: len(raw_id))
+    chunks = [np.fromiter(map(raw_id.__getitem__, words), np.int32, len(words))
+              for words in word_lists]
+    raw_starts = np.zeros(len(chunks) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, chunks), np.intp, len(chunks)), out=raw_starts[1:])
+    raw = np.concatenate(chunks) if chunks else np.empty(0, np.int32)
+    del chunks  # one copy of the raw ids at a time
+    tokens = list(map(token, raw_id))  # in raw id order
+    words = tuple(sorted(set(tokens) - {None}))
+    index = dict(zip(words, range(len(words))))
+    remap = np.fromiter(map(index.get, tokens, repeat(-1)), np.int32, len(tokens))
+    raw = remap[raw]  # -1 marks a dropped word
+    dropped = np.flatnonzero(raw < 0)
+    # a document's tokens start where its raw words do, less the drops before it
+    ids, starts = np.delete(raw, dropped), raw_starts - dropped.searchsorted(raw_starts)
+    # every caller shares the cached arrays
+    ids.flags.writeable = starts.flags.writeable = False
+    return TokenCoding(words, ids, starts)
 
 
 class _Memo(dict):
@@ -260,7 +296,7 @@ def _load_csv(path: Path) -> list[Document]:
 
 def tokenize(doc: Document, stopwords: frozenset[str] = frozenset()) -> Document:
     """``doc`` with its tokens read from its text by ``Corpus.tokenized``."""
-    return Corpus((doc,)).tokenized(stopwords).documents[0]
+    return replace(doc, tokens=Corpus((doc,)).tokenized(stopwords).token_lists[0])
 
 
 def count_bigrams(corpus: Corpus) -> BigramCounts:

@@ -108,6 +108,18 @@ class TestRunConfig:
         assert not out.exists()  # rejected before any stage ran
 
 
+    def test_duplicate_key_exits_1_naming_both_lines(self, corpus_file, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"input = {corpus_file}\nmin_bigram_count = 30\n# a comment\n"
+                     "min_bigram_count = 5\n")
+        out = tmp_path / "o"
+        rc = main(["scale", "--config", str(p), "--out", str(out), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {p}:4: duplicate config key 'min_bigram_count' (first on line 2)\n")
+        assert not out.exists()
+
+
 def _run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this checkout's communityfish."""
     env = {**os.environ, "PYTHONPATH": str(Path(communityfish.__file__).parents[1])}
@@ -395,6 +407,20 @@ class TestScale:
         assert err.startswith("error: anchor document") and repr(anchor) in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("flags, shape", [([], "1 x 1"), (["--baseline"], "1 x 2")],
+                             ids=["community", "baseline"])
+    def test_matrix_below_2x2_exit_2(self, tmp_path, capsys, flags, shape):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"text": "alpha beta alpha beta"}) + "\n")
+        out = tmp_path / "o"
+        rc = main(["scale", "--input", str(path), "--pi", "1", "--no-bootstrap", *flags,
+                   "--out", str(out), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: count matrix is {shape} after trimming; "
+            "need >= 2 documents and >= 2 features\n")
+        assert json.load(open(out / "manifest.json"))["exit_status"] == 2
+
     def test_missing_config_exit_1(self, tmp_path, capsys):
         rc = main(["scale", "--config", str(tmp_path / "nope.cfg"), "--quiet"])
         assert rc == 1
@@ -425,8 +451,9 @@ class TestCompare:
     @pytest.mark.parametrize("texts, code, message", [
         # every token is a number: an empty graph and an empty vocabulary
         (["12 34 56", "7 8"], 2, "empty vocabulary"),
-        # one word type: an empty graph, and a unigram matrix the fit rejects
-        (["canal canal", "canal"], 3, "need >= 2 documents and >= 2 features"),
+        # one word type: an empty graph, and a unigram matrix of one column
+        (["canal canal", "canal"], 2,
+         "count matrix is 2 x 1 after trimming; need >= 2 documents and >= 2 features"),
     ])
     def test_both_branches_failed_exit_code(self, tmp_path, capsys, texts, code, message):
         path = tmp_path / "corpus.jsonl"
@@ -474,6 +501,15 @@ class TestSimulate:
         rc = main(["simulate", str(spec), "--out", str(tmp_path / "x"), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_duplicate_spec_key_exits_1_naming_both_lines(self, tmp_path, capsys):
+        spec = tmp_path / "sim.cfg"
+        spec.write_text("seed = 3\nn_docs = 10\nseed = 4\n")
+        rc = main(["simulate", str(spec), "--out", str(tmp_path / "x"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {spec}:3: duplicate spec key 'seed' (first on line 1)\n")
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flag, seed", [([], 3), (["--seed", "7"], 7)],

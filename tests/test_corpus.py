@@ -4,6 +4,8 @@ import re
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -197,7 +199,7 @@ class TestApplyLemmas:
     @staticmethod
     def lemmatized(tokens, table):
         doc = Document(id="d", text=" ".join(tokens))
-        return Corpus((doc,)).tokenized(lemmas=table).documents[0].tokens
+        return Corpus((doc,)).tokenized(lemmas=table).token_lists[0]
 
     def test_basic(self):
         assert self.lemmatized(("ran", "fast"), {"ran": "run"}) == ("run", "fast")
@@ -230,15 +232,59 @@ class TestTokenized:
              lemmas={"ab": "a", "b": "ab", "ba": "1"})
     def test_matches_per_match_loop_then_lemmas(self, texts, stopwords, lemmas):
         corpus = Corpus(tuple(Document(id=f"d{i}", text=t) for i, t in enumerate(texts)))
-        assert [d.tokens for d in corpus.tokenized(stopwords, lemmas).documents] == [
+        assert corpus.tokenized(stopwords, lemmas).token_lists == [
             tuple(lemmas.get(t, t) for t in reference_tokenize(text, stopwords))
             for text in texts]
+
+    @settings(deadline=None)
+    @given(
+        texts=st.lists(st.text(alphabet="aAbBσΣςßİ²٣1\u0307_ .,!'\n", max_size=30),
+                       max_size=5),
+        stopwords=st.frozensets(st.sampled_from(["a", "ab", "σ", "ς", "ss", "i\u0307"])),
+        lemmas=st.dictionaries(st.sampled_from(["a", "b", "ab", "ba", "σ", "ς", "ß", "i\u0307"]),
+                               st.sampled_from(["a", "b", "ab", "σ", "ς", "ss", "1"]),
+                               max_size=5),
+    )
+    @example(texts=[], stopwords=frozenset(), lemmas={})  # no documents
+    # empty texts, and documents whose every word drops: no tokens at all
+    @example(texts=["", "12 ٣", "a A", ""], stopwords=frozenset({"a"}), lemmas={})
+    # a document whose every word drops between two that keep theirs
+    @example(texts=["b ab", "a 1 A", "", "ba B"], stopwords=frozenset({"a"}),
+             lemmas={"ba": "1"})
+    def test_coding_matches_a_token_built_corpus(self, texts, stopwords, lemmas):
+        docs = tuple(Document(id=f"d{i}", text=t) for i, t in enumerate(texts))
+        expected = [tuple(lemmas.get(t, t) for t in reference_tokenize(text, stopwords))
+                    for text in texts]
+        built = Corpus(tuple(replace(d, tokens=toks) for d, toks in zip(docs, expected)))
+        coded = Corpus(docs).tokenized(stopwords, lemmas)
+        assert coded.coding.words == built.coding.words == tuple(sorted(set(chain(*expected))))
+        assert coded.coding.ids.dtype == np.int32
+        assert coded.coding.ids.tolist() == built.coding.ids.tolist()
+        assert coded.coding.starts.tolist() == built.coding.starts.tolist()
+        assert coded.token_lists == built.token_lists == expected
+        assert [d.tokens for d in coded.documents] == [()] * len(texts)
+
+    def test_tokens_of_a_token_built_corpus_are_dropped(self):
+        # the coding comes from the texts; no document keeps tokens it disagrees with
+        doc = Document(id="d", text="The Canal", tokens=("other",))
+        corpus = Corpus((doc,)).tokenized()
+        assert corpus.documents[0].tokens == ()
+        assert corpus.token_lists == [("the", "canal")]
+        assert Corpus((doc,)).token_lists == [("other",)]
+
+    @pytest.mark.parametrize("lemma", ["", "a b", "a\tb", "a\u00a0b"])
+    def test_lemma_that_is_no_token_is_named(self, lemma):
+        corpus = Corpus((Document(id="d", text="y x z"),))
+        with pytest.raises(CorpusError, match=re.escape(f"bad lemma {lemma!r} for word 'x'")):
+            corpus.tokenized(lemmas={"x": lemma})
+        # a lemma of a word no text holds is never applied
+        assert corpus.tokenized(lemmas={"w": lemma}).token_lists == [("y", "x", "z")]
 
     def test_a_word_is_one_object_across_documents(self):
         corpus = Corpus((Document(id="a", text="the canal"),
                          Document(id="b", text="Canal, canal"))).tokenized()
-        first, second = corpus.documents
-        assert first.tokens[1] is second.tokens[1]
+        first, second = corpus.token_lists
+        assert first[1] is second[0] is second[1]
 
     def test_word_characters_are_isalnum_or_underscore(self):
         chars = list(map(chr, range(sys.maxunicode + 1)))
@@ -354,7 +400,7 @@ def test_stopword_and_lemma_entries_are_lowercased(tmp_path):
     table = read_lemma_table(tmp_path / "lem.tsv")
     assert stopwords == frozenset({"the"}) and table == {"islands": "island"}
     corpus = Corpus((Document(id="d", text="The Islands of the north"),))
-    assert corpus.tokenized(stopwords, table).documents[0].tokens == (
+    assert corpus.tokenized(stopwords, table).token_lists[0] == (
         "island", "of", "north")
 
 
