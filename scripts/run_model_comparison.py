@@ -48,7 +48,8 @@ def main():
             word_concentration=0.5, seed=seed,
         )
         corpus, spec = cf.generate_corpus(spec)
-        comparison = cf.compare_models(corpus, args.pi, cf.FitConfig(seed=seed))
+        config = cf.RunConfig(min_bigram_count=args.pi, seed=seed)
+        comparison = cf.compare_models(corpus, config)
         # a branch that failed has no rho; its error goes into the row
         rho = {
             branch: None if result is None else float(abs(np.corrcoef(

@@ -32,9 +32,9 @@ def main():
             args.n_docs, args.n_features, args.row_total, seed=seed
         )
         matrix, spec = cf.generate_matrix(spec)
-        result = cf.fit(matrix, cf.FitConfig(seed=seed))
+        result = cf.fit(matrix)
         if args.bootstrap_b > 0:
-            result = cf.bootstrap(matrix, result, B=args.bootstrap_b, seed=seed)
+            result = cf.bootstrap(result, B=args.bootstrap_b, seed=seed)
         metrics = cf.recovery_report(spec.theta_star, result)
         metrics["seed"] = seed
         metrics["converged"] = result.converged

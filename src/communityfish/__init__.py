@@ -45,10 +45,10 @@ from .synthbench import (
 
 
 def __getattr__(name):
-    # ``compare_models`` lives in the CLI module, which imports this package:
-    # importing it on first access keeps ``python -m communityfish.cli`` from
-    # loading the CLI module twice.
-    if name in ("ComparisonReport", "compare_models"):
+    # ``compare_models`` and its ``RunConfig`` live in the CLI module, which
+    # imports this package: importing it on first access keeps
+    # ``python -m communityfish.cli`` from loading the CLI module twice.
+    if name in ("ComparisonReport", "RunConfig", "compare_models"):
         from . import cli
 
         return getattr(cli, name)
@@ -67,6 +67,7 @@ __all__ = [
     "MatrixError",
     "Partition",
     "PlantedCorpusSpec",
+    "RunConfig",
     "ScalingError",
     "ScalingParams",
     "ScalingResult",

@@ -77,8 +77,9 @@ class CliError(Exception):
 def read_key_values(path: Path, cls, kind: str):
     """Fill the dataclass ``cls`` from a flat ``key = value`` file.
 
-    Blank lines and ``#`` comments are skipped; each value takes the type of
-    the field's default. Every bad line, a key set twice included, is a
+    The file is UTF-8, and a byte-order mark at its start is ignored. Blank
+    lines and ``#`` comments are skipped; each value takes the type of the
+    field's default. Every bad line, a key set twice included, is a
     one-line ``path:line:`` error.
     """
     if not path.exists():
@@ -86,7 +87,7 @@ def read_key_values(path: Path, cls, kind: str):
     defaults = cls()
     names = {f.name for f in dataclasses.fields(cls)}
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise CliError(f"{path}: not UTF-8 text", EXIT_CONFIG) from None
     values, first_line = {}, {}
@@ -176,19 +177,17 @@ class RunConfig:
             max_iter=self.max_iter,
             anchor_low=self.anchor_low or None,
             anchor_high=self.anchor_high or None,
-            seed=self.seed,
         )
 
 
 @dataclass
 class SimulationSpec:
-    """Keys of a ``simulate`` spec file."""
+    """Keys of a ``simulate`` spec file; the seed and the bootstrap
+    replicates come from the ``RunConfig``, as in every command."""
 
     n_docs: int = 25
     n_features: int = 40
     expected_row_total: int = 500
-    seed: int = 0
-    bootstrap_b: int = 0
 
 
 @dataclass(frozen=True)
@@ -253,25 +252,14 @@ class ComparisonReport:
     errors: dict[str, ValueError] = field(default_factory=dict)
 
 
-def compare_models(
-    corpus: Corpus,
-    bigram_threshold: int,
-    config: FitConfig,
-    *,
-    run_config: RunConfig | None = None,
-) -> ComparisonReport:
+def compare_models(corpus: Corpus, config: RunConfig,
+                   fit_config: FitConfig | None = None) -> ComparisonReport:
     """Fit the community-feature model and the unigram baseline on the same
-    tokenized corpus; one branch failing still reports the other.
-
-    Both fits run with ``config`` itself. ``run_config`` supplies the
-    remaining pipeline keys (``clustering``, ``dtm``,
-    ``min_community_size``, ``unigram_min_count``); ``bigram_threshold``
-    and ``config.seed``, the clustering seed, win over its values.
+    corpus, each by ``run_pipeline`` with these arguments; one branch
+    failing still reports the other.
     """
     if len(corpus) == 0:
         raise SynthError("empty corpus")
-    run_config = dataclasses.replace(
-        run_config or RunConfig(), min_bigram_count=bigram_threshold, seed=config.seed)
     results: dict[str, ScalingResult | None] = {}
     runtimes: dict[str, float | None] = {}
     errors: dict[str, ValueError] = {}
@@ -279,7 +267,7 @@ def compare_models(
         results[branch] = runtimes[branch] = None
         try:
             t0 = time.perf_counter()
-            results[branch] = run_pipeline(corpus, run_config, baseline, config).result
+            results[branch] = run_pipeline(corpus, config, baseline, fit_config).result
             runtimes[branch] = time.perf_counter() - t0
         except ValueError as exc:
             errors[branch] = exc
@@ -341,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> RunConfig:
     """The run's configuration: the config file, then the flags over it.
-    ``simulate`` also gets its spec, the spec file then ``--seed``, as
-    ``args.spec``. Every value outside its key's domain is a one-line exit-1
-    error here, before any stage runs or any output exists."""
+    ``simulate`` also gets its spec file's values as ``args.spec``. Every
+    value outside its key's domain is a one-line exit-1 error here, before
+    any stage runs or any output exists."""
     config = RunConfig.from_file(Path(args.config)) if args.config else RunConfig()
     for key in ("input", "format", "min_bigram_count", "clustering", "seed", "out"):
         val = getattr(args, key, None)
@@ -365,8 +353,6 @@ def _resolve_config(args) -> RunConfig:
         spec = SimulationSpec()
         if args.spec_file:
             spec = read_key_values(Path(args.spec_file), SimulationSpec, "spec")
-        if args.seed is not None:
-            spec.seed = args.seed
         _check_floors(spec, "spec")
         args.spec = spec
     return config
@@ -472,8 +458,7 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
             theta_ci_high=result.params.theta + 1.96 * se,
         )
     elif config.bootstrap_b > 0:
-        result = bootstrap(matrix, result, B=config.bootstrap_b,
-                           seed=config.seed, config=fit_config)
+        result = bootstrap(result, B=config.bootstrap_b, seed=config.seed, config=fit_config)
     _write_positions(out, corpus, meta_keys, result)
     _write_features(out, result)
     report = {
@@ -502,12 +487,7 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
 
 
 def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
-    report = compare_models(
-        _load_pipeline_corpus(config),
-        bigram_threshold=config.min_bigram_count,
-        config=config.fit_config(),
-        run_config=config,
-    )
+    report = compare_models(_load_pipeline_corpus(config), config)
     errors = {branch: str(exc) for branch, exc in report.errors.items()}
     if report.community_result is None and report.unigram_result is None:
         # exit 2 unless a fit failed: the other errors are empty stages, as in scale
@@ -543,13 +523,13 @@ def cmd_simulate(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         n_docs=sim.n_docs,
         n_features=sim.n_features,
         expected_row_total=sim.expected_row_total,
-        seed=sim.seed,
+        seed=config.seed,
     )
     matrix, spec = generate_matrix(spec)
-    fit_cfg = config.fit_config()
-    result = fit(matrix, fit_cfg)
-    if sim.bootstrap_b > 0:
-        result = bootstrap(matrix, result, B=sim.bootstrap_b, seed=sim.seed, config=fit_cfg)
+    fit_config = config.fit_config()
+    result = fit(matrix, fit_config)
+    if config.bootstrap_b > 0:
+        result = bootstrap(result, B=config.bootstrap_b, seed=config.seed, config=fit_config)
     metrics = recovery_report(spec.theta_star, result)
     report = {
         "spec": dataclasses.asdict(sim),

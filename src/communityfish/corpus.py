@@ -7,7 +7,7 @@ import json
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -27,14 +27,10 @@ class Document:
     id: str
     text: str
     metadata: Mapping[str, str] = field(default_factory=dict)
-    tokens: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.id:
             raise CorpusError("document id must be non-empty")
-        if "" in self.tokens or _SPACE_RE.search("".join(self.tokens)):
-            bad = next(t for t in self.tokens if not t or _SPACE_RE.search(t))
-            raise CorpusError(f"bad token {bad!r} in document {self.id}")
 
 
 @dataclass(frozen=True)
@@ -61,10 +57,10 @@ class Corpus:
 
     @cached_property
     def coding(self) -> TokenCoding:
-        """The integer coding of the documents' tokens, built on first use.
-        A corpus from ``tokenized`` holds the coding of its texts instead,
-        and its documents hold no tokens."""
-        return _code((d.tokens for d in self.documents), lambda token: token)
+        """The integer coding of the documents' texts, built on first use by
+        ``tokenized()``, with no stopwords and no lemmas. A corpus from
+        ``tokenized`` holds the coding it was built with."""
+        return self.tokenized().coding
 
     @property
     def token_lists(self) -> list[tuple[str, ...]]:
@@ -90,8 +86,8 @@ class Corpus:
         """The corpus coded from its texts: each document's tokens are the
         ``\\w+`` words of its text, each lowercased on its own, less decimal
         numbers and ``stopwords``, then mapped through ``lemmas``. The rule
-        runs once per distinct word. The documents keep their ids, texts and
-        metadata but no tokens; ``token_lists`` reads them from the coding."""
+        runs once per distinct word. The corpus it returns holds the same
+        documents; ``token_lists`` reads their tokens from the coding."""
 
         def token(word: str) -> str | None:
             low = word.lower()
@@ -105,8 +101,7 @@ class Corpus:
             return lemma
         # \w matches exactly the characters that are str.isalnum() or "_"
         spaces = _Memo(lambda c: c if chr(c).isalnum() or c == 0x5F else " ")
-        corpus = Corpus(tuple(replace(d, tokens=()) if d.tokens else d
-                              for d in self.documents))
+        corpus = Corpus(self.documents)
         # fills in the cached property, which has no setter
         object.__setattr__(corpus, "coding", _code(
             (d.text.translate(spaces).split() for d in self.documents), token))
@@ -215,7 +210,8 @@ def load_corpus(source, format: str) -> Corpus:
     becomes metadata. CSV: header row with a mandatory ``text`` column and
     optional ``id`` (defaults to the record number); errors name the line a
     record ends on. Text directory: every ``*.txt`` file is one document
-    whose id is the filename without extension.
+    whose id is the filename without extension. Every file is UTF-8; a
+    byte-order mark at its start is ignored.
     """
     path = Path(source)
     if not path.exists():
@@ -234,7 +230,7 @@ def load_corpus(source, format: str) -> Corpus:
 
 def _load_jsonl(path: Path) -> list[Document]:
     docs = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -273,7 +269,7 @@ def _load_csv(path: Path) -> list[Document]:
     # csv module's default limit of 131,072 characters
     limit = csv.field_size_limit(max(csv.field_size_limit(), path.stat().st_size))
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "text" not in reader.fieldnames:
                 raise CorpusError(f"{path}: CSV must have a header with a 'text' column")
@@ -294,9 +290,9 @@ def _load_csv(path: Path) -> list[Document]:
     return docs
 
 
-def tokenize(doc: Document, stopwords: frozenset[str] = frozenset()) -> Document:
-    """``doc`` with its tokens read from its text by ``Corpus.tokenized``."""
-    return replace(doc, tokens=Corpus((doc,)).tokenized(stopwords).token_lists[0])
+def tokenize(doc: Document, stopwords: frozenset[str] = frozenset()) -> tuple[str, ...]:
+    """``doc``'s tokens, read from its text by ``Corpus.tokenized``."""
+    return Corpus((doc,)).tokenized(stopwords).token_lists[0]
 
 
 def count_bigrams(corpus: Corpus) -> BigramCounts:
@@ -341,7 +337,7 @@ def filter_bigrams(counts: BigramCounts, threshold: int) -> BigramCounts:
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise CorpusError(f"{path}: not UTF-8 text") from None
 

@@ -42,7 +42,6 @@ class FitConfig:
     max_iter: int = 500
     anchor_low: str | None = None  # defaults to first document
     anchor_high: str | None = None  # defaults to last document
-    seed: int = 0
     # cross-check every accepted half-step against a full LL recomputation
     debug_ascent: bool = False
 
@@ -524,7 +523,6 @@ BATCH_CELLS = 2**15
 
 
 def bootstrap(
-    matrix: CountMatrix,
     result: ScalingResult,
     B: int,
     seed: int = 0,

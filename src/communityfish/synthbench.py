@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, tokenize
 from .features import CountMatrix
 from .scaling import ScalingResult
 
@@ -115,6 +115,10 @@ class PlantedCorpusSpec:
         for com in self.communities:
             if len(com) < 2:
                 raise SynthError("planted communities need >= 2 words")
+            # a document's text is its words joined by spaces
+            for word in com:
+                if tokenize(Document(id="word", text=word)) != (word,):
+                    raise SynthError(f"planted word {word!r} does not tokenize to itself")
 
 
 def generate_corpus(
@@ -122,7 +126,8 @@ def generate_corpus(
 ) -> tuple[Corpus, PlantedCorpusSpec]:
     """Sample documents so that each planted community's words co-occur
     adjacently within runs, with run frequencies following the planted
-    theta-dependent intensities."""
+    theta-dependent intensities. A document's text is its words joined by
+    spaces, so its tokens are those words."""
     rng = np.random.default_rng(spec.seed)
     theta = spec.theta_star
     if theta is None:
@@ -155,10 +160,7 @@ def generate_corpus(
                 prev = w
         meta = dict(doc_metadata[i]) if doc_metadata else {}
         meta.setdefault("theta_star", f"{theta[i]:.6f}")
-        docs.append(
-            Document(id=f"doc_{i}", text=" ".join(tokens), metadata=meta,
-                     tokens=tuple(tokens))
-        )
+        docs.append(Document(id=f"doc_{i}", text=" ".join(tokens), metadata=meta))
     return Corpus(tuple(docs)), replace(spec, theta_star=theta)
 
 

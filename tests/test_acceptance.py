@@ -127,7 +127,7 @@ def test_criterion_3_estimator_oracle():
     for seed in (11, 12, 13):
         spec = cf.SyntheticSpec.create(5, 6, 200, seed=seed)
         matrix, _ = cf.generate_matrix(spec)
-        result = cf.fit(matrix, cf.FitConfig(tol=1e-12, seed=seed))
+        result = cf.fit(matrix, cf.FitConfig(tol=1e-12))
         reference = _independent_max_loglik(matrix, seed=seed)
         worst_gap = max(worst_gap, abs(result.loglik_trace[-1] - reference))
     elapsed = time.perf_counter() - t0
@@ -141,7 +141,7 @@ def test_criterion_4_theta_recovery():
     for seed in range(20):
         spec = cf.SyntheticSpec.create(25, 40, 500, seed=seed)
         matrix, spec = cf.generate_matrix(spec)
-        result = cf.fit(matrix, cf.FitConfig(seed=seed))
+        result = cf.fit(matrix, cf.FitConfig())
         rho = cf.recovery_report(spec.theta_star, result)["pearson"]
         worst = min(worst, abs(rho))
     elapsed = time.perf_counter() - t0
@@ -156,7 +156,7 @@ def test_criterion_5_identification_and_gradients():
     for seed in (3, 7, 21):
         spec = cf.SyntheticSpec.create(10, 12, 300, seed=seed)
         matrix, _ = cf.generate_matrix(spec)
-        result = cf.fit(matrix, cf.FitConfig(seed=seed, debug_ascent=True))
+        result = cf.fit(matrix, cf.FitConfig(debug_ascent=True))
         theta = result.params.theta
         ident_ok &= result.converged
         ident_ok &= abs(theta.mean()) < 1e-10
@@ -189,8 +189,8 @@ def test_criterion_6_bootstrap_coverage():
     for rep in range(20):
         spec = cf.SyntheticSpec.create(25, 40, 500, seed=500 + rep)
         matrix, spec = cf.generate_matrix(spec)
-        result = cf.fit(matrix, cf.FitConfig(seed=rep))
-        result = cf.bootstrap(matrix, result, B=100, seed=9000 + rep)
+        result = cf.fit(matrix, cf.FitConfig())
+        result = cf.bootstrap(result, B=100, seed=9000 + rep)
         metrics = cf.recovery_report(spec.theta_star, result)
         covered += metrics["ci_coverage"] * 25
         total += 25
@@ -221,7 +221,7 @@ def test_criterion_7_end_to_end_community_recovery():
         part = cf.louvain(cf.build_graph(counts), seed=seed)
         got = {frozenset(v) for v in part.members.values()}
         exact += got == {frozenset(com_a), frozenset(com_b)}
-        comparison = cf.compare_models(corpus, 30, cf.FitConfig(seed=seed))
+        comparison = cf.compare_models(corpus, cf.RunConfig(min_bigram_count=30, seed=seed))
         rho_com = abs(np.corrcoef(
             comparison.community_result.params.theta, spec.theta_star)[0, 1])
         rho_uni = abs(np.corrcoef(
@@ -246,7 +246,7 @@ def test_criterion_8_dimensionality_reduction():
         spec = cf.PlantedCorpusSpec(communities, polarity, n_docs=15,
                                     runs_per_doc=120, run_length=6, seed=seed)
         corpus, _ = cf.generate_corpus(spec)
-        comparison = cf.compare_models(corpus, 30, cf.FitConfig(seed=seed))
+        comparison = cf.compare_models(corpus, cf.RunConfig(min_bigram_count=30, seed=seed))
         ok &= comparison.k_community_features < comparison.vocabulary_size
         details.append(f"{comparison.k_community_features}<{comparison.vocabulary_size}")
     report(8, "dimensionality reduction", ok, ", ".join(details))

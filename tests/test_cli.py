@@ -56,6 +56,11 @@ class TestRunConfig:
         assert config.clustering == "leiden"
         assert config.tol == 1e-6
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("min_bigram_count = 10\n", encoding="utf-8-sig")
+        assert RunConfig.from_file(p).min_bigram_count == 10
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CliError):
             RunConfig.from_file(tmp_path / "nope.cfg")
@@ -146,9 +151,10 @@ class TestImports:
                            "print('communityfish.cli' in sys.modules); "
                            "import communityfish.cli as cli; "
                            "print(cf.compare_models is cli.compare_models, "
-                           "cf.ComparisonReport is cli.ComparisonReport)")
+                           "cf.ComparisonReport is cli.ComparisonReport, "
+                           "cf.RunConfig is cli.RunConfig)")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True", "True"]
+        assert proc.stdout.split() == ["False", "True", "True", "True"]
         with pytest.raises(AttributeError, match="no_such_name"):
             communityfish.no_such_name
 
@@ -475,9 +481,12 @@ class TestSimulate:
         assert report["pearson"] >= 0.95
 
     def test_spec_file(self, tmp_path):
-        spec = tmp_path / "sim.cfg"
-        spec.write_text("n_docs = 10\nn_features = 12\nseed = 3\n")
-        rc = main(["simulate", str(spec), "--out", str(tmp_path / "sim2"), "--quiet"])
+        spec = tmp_path / "sim.spec"
+        spec.write_text("n_docs = 10\nn_features = 12\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("seed = 3\n")
+        rc = main(["simulate", str(spec), "--config", str(cfg), "--out", str(tmp_path / "sim2"),
+                   "--quiet"])
         assert rc == 0
         report = json.load(open(tmp_path / "sim2" / "report.json"))
         assert report["spec"]["n_docs"] == 10
@@ -489,8 +498,6 @@ class TestSimulate:
         assert rc == 1
 
     @pytest.mark.parametrize("line, message", [
-        ("seed = -1", "spec key 'seed' must be >= 0, got -1"),
-        ("bootstrap_b = -4", "spec key 'bootstrap_b' must be >= 0, got -4"),
         ("n_docs = 1", "spec key 'n_docs' must be >= 2, got 1"),
         ("n_features = 1", "spec key 'n_features' must be >= 2, got 1"),
         ("expected_row_total = 0", "spec key 'expected_row_total' must be >= 1, got 0"),
@@ -503,32 +510,83 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
+    # the seed and the replicates are config keys, as in every command
+    @pytest.mark.parametrize("line, message", [
+        ("seed = -1", "config key 'seed' must be >= 0, got -1"),
+        ("bootstrap_b = -4", "config key 'bootstrap_b' must be >= 0, got -4"),
+    ])
+    def test_out_of_domain_config_value_exits_1(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"{line}\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key", ["seed", "bootstrap_b"])
+    def test_config_key_in_a_spec_file_exits_1(self, tmp_path, capsys, key):
+        spec = tmp_path / "sim.spec"
+        spec.write_text(f"{key} = 3\n")
+        rc = main(["simulate", str(spec), "--out", str(tmp_path / "x"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {spec}:1: unknown spec key {key!r}\n"
+
+    def test_seed_and_bootstrap_b_come_from_the_config(self, tmp_path):
+        def report(name, config):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(config)
+            rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name),
+                       "--quiet"])
+            assert rc == 0
+            return json.load(open(tmp_path / name / "report.json"))
+
+        seeded = report("a", "seed = 3\nbootstrap_b = 0\n")
+        assert "ci_coverage" not in seeded
+        assert report("b", "seed = 4\nbootstrap_b = 0\n") != seeded
+        assert report("c", "seed = 3\nbootstrap_b = 0\n") == seeded
+        assert "ci_coverage" in report("d", "seed = 3\nbootstrap_b = 5\n")
+
     def test_duplicate_spec_key_exits_1_naming_both_lines(self, tmp_path, capsys):
         spec = tmp_path / "sim.cfg"
-        spec.write_text("seed = 3\nn_docs = 10\nseed = 4\n")
+        spec.write_text("n_features = 12\nn_docs = 10\nn_features = 14\n")
         rc = main(["simulate", str(spec), "--out", str(tmp_path / "x"), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: {spec}:3: duplicate spec key 'seed' (first on line 1)\n")
+            f"error: {spec}:3: duplicate spec key 'n_features' (first on line 1)\n")
         assert not (tmp_path / "x").exists()
 
+    def test_spec_with_byte_order_mark(self, tmp_path):
+        spec = tmp_path / "sim.spec"
+        spec.write_text("n_docs = 10\nn_features = 12\n", encoding="utf-8-sig")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("bootstrap_b = 0\n")
+        rc = main(["simulate", str(spec), "--config", str(cfg), "--out", str(tmp_path / "sim"),
+                   "--quiet"])
+        assert rc == 0
+        assert json.load(open(tmp_path / "sim" / "report.json"))["spec"]["n_docs"] == 10
+
     @pytest.mark.parametrize("flag, seed", [([], 3), (["--seed", "7"], 7)],
-                             ids=["spec_seed", "seed_flag"])
+                             ids=["config_seed", "seed_flag"])
     def test_manifest_records_spec(self, tmp_path, flag, seed):
-        spec = tmp_path / "sim.cfg"
-        spec.write_text("n_docs = 10\nn_features = 12\nseed = 3\nbootstrap_b = 5\n")
-        rc = main(["simulate", str(spec), *flag, "--out", str(tmp_path / "sim"), "--quiet"])
+        spec = tmp_path / "sim.spec"
+        spec.write_text("n_docs = 10\nn_features = 12\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("seed = 3\nbootstrap_b = 5\n")
+        rc = main(["simulate", str(spec), "--config", str(cfg), *flag,
+                   "--out", str(tmp_path / "sim"), "--quiet"])
         assert rc == 0
         manifest = json.load(open(tmp_path / "sim" / "manifest.json"))
-        assert manifest["spec"]["seed"] == seed
-        assert manifest["spec"]["bootstrap_b"] == 5
+        assert manifest["spec"] == {"n_docs": 10, "n_features": 12, "expected_row_total": 500}
+        assert manifest["config"]["seed"] == seed
+        assert manifest["config"]["bootstrap_b"] == 5
         report = json.load(open(tmp_path / "sim" / "report.json"))
         assert manifest["spec"] == report["spec"]
+        assert "ci_coverage" in report
 
     @pytest.mark.parametrize("line", ["n_docs = x", "n_docs"])
     def test_bad_spec_line_exits_1_with_location(self, tmp_path, capsys, line):
         spec = tmp_path / "sim.cfg"
-        spec.write_text(f"seed = 3\n{line}\n")
+        spec.write_text(f"n_features = 12\n{line}\n")
         rc = main(["simulate", str(spec), "--out", str(tmp_path / "x"), "--quiet"])
         assert rc == 1
         err = capsys.readouterr().err

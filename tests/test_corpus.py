@@ -4,8 +4,7 @@ import re
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from communityfish.corpus import (
     read_stopwords,
     tokenize,
 )
+from communityfish.features import unigram_dtm
 
 
 _DIGITS_RE = re.compile(r"^\d+$")
@@ -49,8 +49,9 @@ def brute_force_pairs(docs) -> Counter:
 
 
 def make_corpus(*token_lists):
+    # every token is a lowercase word, so the text rule reads it back as it is
     return Corpus(tuple(
-        Document(id=f"d{i}", text="", tokens=tuple(toks))
+        Document(id=f"d{i}", text=" ".join(toks))
         for i, toks in enumerate(token_lists)
     ))
 
@@ -153,34 +154,47 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="text"):
             load_corpus(p, "csv")
 
+    # a file saved with a UTF-8 byte-order mark reads as one saved without
+    def test_jsonl_with_byte_order_mark(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"id": "a", "text": "x"}\n{"id": "b", "text": "y"}\n',
+                     encoding="utf-8-sig")
+        corpus = load_corpus(p, "jsonl")
+        assert [(d.id, d.text) for d in corpus.documents] == [("a", "x"), ("b", "y")]
 
-class TestDocument:
-    @pytest.mark.parametrize("bad", ["", "a b", "a\tb", "a\u00a0b", "a\u2028b", "a\x1cb"])
-    def test_bad_token_rejected_and_named(self, bad):
-        with pytest.raises(CorpusError, match=re.escape(repr(bad))):
-            Document(id="d", text="", tokens=("ok", bad, "fine"))
+    def test_csv_with_byte_order_mark(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("id,text,year\na,hello,1990\n", encoding="utf-8-sig")
+        corpus = load_corpus(p, "csv")
+        assert [d.id for d in corpus.documents] == ["a"]
+        assert corpus.documents[0].metadata == {"year": "1990"}
+
+    def test_text_directory_with_byte_order_mark(self, tmp_path):
+        (tmp_path / "one.txt").write_text("text of one", encoding="utf-8-sig")
+        corpus = load_corpus(tmp_path, "text-directory")
+        assert corpus.documents[0].text == "text of one"
 
 
 class TestTokenize:
     def test_basic(self):
-        doc = tokenize(Document(id="d", text="The Panama Canal."))
-        assert doc.tokens == ("the", "panama", "canal")
+        tokens = tokenize(Document(id="d", text="The Panama Canal."))
+        assert tokens == ("the", "panama", "canal")
 
     def test_empty_text(self):
-        assert tokenize(Document(id="d", text="")).tokens == ()
+        assert tokenize(Document(id="d", text="")) == ()
 
     def test_digits_dropped(self):
-        doc = tokenize(Document(id="d", text="Bürger zählen 2022"))
-        assert doc.tokens == ("bürger", "zählen")
+        tokens = tokenize(Document(id="d", text="Bürger zählen 2022"))
+        assert tokens == ("bürger", "zählen")
 
     def test_stopwords(self):
-        doc = tokenize(Document(id="d", text="the panama canal"),
-                       stopwords=frozenset({"the"}))
-        assert doc.tokens == ("panama", "canal")
+        tokens = tokenize(Document(id="d", text="the panama canal"),
+                          stopwords=frozenset({"the"}))
+        assert tokens == ("panama", "canal")
 
     def test_original_text_retained(self):
-        doc = tokenize(Document(id="d", text="Hello World"))
-        assert doc.text == "Hello World"
+        doc = Document(id="d", text="Hello World")
+        assert Corpus((doc,)).tokenized().documents[0].text == "Hello World"
 
     @settings(deadline=None)
     @given(
@@ -191,8 +205,8 @@ class TestTokenize:
     @example(text="x ² ٣ 12 ²٣ İ ǅ ΣΑΣ ßΣ", stopwords=frozenset())
     @example(text="ΣΑΣ. ² a! !", stopwords=frozenset({"a"}))
     def test_matches_per_match_loop(self, text, stopwords):
-        doc = tokenize(Document(id="d", text=text), stopwords=stopwords)
-        assert doc.tokens == reference_tokenize(text, stopwords)
+        tokens = tokenize(Document(id="d", text=text), stopwords=stopwords)
+        assert tokens == reference_tokenize(text, stopwords)
 
 
 class TestApplyLemmas:
@@ -255,22 +269,33 @@ class TestTokenized:
         docs = tuple(Document(id=f"d{i}", text=t) for i, t in enumerate(texts))
         expected = [tuple(lemmas.get(t, t) for t in reference_tokenize(text, stopwords))
                     for text in texts]
-        built = Corpus(tuple(replace(d, tokens=toks) for d, toks in zip(docs, expected)))
+        # the coding built from the expected tokens
+        words = tuple(sorted(set(chain(*expected))))
+        ids = [words.index(t) for t in chain(*expected)]
+        starts = [0, *accumulate(map(len, expected))]
         coded = Corpus(docs).tokenized(stopwords, lemmas)
-        assert coded.coding.words == built.coding.words == tuple(sorted(set(chain(*expected))))
+        assert coded.coding.words == words
         assert coded.coding.ids.dtype == np.int32
-        assert coded.coding.ids.tolist() == built.coding.ids.tolist()
-        assert coded.coding.starts.tolist() == built.coding.starts.tolist()
-        assert coded.token_lists == built.token_lists == expected
-        assert [d.tokens for d in coded.documents] == [()] * len(texts)
+        assert coded.coding.ids.tolist() == ids
+        assert coded.coding.starts.tolist() == starts
+        assert coded.token_lists == expected
+        assert coded.documents == docs
 
-    def test_tokens_of_a_token_built_corpus_are_dropped(self):
-        # the coding comes from the texts; no document keeps tokens it disagrees with
-        doc = Document(id="d", text="The Canal", tokens=("other",))
-        corpus = Corpus((doc,)).tokenized()
-        assert corpus.documents[0].tokens == ()
-        assert corpus.token_lists == [("the", "canal")]
-        assert Corpus((doc,)).token_lists == [("other",)]
+    def test_a_corpus_not_tokenized_is_coded_by_the_text_rule(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"text": "The Panama Canal: the canal of 1914"}\n'
+                     '{"text": "panama canal canal Panama"}\n{"text": "12"}\n')
+        plain, coded = load_corpus(p, "jsonl"), load_corpus(p, "jsonl").tokenized()
+        assert plain.token_lists == [("the", "panama", "canal", "the", "canal", "of"),
+                                     ("panama", "canal", "canal", "panama"), ()]
+        assert plain.coding.words == coded.coding.words
+        assert plain.coding.ids.tolist() == coded.coding.ids.tolist()
+        assert plain.coding.starts.tolist() == coded.coding.starts.tolist()
+        assert dict(count_bigrams(plain).pairs) == dict(count_bigrams(coded).pairs)
+        (matrix, report), (want, want_report) = unigram_dtm(plain), unigram_dtm(coded)
+        assert (matrix.doc_ids, matrix.feature_labels) == (want.doc_ids, want.feature_labels)
+        assert matrix.counts.tolist() == want.counts.tolist()
+        assert report == want_report
 
     @pytest.mark.parametrize("lemma", ["", "a b", "a\tb", "a\u00a0b"])
     def test_lemma_that_is_no_token_is_named(self, lemma):
@@ -293,8 +318,7 @@ class TestTokenized:
         # no word character is a space that str.split() would cut at
         assert not [c for c in chars if c.isalnum() and c.isspace()]
         text = "\x00".join(chars)
-        assert tokenize(Document(id="d", text=text)).tokens == reference_tokenize(
-            text, frozenset())
+        assert tokenize(Document(id="d", text=text)) == reference_tokenize(text, frozenset())
 
 
 class TestCountBigrams:
@@ -390,6 +414,16 @@ def test_read_stopwords_and_lemmas(tmp_path):
     assert read_stopwords(tmp_path / "stop.txt") == frozenset({"the", "of"})
     (tmp_path / "lem.tsv").write_text("ran\trun\nislands\tisland\n")
     assert read_lemma_table(tmp_path / "lem.tsv") == {"ran": "run", "islands": "island"}
+
+
+def test_stopwords_with_byte_order_mark(tmp_path):
+    (tmp_path / "stop.txt").write_text("the\nof\n", encoding="utf-8-sig")
+    assert read_stopwords(tmp_path / "stop.txt") == frozenset({"the", "of"})
+
+
+def test_lemma_table_with_byte_order_mark(tmp_path):
+    (tmp_path / "lem.tsv").write_text("ran\trun\n", encoding="utf-8-sig")
+    assert read_lemma_table(tmp_path / "lem.tsv") == {"ran": "run"}
 
 
 def test_stopword_and_lemma_entries_are_lowercased(tmp_path):

@@ -16,8 +16,9 @@ from communityfish.graph import Partition
 
 
 def make_corpus(*token_lists):
+    # every token is a lowercase word, so the text rule reads it back as it is
     return Corpus(tuple(
-        Document(id=f"d{i}", text="", tokens=tuple(toks))
+        Document(id=f"d{i}", text=" ".join(toks))
         for i, toks in enumerate(token_lists)
     ))
 
@@ -73,8 +74,8 @@ class TestCommunityDtm:
             cid = int(label.split(":")[0].split("_")[1])
             members = [w for w, c in part.assignment.items() if c == cid]
             expected = sum(
-                d.tokens.count(w)
-                for d in corpus.documents if d.id in kept
+                toks.count(w)
+                for d, toks in zip(corpus.documents, docs) if d.id in kept
                 for w in members
             )
             assert matrix.counts[:, j].sum() == expected

@@ -74,7 +74,7 @@ class TestBuildGraph:
                 key = frozenset((u, w))
                 reference[key] = reference.get(key, 0) + c
         assume(reference)
-        corpus = Corpus(tuple(Document(id=f"d{i}", text="", tokens=tuple(toks))
+        corpus = Corpus(tuple(Document(id=f"d{i}", text=" ".join(toks))
                               for i, toks in enumerate(docs)))
         g = build_graph(filter_bigrams(count_bigrams(corpus), 1))
         want = build_graph(BigramCounts(reference))

@@ -28,7 +28,8 @@ def test_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(library_block(), str(README), "exec"), namespace)
-    assert namespace["tokens"] == [d.tokens for d in planted.documents]
+    # each planted text is its words joined by spaces, none of them a stopword
+    assert namespace["tokens"] == [tuple(d.text.split()) for d in planted.documents]
     assert namespace["partition"].num_communities == 2
     result = namespace["result"]
     assert result.matrix.shape == (20, 2)

@@ -94,7 +94,7 @@ class TestLogLikelihood:
 class TestFit:
     def test_recovers_planted_positions(self):
         matrix, spec = random_matrix(7, n=25, k=40, row_total=500)
-        result = fit(matrix, FitConfig(seed=7))
+        result = fit(matrix, FitConfig())
         rho = abs(np.corrcoef(result.params.theta, spec.theta_star)[0, 1])
         assert rho >= 0.95
 
@@ -350,8 +350,8 @@ class TestBootstrap:
     def test_deterministic(self):
         matrix, _ = random_matrix(31, n=8, k=10)
         result = fit(matrix)
-        a = bootstrap(matrix, result, B=20, seed=9)
-        b = bootstrap(matrix, result, B=20, seed=9)
+        a = bootstrap(result, B=20, seed=9)
+        b = bootstrap(result, B=20, seed=9)
         assert (a.theta_ci_low == b.theta_ci_low).all()
         assert (a.theta_ci_high == b.theta_ci_high).all()
         assert (a.theta_se == b.theta_se).all()
@@ -359,7 +359,7 @@ class TestBootstrap:
     def test_single_replicate_degenerate_ci(self):
         matrix, _ = random_matrix(37, n=8, k=10)
         result = fit(matrix)
-        boot = bootstrap(matrix, result, B=1, seed=2)
+        boot = bootstrap(result, B=1, seed=2)
         assert np.allclose(boot.theta_ci_low, boot.theta_ci_high)
         assert (boot.theta_se == 0).all()
 
@@ -367,14 +367,14 @@ class TestBootstrap:
         matrix, _ = random_matrix(37, n=8, k=10)
         result = fit(matrix)
         with pytest.raises(ScalingError):
-            bootstrap(matrix, result, B=0)
+            bootstrap(result, B=0)
 
     def test_nonconverged_replicates_are_failures(self):
         matrix, _ = random_matrix(31, n=8, k=10)
         result = fit(matrix)
         with pytest.raises(ScalingError, match=r"failed on 10/10 replicates "
                            r"\(zero_row 0, not_converged 10, error 0\)"):
-            bootstrap(matrix, result, B=10, seed=9, config=FitConfig(max_iter=1))
+            bootstrap(result, B=10, seed=9, config=FitConfig(max_iter=1))
 
     @staticmethod
     def _with_sparse_cells(row_or_col):
@@ -394,7 +394,7 @@ class TestBootstrap:
 
     def test_all_zero_column_is_left_out_of_the_refit(self):
         matrix, result = self._with_sparse_cells("col")
-        boot = bootstrap(matrix, result, B=40, seed=4)
+        boot = bootstrap(result, B=40, seed=4)
         assert boot.bootstrap_failures == 0
         assert np.isfinite(boot.theta_se).all() and (boot.theta_se > 0).all()
 
@@ -402,11 +402,11 @@ class TestBootstrap:
         matrix, result = self._with_sparse_cells("row")
         with pytest.raises(ScalingError, match=r"failed on (\d+)/40 replicates "
                            r"\(zero_row \1, not_converged 0, error 0\)"):
-            bootstrap(matrix, result, B=40, seed=4)
+            bootstrap(result, B=40, seed=4)
 
     def test_failures_are_counted_by_reason(self):
         matrix, result = self._with_zero_row_failures()
-        boot = bootstrap(matrix, result, B=60, seed=1)
+        boot = bootstrap(result, B=60, seed=1)
         assert boot.bootstrap_failures > 0
         assert boot.bootstrap_failure_reasons == {
             "zero_row": boot.bootstrap_failures, "not_converged": 0, "error": 0}
@@ -454,7 +454,7 @@ class TestBootstrap:
         else:
             matrix, _ = random_matrix(31, n=8, k=10)
             result = fit(matrix)
-        boot = bootstrap(matrix, result, B=40, seed=4)
+        boot = bootstrap(result, B=40, seed=4)
         se, low, high, failures, dropped = self._one_fit_per_replicate(matrix, result, 40, 4)
         if sparse:  # some replicates keep the sparse column, others drop it
             assert 0 < dropped < 40
@@ -482,9 +482,9 @@ class TestBootstrap:
             matrix, _ = random_matrix(41, n=10, k=12)
             result = fit(matrix)
         assert scaling.BATCH_CELLS // matrix.counts.size >= 60  # one batch
-        batched = bootstrap(matrix, result, B=60, seed=1)
+        batched = bootstrap(result, B=60, seed=1)
         monkeypatch.setattr(scaling, "BATCH_CELLS", 1)  # one replicate a batch
-        alone = bootstrap(matrix, result, B=60, seed=1)
+        alone = bootstrap(result, B=60, seed=1)
         for name in ("theta_se", "theta_ci_low", "theta_ci_high"):
             np.testing.assert_array_equal(getattr(alone, name), getattr(batched, name))
         assert alone.bootstrap_failures == batched.bootstrap_failures
@@ -511,9 +511,9 @@ class TestBootstrap:
             return x, np.where(case == 0, False, np.where(case == 1, True, extrapolated))
 
         monkeypatch.setattr(scaling, "_extrapolate", three_ways)
-        batched = bootstrap(matrix, result, B=30, seed=2)
+        batched = bootstrap(result, B=30, seed=2)
         monkeypatch.setattr(scaling, "BATCH_CELLS", 1)
-        alone = bootstrap(matrix, result, B=30, seed=2)
+        alone = bootstrap(result, B=30, seed=2)
         assert any(mixed)
         for name in ("theta_se", "theta_ci_low", "theta_ci_high"):
             np.testing.assert_array_equal(getattr(alone, name), getattr(batched, name))
@@ -526,7 +526,7 @@ class TestBootstrap:
         result = fit(matrix)
         tracemalloc.start()
         try:
-            boot = bootstrap(matrix, result, B=50, seed=0)
+            boot = bootstrap(result, B=50, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -536,7 +536,7 @@ class TestBootstrap:
     def test_ci_brackets_point_estimate_mostly(self):
         matrix, _ = random_matrix(41, n=10, k=12)
         result = fit(matrix)
-        boot = bootstrap(matrix, result, B=60, seed=3)
+        boot = bootstrap(result, B=60, seed=3)
         inside = (boot.theta_ci_low <= result.params.theta) & (
             result.params.theta <= boot.theta_ci_high
         )

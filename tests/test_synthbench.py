@@ -50,15 +50,15 @@ class TestGenerateMatrix:
     def test_recovery_on_default_task(self):
         spec = SyntheticSpec.create(25, 40, 500, seed=6)
         matrix, spec = generate_matrix(spec)
-        result = fit(matrix, FitConfig(seed=6))
+        result = fit(matrix)
         assert recovery_report(spec.theta_star, result)["pearson"] >= 0.95
 
     def test_null_discrimination_gives_small_beta(self):
         spec = SyntheticSpec.create(30, 20, 800, seed=8)
         spec = dataclasses.replace(spec, beta_star=np.zeros(20))
         matrix, _ = generate_matrix(spec)
-        result = fit(matrix, FitConfig(seed=8))
-        boot = bootstrap(matrix, result, B=40, seed=8)
+        result = fit(matrix)
+        boot = bootstrap(result, B=40, seed=8)
         # beta magnitudes indistinguishable from zero for most features:
         # compare against the spread of bootstrap thetas as a rough scale
         assert np.median(np.abs(result.params.beta)) < 0.3
@@ -72,7 +72,7 @@ class TestGenerateCorpus:
     def test_deterministic(self):
         a, _ = generate_corpus(planted_spec(3))
         b, _ = generate_corpus(planted_spec(3))
-        assert [d.tokens for d in a.documents] == [d.tokens for d in b.documents]
+        assert a.documents == b.documents
 
     def test_louvain_recovers_planted_partition(self):
         corpus, _ = generate_corpus(planted_spec(1))
@@ -108,6 +108,19 @@ class TestGenerateCorpus:
     def test_single_community_rejected(self):
         with pytest.raises(SynthError):
             PlantedCorpusSpec((COM_A,), (1.0,))
+
+    @pytest.mark.parametrize("word", ["Alpha", "a-b", "12", "a b", ""])
+    def test_planted_word_that_is_not_one_token_rejected(self, word):
+        # a document's tokens are read from its text, so a planted word must
+        # read back as itself
+        with pytest.raises(SynthError, match=f"planted word {word!r}"):
+            PlantedCorpusSpec((COM_A, (*COM_B, word)), (1.0, -1.0))
+
+    def test_text_reads_back_as_the_planted_words(self):
+        corpus, _ = generate_corpus(planted_spec(3, n_docs=3, runs=5))
+        planted = set(COM_A) | set(COM_B)
+        assert all(set(toks) <= planted and len(toks) == 30 for toks in corpus.token_lists)
+        assert corpus.token_lists == [tuple(d.text.split()) for d in corpus.documents]
 
 
 class TestRecoveryReport:
@@ -191,13 +204,13 @@ class TestSpearman:
 class TestCompareModels:
     def test_community_branch_has_fewer_features(self):
         corpus, _ = generate_corpus(planted_spec(13))
-        report = compare_models(corpus, 30, FitConfig(seed=13))
+        report = compare_models(corpus, RunConfig(min_bigram_count=30, seed=13))
         assert report.errors == {}
         assert report.k_community_features < report.vocabulary_size
 
     def test_reports_both_thetas_and_rank_correlation(self):
         corpus, _ = generate_corpus(planted_spec(14))
-        report = compare_models(corpus, 30, FitConfig(seed=14))
+        report = compare_models(corpus, RunConfig(min_bigram_count=30, seed=14))
         assert report.rank_correlation is not None
         assert report.runtime_community > 0
         assert report.runtime_unigram > 0
@@ -205,7 +218,7 @@ class TestCompareModels:
     def test_one_branch_failing_still_reports_other(self):
         corpus, _ = generate_corpus(planted_spec(15))
         # threshold too high: community branch dies, unigram survives
-        report = compare_models(corpus, 10**6, FitConfig(seed=15))
+        report = compare_models(corpus, RunConfig(min_bigram_count=10**6, seed=15))
         assert "community" in report.errors
         assert report.unigram_result is not None
 
@@ -217,12 +230,13 @@ class TestCompareModels:
             return fit(matrix, config)
 
         monkeypatch.setattr("communityfish.cli.fit", recording_fit)
-        config = FitConfig(seed=13, debug_ascent=True)
-        report = compare_models(generate_corpus(planted_spec(13))[0], 30, config)
+        config = FitConfig(debug_ascent=True)
+        report = compare_models(generate_corpus(planted_spec(13))[0],
+                                RunConfig(min_bigram_count=30, seed=13), config)
         assert report.errors == {}
         assert len(seen) == 2 and all(c is config for c in seen)
 
     def test_empty_corpus_rejected(self):
         from communityfish.corpus import Corpus
         with pytest.raises(SynthError):
-            compare_models(Corpus(()), 30, FitConfig())
+            compare_models(Corpus(()), RunConfig())
