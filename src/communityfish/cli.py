@@ -403,7 +403,7 @@ def cmd_communities(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "community_sizes": sizes,
         "modularity": partition.quality,
         "num_nodes": len(graph),
-        "num_edges": int(sum(len(n) for n in graph.adjacency) // 2),
+        "num_edges": len(graph.weights),
         "total_weight": graph.total_weight,
     }
     (out / "graph_stats.json").write_text(json.dumps(stats, indent=2))

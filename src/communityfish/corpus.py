@@ -228,15 +228,25 @@ def load_corpus(source, format: str) -> Corpus:
     return Corpus(tuple(docs))
 
 
+def _check_id(path: Path, line: int, doc_id: str, first_line: dict[str, int]) -> None:
+    """Reject an empty id, or one in ``first_line``, the line of each id so far."""
+    if not doc_id:
+        raise CorpusError(f"{path}:{line}: document id must be non-empty")
+    if doc_id in first_line:
+        raise CorpusError(f"{path}:{line}: duplicate document id {doc_id!r} "
+                          f"(first on line {first_line[doc_id]})")
+    first_line[doc_id] = line
+
+
 def _load_jsonl(path: Path) -> list[Document]:
-    docs = []
+    docs, first_line = [], {}
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
                 raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(rec, dict) or "text" not in rec:
                 raise CorpusError(f"{path}:{lineno}: record missing 'text' key")
@@ -245,6 +255,7 @@ def _load_jsonl(path: Path) -> list[Document]:
                 raise CorpusError(f"{path}:{lineno}: 'text' must be a string")
             if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
                 raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer")
+            _check_id(path, lineno, str(doc_id), first_line)
             meta = {
                 k: v
                 for k, v in rec.items()
@@ -264,7 +275,7 @@ def _load_textdir(path: Path) -> list[Document]:
 
 
 def _load_csv(path: Path) -> list[Document]:
-    docs = []
+    docs, first_line = [], {}
     # a field is at most as long as the file; a manifesto can run past the
     # csv module's default limit of 131,072 characters
     limit = csv.field_size_limit(max(csv.field_size_limit(), path.stat().st_size))
@@ -279,6 +290,7 @@ def _load_csv(path: Path) -> list[Document]:
                 if None in row:  # DictReader's key for the fields past the header
                     raise CorpusError(f"{path}:{reader.line_num}: more fields than the header")
                 doc_id = row.get("id") or str(record)
+                _check_id(path, reader.line_num, doc_id, first_line)
                 meta = {
                     k: v
                     for k, v in row.items()

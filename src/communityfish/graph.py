@@ -15,26 +15,62 @@ class GraphError(ValueError):
     """Raised for degenerate graphs or invalid partitions."""
 
 
-@dataclass(frozen=True)
+class _Graph:
+    """The word graph or a Louvain level, as arrays: each edge stored from
+    both ends as arcs ``first -> second``, sorted by their ends, parallel
+    arcs merged. ``self_loops`` holds each node's inner community weight
+    after aggregation, counted twice in its strength. Weights are
+    integer-valued, so every sum of them is exact."""
+
+    def __init__(self, first, second, weight, self_loops):
+        n = len(self_loops)
+        arcs, arc_of = np.unique(first.astype(np.int64) * n + second, return_inverse=True)
+        self.first, self.second = np.divmod(arcs, n)
+        self.weight = np.bincount(arc_of, weight, len(arcs))
+        self.self_loops = self_loops
+        self.strength = np.bincount(self.first, self.weight, n) + 2.0 * self_loops
+
+    @cached_property
+    def neighbours(self) -> list[list[tuple[int, float]]]:
+        """Each node's arcs as ``(second end, weight)``, for the local moves."""
+        bounds = np.searchsorted(self.first, np.arange(len(self) + 1)).tolist()
+        arcs = list(zip(self.second.tolist(), self.weight.tolist()))
+        return [arcs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def __len__(self):
+        return len(self.self_loops)
+
+
+@dataclass(frozen=True, eq=False)
 class WordGraph:
     """Undirected weighted graph over words, built from filtered bigram counts."""
 
-    nodes: tuple[str, ...]
-    # adjacency[i] maps neighbor index -> edge weight; symmetric, no self loops
-    adjacency: tuple[Mapping[int, float], ...]
+    nodes: tuple[str, ...]  # sorted
+    # one row (i, j) per edge, i < j indexing ``nodes``; no self loops
+    edges: np.ndarray
+    weights: np.ndarray  # each edge's pair count, as a float
 
     @cached_property
+    def _level(self) -> _Graph:
+        """This graph as the first level of the Louvain passes."""
+        i, j = self.edges.T
+        return _Graph(np.concatenate((i, j)), np.concatenate((j, i)),
+                      np.concatenate((self.weights, self.weights)), np.zeros(len(self)))
+
+    @property
     def strengths(self) -> np.ndarray:
-        return np.array(self._level.strength)
-
-    @cached_property
-    def _level(self) -> "_LevelGraph":
-        """This graph as the first level of the Louvain passes (no self loops)."""
-        return _LevelGraph(self.adjacency, [0.0] * len(self.nodes))
+        return self._level.strength
 
     @property
     def total_weight(self) -> float:
-        return float(self.strengths.sum()) / 2.0
+        return float(self.weights.sum())
+
+    # ``adjacency[i]`` maps each neighbour of node i to the edge weight, built
+    # on each access. Unused here: perfbench/child.py's graph.build counter and
+    # tests read it.
+    @property
+    def adjacency(self) -> tuple[dict[int, float], ...]:
+        return tuple(map(dict, self._level.neighbours))
 
     def __len__(self):
         return len(self.nodes)
@@ -69,13 +105,8 @@ def build_graph(counts: BigramCounts) -> WordGraph:
     in_graph[pairs.u] = in_graph[pairs.w] = True
     nodes = tuple(map(pairs.words.__getitem__, np.flatnonzero(in_graph).tolist()))
     node_of = np.cumsum(in_graph) - 1
-    adjacency: list[dict[int, float]] = [dict() for _ in nodes]
-    # integer weights: the clustering's sums are exact in any neighbour order
-    for iu, iw, weight in zip(node_of[pairs.u].tolist(), node_of[pairs.w].tolist(),
-                              pairs.counts.astype(float).tolist()):
-        adjacency[iu][iw] = weight
-        adjacency[iw][iu] = weight
-    return WordGraph(nodes=nodes, adjacency=tuple(adjacency))
+    return WordGraph(nodes=nodes, edges=np.stack((node_of[pairs.u], node_of[pairs.w]), axis=1),
+                     weights=pairs.counts.astype(float))
 
 
 def modularity(graph: WordGraph, partition: Partition) -> float:
@@ -91,45 +122,22 @@ def modularity(graph: WordGraph, partition: Partition) -> float:
     return _level_modularity(graph._level, comm, m)
 
 
-class _LevelGraph:
-    """Multigraph used internally by the Louvain passes.
-
-    Self-loop weights hold intra-community weight after aggregation; node
-    strength counts a self loop twice. The passes only read a level; each
-    aggregation builds a new one.
-    """
-
-    def __init__(self, adjacency, self_loops):
-        self.adjacency = adjacency
-        self.self_loops = self_loops
-        self.strength = [
-            sum(nbrs.values()) + 2.0 * s
-            for nbrs, s in zip(self.adjacency, self.self_loops)
-        ]
-
-    def __len__(self):
-        return len(self.adjacency)
-
-
-def _local_move(level: _LevelGraph, comm: list[int], m: float, rng) -> bool:
+def _local_move(level: _Graph, comm: list[int], m: float, rng) -> bool:
     """One full Louvain phase-1: repeated seeded-order sweeps of single-node
     moves to the neighboring community with maximal positive gain."""
-    n = len(level)
-    sigma_tot = [0.0] * (max(comm) + 1)
-    for i in range(n):
-        sigma_tot[comm[i]] += level.strength[i]
-    order = np.arange(n)
+    strength, neighbours = level.strength.tolist(), level.neighbours
+    sigma_tot = np.bincount(comm, level.strength).tolist()
+    order = np.arange(len(level))
     improved_ever = False
     while True:
         rng.shuffle(order)
         moved = 0
-        for i in order:
-            i = int(i)
+        for i in order.tolist():
             ci = comm[i]
-            k_i = level.strength[i]
+            k_i = strength[i]
             # weight from i to each neighboring community
             w_to: dict[int, float] = {}
-            for j, w in level.adjacency[i].items():
+            for j, w in neighbours[i]:
                 w_to[comm[j]] = w_to.get(comm[j], 0.0) + w
             sigma_tot[ci] -= k_i
             base = w_to.get(ci, 0.0) / m - sigma_tot[ci] * k_i / (2.0 * m * m)
@@ -153,48 +161,34 @@ def _local_move(level: _LevelGraph, comm: list[int], m: float, rng) -> bool:
         improved_ever = True
 
 
-def _level_modularity(level: _LevelGraph, comm: list[int], m: float) -> float:
-    ncomm = max(comm) + 1
-    sigma_in = [0.0] * ncomm
-    sigma_tot = [0.0] * ncomm
-    for i in range(len(level)):
-        c = comm[i]
-        sigma_tot[c] += level.strength[i]
-        sigma_in[c] += 2.0 * level.self_loops[i]
-        for j, w in level.adjacency[i].items():
-            if comm[j] == c:
-                sigma_in[c] += w
-    return sum(
-        s_in / (2.0 * m) - (s_tot / (2.0 * m)) ** 2
-        for s_in, s_tot in zip(sigma_in, sigma_tot)
-    )
+def _level_modularity(level: _Graph, comm, m: float) -> float:
+    comm = np.asarray(comm)
+    ncomm = int(comm.max()) + 1
+    first = comm[level.first]
+    inner = first == comm[level.second]
+    sigma_in = (2.0 * np.bincount(comm, level.self_loops, ncomm)
+                + np.bincount(first[inner], level.weight[inner], ncomm))
+    sigma_tot = np.bincount(comm, level.strength, ncomm)
+    terms = sigma_in / (2.0 * m) - (sigma_tot / (2.0 * m)) ** 2
+    # summed in community order, one term at a time
+    return sum(terms.tolist())
 
 
 def _relabel(comm: list[int]) -> tuple[list[int], int]:
     """Contiguous ids in order of first appearance by node index."""
-    mapping: dict[int, int] = {}
-    out = []
-    for c in comm:
-        if c not in mapping:
-            mapping[c] = len(mapping)
-        out.append(mapping[c])
-    return out, len(mapping)
+    mapping = {c: k for k, c in enumerate(dict.fromkeys(comm))}
+    return [mapping[c] for c in comm], len(mapping)
 
 
-def _aggregate(level: _LevelGraph, comm: list[int], ncomm: int) -> _LevelGraph:
-    adjacency: list[dict[int, float]] = [dict() for _ in range(ncomm)]
-    self_loops = [0.0] * ncomm
-    for i in range(len(level)):
-        ci = comm[i]
-        self_loops[ci] += level.self_loops[i]
-        for j, w in level.adjacency[i].items():
-            cj = comm[j]
-            if ci == cj:
-                if i < j:
-                    self_loops[ci] += w
-            else:
-                adjacency[ci][cj] = adjacency[ci].get(cj, 0.0) + w
-    return _LevelGraph(adjacency, self_loops)
+def _aggregate(level: _Graph, comm: list[int], ncomm: int) -> _Graph:
+    """The graph of the communities, each one's inner weight as its self loop."""
+    comm = np.asarray(comm)
+    first, second = comm[level.first], comm[level.second]
+    inner = first == second
+    # an edge inside a community is stored from both ends: half the sum counts it once
+    self_loops = (np.bincount(comm, level.self_loops, ncomm)
+                  + np.bincount(first[inner], level.weight[inner], ncomm) / 2.0)
+    return _Graph(first[~inner], second[~inner], level.weight[~inner], self_loops)
 
 
 # independent Louvain runs per clustering; the best modularity is kept
@@ -267,41 +261,33 @@ def leiden(graph: WordGraph, seed: int = 0, min_community_size: int = 2) -> Part
     rng = np.random.default_rng(seed + 1)
     level = graph._level
     for _ in range(10):
-        refined = _split_disconnected(graph, comm)
+        refined = _split_disconnected(level, comm)
         if refined == comm:
             break
         comm = refined
         _local_move(level, comm, m, rng)
         comm, _ = _relabel(comm)
     else:
-        comm = _split_disconnected(graph, comm)
+        comm = _split_disconnected(level, comm)
     return _finalize_partition(graph, comm, _level_modularity(level, comm, m),
                                min_community_size)
 
 
-def _split_disconnected(graph: WordGraph, comm: list[int]) -> list[int]:
+def _split_disconnected(level: _Graph, comm: list[int]) -> list[int]:
     """Split every community into its connected components."""
-    out = [-1] * len(comm)
-    next_id = 0
-    by_comm: dict[int, list[int]] = {}
-    for i, c in enumerate(comm):
-        by_comm.setdefault(c, []).append(i)
-    for c in sorted(by_comm):
-        nodes = set(by_comm[c])
-        unseen = set(nodes)
-        while unseen:
-            start = min(unseen)
-            stack = [start]
-            unseen.discard(start)
-            while stack:
-                i = stack.pop()
-                out[i] = next_id
-                for j in graph.adjacency[i]:
-                    if j in unseen:
-                        unseen.discard(j)
-                        stack.append(j)
-            next_id += 1
-    return _relabel(out)[0]
+    comm = np.asarray(comm)
+    inner = comm[level.first] == comm[level.second]
+    first, second = level.first[inner], level.second[inner]
+    # every node takes the least index in its component: the least label of
+    # itself and its neighbours in the community, then that label's label
+    label = np.arange(len(comm))
+    while True:
+        least = label.copy()
+        np.minimum.at(least, first, label[second])
+        least = least[least]
+        if np.array_equal(least, label):
+            return _relabel(label.tolist())[0]
+        label = least
 
 
 def _finalize_partition(
@@ -309,11 +295,8 @@ def _finalize_partition(
 ) -> Partition:
     """The partition of ``comm``, a contiguous id per node index whose
     modularity is ``q``, without its communities below the minimum size."""
-    sizes: dict[int, int] = {}
-    for c in comm:
-        sizes[c] = sizes.get(c, 0) + 1
-    kept = sorted(c for c, n in sizes.items() if n >= min_community_size)
-    remap = {c: k for k, c in enumerate(kept)}
+    kept = np.flatnonzero(np.bincount(comm) >= min_community_size).tolist()
+    remap = dict(zip(kept, range(len(kept))))
     assignment = {
         w: remap[comm[i]] for i, w in enumerate(graph.nodes) if comm[i] in remap
     }

@@ -182,6 +182,14 @@ class TestCorpusInputs:
         ("text-directory", b"caf\xe9", ": not UTF-8 text"),
         ("csv", b"id,text\na,caf\xe9\n", ": not UTF-8 text"),
         ("csv", b"id,text\na,x\nb,y,z\n", ":3: more fields than the header"),
+        ("jsonl", b'{"id": "x", "text": "a"}\n{"id": "y", "text": "b"}\n{"id": "x", "text": "c"}\n',
+         ":3: duplicate document id 'x' (first on line 1)"),
+        ("jsonl", b'{"text": "a"}\n{"id": 1, "text": "b"}\n',
+         ":2: duplicate document id '1' (first on line 1)"),
+        ("jsonl", b'{"id": "", "text": "a"}\n', ":1: document id must be non-empty"),
+        pytest.param("jsonl", b'{"text": "a"}\n{"id": ' + b"1" * 5000 + b', "text": "b"}\n',
+                     ":2: malformed JSON: Exceeds the limit", id="jsonl-5000-digit-integer"),
+        ("csv", b'id,text\nx,"a\nb"\ny,c\nx,d\n', ":5: duplicate document id 'x' (first on line 3)"),
         ("stopwords", b"the\n\xff\n", ": not UTF-8 text"),
         ("lemmas", b"ran\trun\n\xff\tx\n", ": not UTF-8 text"),
         ("lemmas", b"a b\n", ":1: expected 2 tab-separated columns"),
@@ -607,19 +615,27 @@ _PIECES = ["alpha", "Beta", "gamma", "delta", "the", "Of", "42", "٣", "3.5", "!
 @settings(max_examples=30, deadline=None)
 @given(texts=st.lists(st.lists(st.sampled_from(_PIECES), max_size=12).map(" ".join),
                       min_size=1, max_size=6),
+       # no id (the line number), an empty one, and ones that may repeat: "2"
+       # is also the second line's default
+       ids=st.lists(st.sampled_from([None, None, None, "", "d", 2]), min_size=6, max_size=6),
        pi=st.sampled_from(["1", "2"]))
-def test_pipeline_commands_keep_the_error_contract(texts, pi):
+def test_pipeline_commands_keep_the_error_contract(texts, ids, pi):
     """Every run exits 0 to 3 without a traceback and writes only strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         corpus = tmp / "c.jsonl"
-        corpus.write_text("".join(json.dumps({"text": t}) + "\n" for t in texts))
+        corpus.write_text("".join(
+            json.dumps({"text": t} if i is None else {"id": i, "text": t}) + "\n"
+            for t, i in zip(texts, ids)))
         (tmp / "stop.txt").write_text("the\nof\n")
         cfg = tmp / "run.cfg"
         cfg.write_text(f"input = {corpus}\nstopwords = {tmp / 'stop.txt'}\n")
-        for n, argv in enumerate((["communities"], ["scale", "--no-bootstrap"], ["compare"])):
+        doc_ids = [str(line if i is None else i) for line, i in enumerate(ids[:len(texts)], 1)]
+        bad_ids = "" in doc_ids or len(set(doc_ids)) < len(doc_ids)
+        for n, argv in enumerate((["communities"], ["communities", "--clustering", "leiden"],
+                                  ["scale", "--no-bootstrap"], ["compare"])):
             out = tmp / f"out{n}"
             rc = main([*argv, "--config", str(cfg), "--pi", pi, "--out", str(out), "--quiet"])
-            assert rc in (0, 1, 2, 3)
+            assert rc in ((1,) if bad_ids else (0, 1, 2, 3))
             for path in out.glob("*.json"):
                 json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -265,3 +265,57 @@ class TestPairOrder:
             assert aggregate.call_count > 0  # the run reached an aggregated level
         assert results[1].assignment == results[0].assignment
         assert results[1].quality == results[0].quality
+
+
+def _random_partition(rng, n):
+    """Contiguous community ids for ``n`` nodes, in 1 to 4 communities."""
+    return graph_module._relabel(rng.integers(0, int(rng.integers(1, 5)), size=n).tolist())
+
+
+class TestLevels:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_split_disconnected_is_exactly_the_connected_components(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(seed, n_nodes=int(rng.integers(2, 13)), p=float(rng.uniform(0.1, 0.6)))
+        comm, _ = _random_partition(rng, len(g))
+        parts = graph_module._split_disconnected(g._level, comm)
+        adjacency = g.adjacency
+        members: dict[int, set[int]] = {}
+        for i, p in enumerate(parts):
+            members.setdefault(p, set()).add(i)
+        for nodes in members.values():
+            # a refinement: every part lies inside one input community
+            assert len({comm[i] for i in nodes}) == 1
+            # connected inside itself
+            seen = {min(nodes)}
+            stack = list(seen)
+            while stack:
+                for j in adjacency[stack.pop()]:
+                    if j in nodes and j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            assert seen == nodes
+        # not over-split: an edge inside an input community stays inside a part
+        for i, nbrs in enumerate(adjacency):
+            for j in nbrs:
+                if comm[i] == comm[j]:
+                    assert parts[i] == parts[j]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_aggregation_preserves_modularity_exactly(self, seed):
+        # integer weights make every sum exact, so Q is equal, not close
+        rng = np.random.default_rng(seed)
+        g = random_graph(seed, n_nodes=int(rng.integers(2, 13)), p=float(rng.uniform(0.1, 0.8)),
+                         max_weight=9)
+        level, m = g._level, g.total_weight
+        node_comm = list(range(len(g)))
+        # twice, so the second aggregation starts from self loops
+        for _ in range(2):
+            comm, ncomm = _random_partition(rng, len(level))
+            q = graph_module._level_modularity(level, comm, m)
+            level = graph_module._aggregate(level, comm, ncomm)
+            assert graph_module._level_modularity(level, range(ncomm), m) == q
+            node_comm = [comm[c] for c in node_comm]
+            assert graph_module._level_modularity(g._level, node_comm, m) == q
