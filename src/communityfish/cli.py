@@ -68,14 +68,15 @@ EXIT_EMPTY = 2
 EXIT_ESTIMATION = 3
 
 
-class CliError(Exception):
+class CliError(ValueError):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
 
 
-def read_key_values(path: Path, cls, kind: str):
-    """Fill the dataclass ``cls`` from a flat ``key = value`` file.
+def read_key_values(path: Path, cls, kind: str) -> dict:
+    """The values a flat ``key = value`` file sets, by field name of the
+    dataclass ``cls``.
 
     The file is UTF-8, and a byte-order mark at its start is ignored. Blank
     lines and ``#`` comments are skipped; each value takes the type of the
@@ -108,7 +109,7 @@ def read_key_values(path: Path, cls, kind: str):
         first_line[key] = lineno
         values[key] = _coerce(getattr(defaults, key), raw.strip(),
                               f"{where}: {kind} key {key!r}")
-    return cls(**values)
+    return values
 
 
 def _coerce(default, raw: str, where: str):
@@ -148,8 +149,11 @@ def _check_floors(values, kind: str) -> None:
                            EXIT_CONFIG)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """The config file's keys; a value outside its key's domain raises
+    ``CliError``, a ``ValueError``, with the config file's message."""
+
     input: str = ""
     format: str = "jsonl"
     stopwords: str = ""
@@ -167,9 +171,21 @@ class RunConfig:
     seed: int = 0
     out: str = "run_output"
 
+    def __post_init__(self):
+        for key, allowed in CHOICES.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise CliError(f"config key {key!r} must be one of {', '.join(allowed)}, "
+                               f"got {value!r}", EXIT_CONFIG)
+        _check_floors(self, "config")
+        try:  # tol, max_iter and the anchors
+            self.fit_config()
+        except ScalingError as exc:
+            raise CliError(f"config: {exc}", EXIT_CONFIG) from None
+
     @classmethod
     def from_file(cls, path: Path) -> "RunConfig":
-        return read_key_values(path, cls, "config")
+        return cls(**read_key_values(path, cls, "config"))
 
     def fit_config(self) -> FitConfig:
         return FitConfig(
@@ -180,7 +196,7 @@ class RunConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationSpec:
     """Keys of a ``simulate`` spec file; the seed and the bootstrap
     replicates come from the ``RunConfig``, as in every command."""
@@ -188,6 +204,9 @@ class SimulationSpec:
     n_docs: int = 25
     n_features: int = 40
     expected_row_total: int = 500
+
+    def __post_init__(self):
+        _check_floors(self, "spec")
 
 
 @dataclass(frozen=True)
@@ -332,29 +351,17 @@ def _resolve_config(args) -> RunConfig:
     ``simulate`` also gets its spec file's values as ``args.spec``. Every
     value outside its key's domain is a one-line exit-1 error here, before
     any stage runs or any output exists."""
-    config = RunConfig.from_file(Path(args.config)) if args.config else RunConfig()
+    values = read_key_values(Path(args.config), RunConfig, "config") if args.config else {}
     for key in ("input", "format", "min_bigram_count", "clustering", "seed", "out"):
         val = getattr(args, key, None)
         if val is not None:
-            setattr(config, key, val)
+            values[key] = val
     if getattr(args, "no_bootstrap", False) or getattr(args, "se", None) == "analytic":
-        config.bootstrap_b = 0
-    for key, allowed in CHOICES.items():
-        value = getattr(config, key)
-        if value not in allowed:
-            raise CliError(f"config key {key!r} must be one of {', '.join(allowed)}, "
-                           f"got {value!r}", EXIT_CONFIG)
-    _check_floors(config, "config")
-    try:  # tol, max_iter and the anchors
-        config.fit_config()
-    except ScalingError as exc:
-        raise CliError(f"config: {exc}", EXIT_CONFIG) from None
+        values["bootstrap_b"] = 0
+    config = RunConfig(**values)
     if args.command == "simulate":
-        spec = SimulationSpec()
-        if args.spec_file:
-            spec = read_key_values(Path(args.spec_file), SimulationSpec, "spec")
-        _check_floors(spec, "spec")
-        args.spec = spec
+        args.spec = SimulationSpec(**(read_key_values(Path(args.spec_file), SimulationSpec, "spec")
+                                      if args.spec_file else {}))
     return config
 
 

@@ -115,14 +115,17 @@ def _rates(params: ScalingParams) -> np.ndarray:
     return _clamped_mu(eta, out=eta)
 
 
-def _arrays(params: ScalingParams) -> tuple[np.ndarray, ...]:
-    return params.alpha, params.psi, params.theta, params.beta
+def _split(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views of the four blocks of flat points [alpha | theta | psi | beta]
+    of n documents; leading axes index replicates."""
+    k = (x.shape[-1] - 2 * n) // 2
+    return x[..., :n], x[..., n:2 * n], x[..., 2 * n:2 * n + k], x[..., 2 * n + k:]
 
 
-def _take(params: ScalingParams, index) -> ScalingParams:
-    """The replicates at index of stacked params; None adds the replicate
-    axis to unstacked ones."""
-    return ScalingParams(*(v[index] for v in _arrays(params)))
+def _params(x: np.ndarray, n: int) -> ScalingParams:
+    """The flat points x of n documents as ScalingParams of views into x."""
+    alpha, theta, psi, beta = _split(x, n)
+    return ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta)
 
 
 def log_likelihood(matrix: CountMatrix, params: ScalingParams) -> float:
@@ -132,7 +135,7 @@ def log_likelihood(matrix: CountMatrix, params: ScalingParams) -> float:
 
 
 def _log_likelihood(y, params: ScalingParams) -> float:
-    for arr in _arrays(params):
+    for arr in (params.alpha, params.psi, params.theta, params.beta):
         if not np.all(np.isfinite(arr)):
             raise ScalingError("non-finite parameter")
     eta = _eta(params)
@@ -258,13 +261,12 @@ def _newton_block(y, offset, slope, a, b, mu):
     return a, b, ll, mu_try, halvings
 
 
-def _standardize(params: ScalingParams) -> tuple[ScalingParams, np.ndarray]:
-    """Apply the identification constraints without changing the linear
-    predictor: theta is z-scored (shift absorbed into psi, scale into beta)
-    and alpha_0 is set to zero (shift absorbed into psi). Leading axes index
-    replicates. Also returns where theta has zero variance: there the new
-    point is meaningless."""
-    theta = params.theta
+def _standardize(alpha, theta, psi, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The flat point [alpha | theta | psi | beta] under the identification
+    constraints, with the same linear predictor: theta is z-scored (shift
+    absorbed into psi, scale into beta) and alpha_0 is set to zero (shift
+    absorbed into psi). Leading axes index replicates. Also returns where
+    theta has zero variance: there the new point is meaningless."""
     n = theta.shape[-1]
     mean = theta.sum(axis=-1, keepdims=True) / n
     centered = theta - mean
@@ -272,18 +274,10 @@ def _standardize(params: ScalingParams) -> tuple[ScalingParams, np.ndarray]:
     sd = np.sqrt(np.square(centered).sum(axis=-1, keepdims=True) / (n - 1))
     degenerate = sd[..., 0] < 1e-12
     sd[degenerate] = 1.0
-    theta_new = centered / sd
-    beta_new = params.beta * sd
-    psi_new = params.psi + mean * params.beta
-    shift = params.alpha[..., :1]
-    alpha_new = params.alpha - shift
-    alpha_new[..., 0] = 0.0
-    psi_new = psi_new + shift
-    return ScalingParams(alpha=alpha_new, psi=psi_new, theta=theta_new, beta=beta_new), degenerate
-
-
-def _flat(params: ScalingParams) -> np.ndarray:
-    return np.concatenate([params.alpha, params.theta, params.psi, params.beta], axis=-1)
+    shift = alpha[..., :1]
+    x = np.concatenate([alpha - shift, centered / sd, psi + mean * beta + shift, beta * sd], -1)
+    x[..., 0] = 0.0
+    return x, degenerate
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -291,23 +285,20 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
-def _extrapolate(x0: ScalingParams, x1: ScalingParams, x2: ScalingParams):
-    """Each replicate's SQUAREM S3 point x0 - 2*s*r + s^2*v with r = x1 - x0,
-    v = x2 - 2*x1 + x0 and step s = min(-|r|/|v|, -1). That is x2 itself at
-    s = -1, where the step is undefined, and where the point is not finite.
-    Returns the points and where each was extrapolated rather than x2."""
-    f0, f1, f2 = _flat(x0), _flat(x1), _flat(x2)
-    r = f1 - f0
-    v = f2 - 2.0 * f1 + f0
+def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray):
+    """Each replicate's SQUAREM S3 point x0 - 2*s*r + s^2*v of flat points,
+    with r = x1 - x0, v = x2 - 2*x1 + x0 and step s = min(-|r|/|v|, -1). That
+    is x2 itself at s = -1, where the step is undefined, and where the point
+    is not finite. Returns the points and where each was extrapolated."""
+    r = x1 - x0
+    v = x2 - 2.0 * x1 + x0
     v_norm = _norms(v)
     s = np.divide(-_norms(r), v_norm, out=np.full_like(v_norm, -1.0), where=v_norm > 0)
     s = s[:, None]
-    x = f0 - 2.0 * s * r + s * s * v
+    x = x0 - 2.0 * s * r + s * s * v
     extrapolated = (s[:, 0] < -1.0) & np.isfinite(x).all(axis=1)
-    np.copyto(x, f2, where=~extrapolated[:, None])
-    n, k = x0.alpha.shape[-1], x0.psi.shape[-1]
-    return ScalingParams(alpha=x[:, :n], psi=x[:, 2 * n:2 * n + k], theta=x[:, n:2 * n],
-                         beta=x[:, 2 * n + k:]), extrapolated
+    np.copyto(x, x2, where=~extrapolated[:, None])
+    return x, extrapolated
 
 
 def _score(y, params: ScalingParams, mu) -> float:
@@ -325,7 +316,7 @@ def _score(y, params: ScalingParams, mu) -> float:
 @dataclass(frozen=True)
 class _Refits:
     """Where _squarem leaves each of its R replicates."""
-    params: ScalingParams  # (R, ·) arrays
+    x: np.ndarray  # (R, 2n + 2k) flat points [alpha | theta | psi | beta]
     traces: list[list[float]]  # the log likelihoods of the kept points
     converged: np.ndarray
     evaluations: np.ndarray
@@ -333,10 +324,10 @@ class _Refits:
     errors: list[str | None]  # the ScalingError message that stopped it
 
 
-def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
+def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
     """Maximize the Poisson likelihood of R replicates at once by
-    SQUAREM-accelerated block ascent: y is (R, n, k), start holds
-    standardized (R, ·) arrays.
+    SQUAREM-accelerated block ascent: y is (R, n, k), start the standardized
+    (R, 2n + 2k) flat points [alpha | theta | psi | beta], the loop's state.
 
     One evaluation of the map F takes a damped Newton step on every document
     block (alpha_i, theta_i), then on every feature block (psi_j, beta_j),
@@ -351,8 +342,8 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
     or with an error when F(x0) or F(F(x0)) leaves theta without variance.
     Every replicate still running takes every phase of the cycle together,
     each with the numbers of its run alone."""
-    R = y.shape[0]
-    final = ScalingParams(*map(np.empty_like, _arrays(start)))
+    R, n = y.shape[:2]
+    final = np.empty_like(start)
     traces = [[] for _ in range(R)]
     converged = np.zeros(R, dtype=bool)
     evaluations = np.zeros(R, dtype=int)
@@ -360,30 +351,30 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
     errors: list[str | None] = [None] * R
     live = np.arange(R)  # the replicates still running, by position
     x = start
-    mu = _eta(x)
+    mu = _eta(_params(x, n))
     ll = np.array([np.vdot(y_r, eta_r) for y_r, eta_r in zip(y, mu)])
     _clamped_mu(mu, out=mu)  # the rates at x, the only full-size state
     ll -= [mu_r.sum() for mu_r in mu]
     for trace, ll_r in zip(traces, ll):
         trace.append(float(ll_r))
 
-    def evaluate(x: ScalingParams):
+    def evaluate(x: np.ndarray):
         """F(x) for the live replicates, taking over mu, the rates at x: the
         new points, their log likelihoods (the feature rows' sums, which
         _standardize keeps), their rates, and where theta lost its
         variance."""
         nonlocal mu
         rates, mu = mu, None
-        alpha, theta, _, rates, h_doc = _newton_block(
-            y, x.psi, x.beta, x.alpha, x.theta, rates)
+        alpha, theta, psi, beta = _split(x, n)
+        alpha, theta, _, rates, h_doc = _newton_block(y, psi, beta, alpha, theta, rates)
         psi, beta, ll_cols, rates, h_feat = _newton_block(
-            y.swapaxes(1, 2), alpha, theta, x.psi, x.beta, rates.swapaxes(1, 2))
+            y.swapaxes(1, 2), alpha, theta, psi, beta, rates.swapaxes(1, 2))
         evaluations[live] += 1
         halvings[live] += h_doc + h_feat
-        new, degenerate = _standardize(ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta))
+        new, degenerate = _standardize(alpha, theta, psi, beta)
         return new, ll_cols.sum(axis=-1), rates.swapaxes(1, 2), degenerate
 
-    def keep(new: ScalingParams, ll_new, accept) -> np.ndarray:
+    def keep(new: np.ndarray, ll_new, accept) -> np.ndarray:
         """Move the live replicates where accept holds to the points new,
         whose log likelihoods ll_new are at least their last kept ones', and
         write the others' points into new, which becomes x; returns where the
@@ -397,11 +388,10 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
             traces[live[i]].append(float(ll_new[i]))
             if config.debug_ascent:
                 try:
-                    _check_ascent(y[i], _take(new, i), ll[i])
+                    _check_ascent(y[i], _params(new[i], n), ll[i])
                 except ScalingError as exc:
                     errors[live[i]], stop[i] = str(exc), True
-        for mine, theirs in zip(_arrays(x), _arrays(new)):
-            np.copyto(theirs, mine, where=~accept[:, None])
+        np.copyto(new, x, where=~accept[:, None])
         x, ll = new, ll_new
         return stop | (evaluations[live] >= config.max_iter)
 
@@ -409,12 +399,11 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
         """Record the live replicates where stop holds and drop them; returns
         where the others were."""
         nonlocal live, y, x, mu, ll
-        for mine, theirs in zip(_arrays(final), _arrays(x)):
-            mine[live[stop]] = theirs[stop]
+        final[live[stop]] = x[stop]
         going = ~stop
         live = live[going]
         if live.size:
-            y, x, mu, ll = y[going], _take(x, going), mu[going], ll[going]
+            y, x, mu, ll = y[going], x[going], mu[going], ll[going]
         return going
 
     while live.size:
@@ -428,21 +417,21 @@ def _squarem(y: np.ndarray, start: ScalingParams, config: FitConfig) -> _Refits:
                 going = finish(stop)
                 if not live.size:
                     break
-                points = [_take(p, going) for p in points]
+                points = [p[going] for p in points]
             points.append(x)
         if not live.size:
             break
         x_ext, extrapolated = _extrapolate(*points)  # x is x2 until keep
         if extrapolated.all():
             mu = None  # x2's rates go before those of x_ext exist
-            mu = _rates(x_ext)
+            mu = _rates(_params(x_ext, n))
         elif extrapolated.any():
-            mu[extrapolated] = _rates(_take(x_ext, extrapolated))
+            mu[extrapolated] = _rates(_params(x_ext[extrapolated], n))
         new, ll_new, mu, degenerate = evaluate(x_ext)
         ascended = ~degenerate & (ll_new >= ll)
         # a rejected point falls back to x2, with x2's rates
         if not ascended.all():
-            mu[~ascended] = _rates(_take(x, ~ascended))
+            mu[~ascended] = _rates(_params(x[~ascended], n))
         if (stop := keep(new, ll_new, ascended)).any():
             finish(stop)
     for r, error in enumerate(errors):
@@ -459,8 +448,8 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     n, k = y.shape
     if n < 2 or k < 2:
         raise ScalingError("need >= 2 documents and >= 2 features")
-    params, degenerate = _standardize(
-        _take(start if start is not None else initialize(matrix), np.newaxis))
+    start = start if start is not None else initialize(matrix)
+    x, degenerate = _standardize(start.alpha, start.theta, start.psi, start.beta)
     if degenerate.any():
         raise ScalingError("degenerate theta: zero variance")
     doc_index = {d: i for i, d in enumerate(matrix.doc_ids)}
@@ -473,10 +462,10 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     if lo == hi:
         raise ScalingError("anchor documents must be distinct")
 
-    run = _squarem(y[np.newaxis], params, config)
+    run = _squarem(y[np.newaxis], x[np.newaxis], config)
     if run.errors[0]:
         raise ScalingError(run.errors[0])
-    params = _take(run.params, 0)
+    params = _params(run.x[0], n)
     if params.theta[lo] > params.theta[hi]:
         params = replace(params, theta=-params.theta, beta=-params.beta)
     eta = _eta(params)
@@ -553,9 +542,10 @@ def bootstrap(
         raise ScalingError("bootstrap requires a converged fit")
     config = config or FitConfig()
     rng = np.random.default_rng(seed)
-    mu = _rates(result.params)
+    p = result.params
+    mu = _rates(p)
     n, k = mu.shape
-    start = _standardize(result.params)[0]  # where every refit starts
+    start = _standardize(p.alpha, p.theta, p.psi, p.beta)[0]  # where every refit starts
     batch = max(1, BATCH_CELLS // mu.size)
     thetas = np.empty((B, n))
     refit = np.zeros(B, dtype=bool)  # replicates whose refit converged
@@ -574,15 +564,14 @@ def bootstrap(
             if np.count_nonzero(cols) < 2:  # fit needs two features
                 failures["error"] += members.size
                 continue
-            starts = replace(start, psi=start.psi[cols], beta=start.beta[cols])
+            kept = np.concatenate([np.ones(2 * n, dtype=bool), cols, cols])
             run = _squarem(y_star[members][:, :, cols].astype(float),
-                           ScalingParams(*(np.tile(v, (members.size, 1)) for v in _arrays(starts))),
-                           config)
+                           np.tile(start[kept], (members.size, 1)), config)
             evaluations += int(run.evaluations.sum())
             errored = np.array([error is not None for error in run.errors])
             failures["error"] += int(np.count_nonzero(errored))
             failures["not_converged"] += int(np.count_nonzero(~errored & ~run.converged))
-            thetas[first + members] = run.params.theta
+            thetas[first + members] = run.x[:, n:2 * n]
             refit[first + members] = run.converged
     failed = sum(failures.values())
     if failed > 0.2 * B:

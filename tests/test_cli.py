@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import communityfish
-from communityfish.cli import RunConfig, CliError, main
+from communityfish.cli import CliError, RunConfig, SimulationSpec, main
 from communityfish.synthbench import PlantedCorpusSpec, generate_corpus
 
 COM_A = tuple(f"alpha{i}" for i in range(5))
@@ -112,6 +113,34 @@ class TestRunConfig:
         assert capsys.readouterr().err == f"error: {message.format(config=p)}\n"
         assert not out.exists()  # rejected before any stage ran
 
+    @pytest.mark.parametrize("values, message", [
+        ({"dtm": "bigram_match"},
+         "config key 'dtm' must be one of member-count, bigram-match, got 'bigram_match'"),
+        ({"clustering": "Louvain"},
+         "config key 'clustering' must be one of louvain, leiden, got 'Louvain'"),
+        ({"format": "JSONL"},
+         "config key 'format' must be one of jsonl, text-directory, csv, got 'JSONL'"),
+        ({"seed": -1}, "config key 'seed' must be >= 0, got -1"),
+        ({"min_bigram_count": 0}, "config key 'min_bigram_count' must be >= 1, got 0"),
+        ({"bootstrap_b": -5}, "config key 'bootstrap_b' must be >= 0, got -5"),
+        ({"tol": float("nan")}, "config: tol must be finite and positive, got nan"),
+        ({"max_iter": 0}, "config: max_iter must be >= 1, got 0"),
+        ({"anchor_low": "d", "anchor_high": "d"}, "config: anchor documents must be distinct"),
+    ])
+    def test_library_value_is_checked_with_the_config_message(self, tmp_path, capsys, values,
+                                                              message):
+        with pytest.raises(ValueError) as raised:
+            RunConfig(**values)
+        assert isinstance(raised.value, CliError) and str(raised.value) == message
+        p = tmp_path / "run.cfg"
+        p.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        rc = main(["scale", "--config", str(p), "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_library_spec_value_is_checked_with_the_spec_message(self):
+        with pytest.raises(CliError, match=r"^spec key 'n_docs' must be >= 2, got 1$"):
+            SimulationSpec(n_docs=1)
 
     def test_duplicate_key_exits_1_naming_both_lines(self, corpus_file, tmp_path, capsys):
         p = tmp_path / "run.cfg"
@@ -606,36 +635,103 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON number {name}")
 
 
-# words, numbers, punctuation and stopwords; a document of no pieces has an empty text
-_PIECES = ["alpha", "Beta", "gamma", "delta", "the", "Of", "42", "٣", "3.5", "!", ", ", "ß"]
+# words, numbers, punctuation, quotes, line breaks and stopwords; a document
+# of no pieces has an empty text
+_PIECES = ["alpha", "Beta", "gamma", "delta", "the", "Of", "42", "٣", "3.5", "!", ", ", "ß",
+           '"', "\n"]
+# no id (the record number), an empty one, and ones that may repeat: "2" is
+# also the second record's default
+_IDS = [None] * 8 + ["", "d", 2]
+# JSONL values of 'text' or 'id' that the loader must reject
+_NOT_STRINGS = [None, 2.5, True, ["a"], {"a": 1}]
+# fields in the last CSV text record: the header's 3, short (no party, no
+# text) or long
+_WIDTHS = [3] * 10 + [2, 1, 4]
+
+
+@st.composite
+def _corpora(draw):
+    """A JSONL or CSV corpus whose last document, "stop", is all stopwords
+    and so trimmed from every count matrix: its format, its text, and
+    whether loading it must fail."""
+    fmt = draw(st.sampled_from(["jsonl", "csv"]))
+    texts = draw(st.lists(st.lists(st.sampled_from(_PIECES), max_size=12).map(" ".join),
+                          min_size=1, max_size=6))
+    ids = [draw(st.sampled_from(_IDS)) for _ in texts]
+    if fmt == "jsonl":
+        records = [{"text": t} if i is None else {"id": i, "text": t} for t, i in zip(texts, ids)]
+        odd = draw(st.sampled_from([None] * 7 + ["text", "id"]))
+        if odd:
+            records[-1][odd] = draw(st.sampled_from(_NOT_STRINGS))
+        records.append({"id": "stop", "text": "the Of"})
+        body = "".join(json.dumps(r) + "\n" for r in records)
+        doc_ids = [str(line if i is None else i) for line, i in enumerate(ids, 1)]
+        bad = odd is not None
+    else:
+        width = draw(st.sampled_from(_WIDTHS))
+        rows = [["id", "text", "party"]]
+        rows += [["" if i is None else i, t, "left"] for t, i in zip(texts, ids)]
+        rows[-1] = (rows[-1] + ["extra"])[:width]
+        rows.append(["stop", "the Of", "left"])
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(rows)
+        body = buffer.getvalue()
+        doc_ids = [str(i or record) for record, i in enumerate(ids, 1)]
+        bad = width in (1, 4)
+    bad |= "" in doc_ids or len(set(doc_ids)) < len(doc_ids)
+    return fmt, body, bad
+
+
+# config lines: in the domain, unknown keys, values out of the domain and a
+# line without "="; two lines with one key are also an error
+_GOOD_LINES = ["min_community_size = 1", "clustering = leiden", "dtm = bigram-match",
+               "unigram_min_count = 2", "max_iter = 3", "tol = 1e-3", "seed = 1"]
+_BAD_LINES = ["clamp = 30", "max_iter = ten", "tol = nan", "seed = -1", "dtm = bigram_match",
+              "min_bigram_count"]
+# anchors: unset, present (unless an id replaces the first record's default
+# "1"), trimmed away and absent
+_ANCHORS = [None, None, None, "1", "d", "stop", "nowhere"]
 
 
 # fits of a few tokens may clamp or stop at max_iter; they warn, and that is allowed
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@settings(max_examples=30, deadline=None)
-@given(texts=st.lists(st.lists(st.sampled_from(_PIECES), max_size=12).map(" ".join),
-                      min_size=1, max_size=6),
-       # no id (the line number), an empty one, and ones that may repeat: "2"
-       # is also the second line's default
-       ids=st.lists(st.sampled_from([None, None, None, "", "d", 2]), min_size=6, max_size=6),
+@settings(max_examples=40, deadline=None)
+@given(corpus=_corpora(),
+       lines=st.lists(st.sampled_from(_GOOD_LINES * 4 + _BAD_LINES), max_size=2),
+       anchors=st.tuples(st.sampled_from(_ANCHORS), st.sampled_from(_ANCHORS)),
+       # a byte that is never UTF-8, in one of the files a run reads
+       garbled=st.sampled_from([None] * 15 + ["corpus", "config", "stopwords"]),
+       where=st.floats(0, 1),
        pi=st.sampled_from(["1", "2"]))
-def test_pipeline_commands_keep_the_error_contract(texts, ids, pi):
-    """Every run exits 0 to 3 without a traceback and writes only strict JSON."""
+def test_pipeline_commands_keep_the_error_contract(corpus, lines, anchors, garbled, where, pi):
+    """Every run exits 0 to 3 without a traceback and writes only strict JSON;
+    a bad input, config line or file exits 1."""
+    fmt, body, bad = corpus
+    low, high = anchors
+    lines = [*lines, *(f"{key} = {value}" for key, value in
+                       (("anchor_low", low), ("anchor_high", high)) if value)]
+    keys = [line.partition("=")[0].strip() for line in lines]
+    bad |= (any(line in _BAD_LINES for line in lines) or len(set(keys)) < len(keys)
+            or (low is not None and low == high) or garbled is not None)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        corpus = tmp / "c.jsonl"
-        corpus.write_text("".join(
-            json.dumps({"text": t} if i is None else {"id": i, "text": t}) + "\n"
-            for t, i in zip(texts, ids)))
-        (tmp / "stop.txt").write_text("the\nof\n")
-        cfg = tmp / "run.cfg"
-        cfg.write_text(f"input = {corpus}\nstopwords = {tmp / 'stop.txt'}\n")
-        doc_ids = [str(line if i is None else i) for line, i in enumerate(ids[:len(texts)], 1)]
-        bad_ids = "" in doc_ids or len(set(doc_ids)) < len(doc_ids)
+        corpus_path, stop, cfg = tmp / f"c.{fmt}", tmp / "stop.txt", tmp / "run.cfg"
+        files = {
+            "corpus": (corpus_path, body),
+            "stopwords": (stop, "the\nof\n"),
+            "config": (cfg, "".join(f"{line}\n" for line in [
+                f"input = {corpus_path}", f"format = {fmt}", f"stopwords = {stop}", *lines])),
+        }
+        for name, (path, text) in files.items():
+            data = text.encode()
+            if name == garbled:
+                cut = int(where * len(data))
+                data = data[:cut] + b"\xff" + data[cut:]
+            path.write_bytes(data)
         for n, argv in enumerate((["communities"], ["communities", "--clustering", "leiden"],
                                   ["scale", "--no-bootstrap"], ["compare"])):
             out = tmp / f"out{n}"
             rc = main([*argv, "--config", str(cfg), "--pi", pi, "--out", str(out), "--quiet"])
-            assert rc in ((1,) if bad_ids else (0, 1, 2, 3))
+            assert rc == 1 if bad else rc in (0, 2, 3)
             for path in out.glob("*.json"):
                 json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -324,26 +324,18 @@ class TestGradients:
 
 
 class TestExtrapolate:
-    @staticmethod
-    def _params(*reps):
-        """Stacked params of n = k = 2 from each replicate's flat
-        (alpha, theta, psi, beta) vector."""
-        flat = np.array(reps, dtype=float)
-        return ScalingParams(alpha=flat[:, 0:2], theta=flat[:, 2:4], psi=flat[:, 4:6],
-                             beta=flat[:, 6:8])
-
     def test_non_finite_point_falls_back_to_x2(self):
-        # replicate 0: |r| = 1e100 over |v| = 1e-100, whose S3 point
-        # overflows; 1: a step of -2 to the point 2; 2: no movement, s = -1
-        x0 = self._params([0.0] * 8, [0.0] * 8, [3.0] * 8)
-        x1 = self._params([1e100] + [0.0] * 7, [1.0] * 8, [3.0] * 8)
-        x2 = self._params([2e100, 0.0, 1e-100] + [0.0] * 5, [1.5] * 8, [3.0] * 8)
+        # flat points of n = k = 2, one row per replicate. Replicate 0:
+        # |r| = 1e100 over |v| = 1e-100, whose S3 point overflows; 1: a step
+        # of -2 to the point 2; 2: no movement, s = -1
+        x0 = np.array([[0.0] * 8, [0.0] * 8, [3.0] * 8])
+        x1 = np.array([[1e100] + [0.0] * 7, [1.0] * 8, [3.0] * 8])
+        x2 = np.array([[2e100, 0.0, 1e-100] + [0.0] * 5, [1.5] * 8, [3.0] * 8])
         with np.errstate(over="ignore", invalid="ignore"):
             x, extrapolated = scaling._extrapolate(x0, x1, x2)
         assert extrapolated.tolist() == [False, True, False]
-        for mine, theirs in zip(scaling._arrays(x), scaling._arrays(x2)):
-            np.testing.assert_array_equal(mine[[0, 2]], theirs[[0, 2]])
-            np.testing.assert_array_equal(mine[1], 2.0)
+        np.testing.assert_array_equal(x[[0, 2]], x2[[0, 2]])
+        np.testing.assert_array_equal(x[1], 2.0)
 
 
 class TestBootstrap:
@@ -492,21 +484,46 @@ class TestBootstrap:
         assert alone.bootstrap_map_evaluations == batched.bootstrap_map_evaluations
         assert (batched.bootstrap_failures > 0) == zero_row
 
+    def test_batches_stay_independent_when_refits_halve(self, monkeypatch):
+        # heavy counts (up to 374) on wide discriminations: the refits' Newton
+        # steps overshoot, and rows halve their steps replicate by replicate
+        rng = np.random.default_rng(12)
+        eta = rng.normal(size=50) + np.outer(rng.normal(size=10), rng.normal(scale=1.5, size=50))
+        counts = rng.poisson(3.0 * np.exp(eta))
+        matrix = CountMatrix(tuple(f"d{i}" for i in range(10)),
+                             tuple(f"w{j}" for j in range(50)), counts)
+        result = fit(matrix)
+        newton_block, halvings = scaling._newton_block, []
+
+        def counting(*args):
+            out = newton_block(*args)
+            halvings.append(out[-1])
+            return out
+
+        monkeypatch.setattr(scaling, "_newton_block", counting)
+        batched = bootstrap(result, B=12, seed=0)
+        # some batch had replicates that halved next to others
+        assert any(h.size > 1 and h.any() for h in halvings)
+        monkeypatch.setattr(scaling, "BATCH_CELLS", 1)
+        alone = bootstrap(result, B=12, seed=0)
+        for name in ("theta_se", "theta_ci_low", "theta_ci_high"):
+            np.testing.assert_array_equal(getattr(alone, name), getattr(batched, name))
+        assert alone.bootstrap_failure_reasons == batched.bootstrap_failure_reasons
+        assert alone.bootstrap_map_evaluations == batched.bootstrap_map_evaluations
+
     def test_mixed_stabilisations_stay_in_step(self, monkeypatch):
         # by its own state, a replicate's stabilisation step starts from x2
         # (not extrapolated), from x0 (F of it lands near x1, so the step is
         # rejected) or from the real S3 point; batches mix all three
         matrix, _ = random_matrix(41, n=10, k=12)
         result = fit(matrix)
+        n = matrix.shape[0]
         extrapolate, mixed = scaling._extrapolate, []
 
         def three_ways(x0, x1, x2):
             x, extrapolated = extrapolate(x0, x1, x2)
-            case = np.floor(x2.theta[:, 0] * 1e4) % 3
-            x = ScalingParams(*(
-                np.where((case == 0)[:, None], p2, np.where((case == 1)[:, None], p0, p))
-                for p0, p2, p in zip(scaling._arrays(x0), scaling._arrays(x2),
-                                     scaling._arrays(x))))
+            case = np.floor(x2[:, n] * 1e4) % 3  # by the first theta
+            x = np.where((case == 0)[:, None], x2, np.where((case == 1)[:, None], x0, x))
             mixed.append(len(set(case)) == 3)
             return x, np.where(case == 0, False, np.where(case == 1, True, extrapolated))
 
