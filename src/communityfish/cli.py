@@ -85,8 +85,7 @@ def read_key_values(path: Path, cls, kind: str) -> dict:
     """
     if not path.exists():
         raise CliError(f"{kind} file not found: {path}", EXIT_CONFIG)
-    defaults = cls()
-    names = {f.name for f in dataclasses.fields(cls)}
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     try:
         text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
@@ -101,14 +100,13 @@ def read_key_values(path: Path, cls, kind: str) -> dict:
         where = f"{path}:{lineno}"
         if not sep:
             raise CliError(f"{where}: expected key = value", EXIT_CONFIG)
-        if key not in names:
+        if key not in defaults:
             raise CliError(f"{where}: unknown {kind} key {key!r}", EXIT_CONFIG)
         if key in first_line:
             raise CliError(f"{where}: duplicate {kind} key {key!r} "
                            f"(first on line {first_line[key]})", EXIT_CONFIG)
         first_line[key] = lineno
-        values[key] = _coerce(getattr(defaults, key), raw.strip(),
-                              f"{where}: {kind} key {key!r}")
+        values[key] = _coerce(defaults[key], raw.strip(), f"{where}: {kind} key {key!r}")
     return values
 
 
@@ -271,6 +269,11 @@ class ComparisonReport:
     errors: dict[str, ValueError] = field(default_factory=dict)
 
 
+def _theta_by_doc(result: ScalingResult | None) -> dict[str, float]:
+    """Each fitted document's theta by its id; none for a failed branch."""
+    return dict(zip(result.matrix.doc_ids, result.params.theta.tolist())) if result else {}
+
+
 def compare_models(corpus: Corpus, config: RunConfig,
                    fit_config: FitConfig | None = None) -> ComparisonReport:
     """Fit the community-feature model and the unigram baseline on the same
@@ -291,13 +294,9 @@ def compare_models(corpus: Corpus, config: RunConfig,
         except ValueError as exc:
             errors[branch] = exc
     com_result, uni_result = results["community"], results["unigram"]
-    rank_corr = None
-    if com_result is not None and uni_result is not None:
-        ui = {d: i for i, d in enumerate(uni_result.matrix.doc_ids)}
-        common = [(i, ui[d]) for i, d in enumerate(com_result.matrix.doc_ids) if d in ui]
-        if len(common) >= 3:
-            c, u = np.array(common).T
-            rank_corr = spearman(com_result.params.theta[c], uni_result.params.theta[u])
+    com, uni = _theta_by_doc(com_result), _theta_by_doc(uni_result)
+    pairs = [(com[d], uni[d]) for d in com if d in uni]
+    rank_corr = spearman(*np.array(pairs).T) if len(pairs) >= 3 else None
     return ComparisonReport(
         k_community_features=com_result.matrix.shape[1] if com_result else None,
         vocabulary_size=uni_result.matrix.shape[1] if uni_result else None,
@@ -310,8 +309,15 @@ def compare_models(corpus: Corpus, config: RunConfig,
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one-line exit-1 ``CliError``s; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise CliError(message, EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="communityfish",
         description="Community-based and unigram Poisson document scaling.",
     )
@@ -325,15 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", help="override the config seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--quiet", action="store_true")
         if name in ("communities", "scale", "compare"):
             p.add_argument("--input", help="corpus path")
-            p.add_argument("--format", choices=CHOICES["format"])
-            p.add_argument("--pi", type=int, dest="min_bigram_count",
-                           help="minimum bigram count")
-            p.add_argument("--clustering", choices=CHOICES["clustering"])
+            p.add_argument("--format", help=f"corpus format: {', '.join(CHOICES['format'])}")
+            p.add_argument("--pi", dest="min_bigram_count", help="minimum bigram count")
+            p.add_argument("--clustering", help=f"algorithm: {', '.join(CHOICES['clustering'])}")
         if name == "scale":
             p.add_argument("--baseline", action="store_true",
                            help="fit the unigram baseline instead of community features")
@@ -347,15 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    """The run's configuration: the config file, then the flags over it.
-    ``simulate`` also gets its spec file's values as ``args.spec``. Every
-    value outside its key's domain is a one-line exit-1 error here, before
-    any stage runs or any output exists."""
+    """The run's configuration: the config file, then over it each flag whose
+    ``dest`` names a config key, its string checked as a config line's value.
+    Every value outside its key's domain is a one-line exit-1 error here, before
+    any stage runs or output exists. ``simulate`` gets its spec as ``args.spec``."""
     values = read_key_values(Path(args.config), RunConfig, "config") if args.config else {}
-    for key in ("input", "format", "min_bigram_count", "clustering", "seed", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            values[key] = val
+    for f in dataclasses.fields(RunConfig):
+        if (raw := getattr(args, f.name, None)) is not None:
+            values[f.name] = _coerce(f.default, raw, f"command line: config key {f.name!r}")
     if getattr(args, "no_bootstrap", False) or getattr(args, "se", None) == "analytic":
         values["bootstrap_b"] = 0
     config = RunConfig(**values)
@@ -472,6 +476,7 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "converged": result.converged,
         "iterations": len(result.loglik_trace) - 1,
         "log_likelihood": result.loglik_trace[-1],
+        "loglik_trace": list(result.loglik_trace),
         "dispersion": dispersion(matrix, result.params),
         "runtime_seconds": result.runtime,
         "clamp_activated": result.clamp_activated,
@@ -502,14 +507,10 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         raise CliError(f"both branches failed: {errors}",
                        EXIT_ESTIMATION if estimation else EXIT_EMPTY)
     com, uni = report.community_result, report.unigram_result
-    doc_ids = sorted(
-        set(com.matrix.doc_ids if com else ()) | set(uni.matrix.doc_ids if uni else ())
-    )
-    ci = {d: i for i, d in enumerate(com.matrix.doc_ids)} if com else {}
-    ui = {d: i for i, d in enumerate(uni.matrix.doc_ids)} if uni else {}
+    thetas = _theta_by_doc(com), _theta_by_doc(uni)
     _write_csv(out / "comparison.csv", ["doc_id", "theta_community", "theta_unigram"],
-               ([d, f"{com.params.theta[ci[d]]:.6f}" if d in ci else "",
-                 f"{uni.params.theta[ui[d]]:.6f}" if d in ui else ""] for d in doc_ids))
+               ([d, *(f"{t[d]:.6f}" if d in t else "" for t in thetas)]
+                for d in sorted(set().union(*thetas))))
     summary = {
         "k_community_features": report.k_community_features,
         "vocabulary_size": report.vocabulary_size,
@@ -568,9 +569,9 @@ _EXIT_CODES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     out = None
     try:
+        args = build_parser().parse_args(argv)
         config = _resolve_config(args)
         entries = {"command": args.command}
         if args.command == "simulate":

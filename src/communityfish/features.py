@@ -51,7 +51,8 @@ def community_dtm(
         raise MatrixError("empty partition: no communities to count")
     members = partition.members
     col_of = {w: j for j, words in enumerate(members.values()) for w in words}
-    counts = _count_matrix(corpus, col_of, len(members), bigram_match)
+    col_of_id = np.fromiter(map(col_of.get, corpus.coding.words, repeat(len(members))), np.intp)
+    counts = _count_matrix(corpus, col_of_id, len(members), bigram_match)
     vocab = corpus.vocabulary
     labels = tuple(
         _community_label(cid, words, vocab) for cid, words in members.items()
@@ -71,33 +72,32 @@ def _community_label(cid: int, words: list[str], vocab: Counter) -> str:
 
 def unigram_dtm(corpus: Corpus, min_count: int = 1) -> tuple[CountMatrix, TrimReport]:
     """Documents x words count matrix over words with corpus frequency >= min_count."""
-    vocab = corpus.vocabulary
-    words = sorted(w for w, c in vocab.items() if c >= min_count)
-    if not words:
+    coding = corpus.coding
+    kept = np.bincount(coding.ids, minlength=len(coding.words)) >= min_count
+    if not kept.any():
         raise MatrixError("empty vocabulary after frequency threshold")
-    col_of = {w: j for j, w in enumerate(words)}
-    counts = _count_matrix(corpus, col_of, len(words))
+    # the kept words, in their sorted order, are the columns
+    k = int(kept.sum())
+    col_of_id = np.where(kept, np.cumsum(kept) - 1, k)
     matrix = CountMatrix(
         doc_ids=tuple(d.id for d in corpus.documents),
-        feature_labels=tuple(words),
-        counts=counts,
+        feature_labels=tuple(compress(coding.words, kept)),
+        counts=_count_matrix(corpus, col_of_id, k),
     )
     return trim(matrix)
 
 
 def _count_matrix(
-    corpus: Corpus, col_of: dict[str, int], k: int, bigram_match: bool = False
+    corpus: Corpus, col_of_id: np.ndarray, k: int, bigram_match: bool = False
 ) -> np.ndarray:
-    """Documents x k counts of the tokens whose word has a column in ``col_of``.
+    """Documents x k counts of the tokens, each at its word id's column in
+    ``col_of_id``; a word without a column has column k, which is not kept.
 
     With ``bigram_match``, count instead the adjacent pairs of two different
     words that share a column, at that column. Works one document at a time,
     so no corpus-wide column array is ever built.
     """
     coding = corpus.coding
-    # a word without a column goes to column k, which is cut off below
-    col_of_id = np.fromiter(map(col_of.get, coding.words, repeat(k)), np.intp,
-                            len(coding.words))
     counts = np.zeros((len(corpus.documents), k), dtype=np.int64)
     starts = coding.starts.tolist()
     for i, (start, end) in enumerate(zip(starts, starts[1:])):

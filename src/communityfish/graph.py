@@ -122,13 +122,12 @@ def modularity(graph: WordGraph, partition: Partition) -> float:
     return _level_modularity(graph._level, comm, m)
 
 
-def _local_move(level: _Graph, comm: list[int], m: float, rng) -> bool:
+def _local_move(level: _Graph, comm: list[int], m: float, rng) -> None:
     """One full Louvain phase-1: repeated seeded-order sweeps of single-node
     moves to the neighboring community with maximal positive gain."""
     strength, neighbours = level.strength.tolist(), level.neighbours
     sigma_tot = np.bincount(comm, level.strength).tolist()
     order = np.arange(len(level))
-    improved_ever = False
     while True:
         rng.shuffle(order)
         moved = 0
@@ -146,19 +145,16 @@ def _local_move(level: _Graph, comm: list[int], m: float, rng) -> bool:
                 if c == ci:
                     continue
                 gain = w_to[c] / m - sigma_tot[c] * k_i / (2.0 * m * m)
-                # a move is accepted only on strictly positive gain; among
-                # equal-gain targets the lowest community id wins
-                if gain > best_gain + 1e-14 or (
-                    best_c != ci and abs(gain - best_gain) <= 1e-14 and c < best_c
-                ):
+                # a move is accepted only on strictly positive gain; targets
+                # come in id order, so among equal-gain ones the lowest id wins
+                if gain > best_gain + 1e-14:
                     best_c, best_gain = c, gain
             comm[i] = best_c
             sigma_tot[best_c] += k_i
             if best_c != ci:
                 moved += 1
         if moved == 0:
-            return improved_ever
-        improved_ever = True
+            return
 
 
 def _level_modularity(level: _Graph, comm, m: float) -> float:
@@ -197,9 +193,10 @@ _RESTARTS = 8
 _Q_TOL = 1e-12
 
 
-def _louvain_assignment(graph: WordGraph, seed: int, singleton_q: float) -> list[int]:
-    """Raw Louvain over all nodes; returns a community id per node index.
-    ``singleton_q`` is the modularity of the all-singletons partition."""
+def _louvain_assignment(graph: WordGraph, seed: int,
+                        singleton_q: float) -> tuple[list[int], float]:
+    """Raw Louvain over all nodes, from ``singleton_q``, the all-singletons
+    modularity: a community id per node index, and the last level's modularity."""
     m = graph.total_weight
     rng = np.random.default_rng(seed)
     level = graph._level
@@ -215,7 +212,7 @@ def _louvain_assignment(graph: WordGraph, seed: int, singleton_q: float) -> list
             break
         prev_q = q
         level = _aggregate(level, comm, ncomm)
-    return _relabel(node_comm)[0]
+    return _relabel(node_comm)[0], q
 
 
 def louvain(graph: WordGraph, seed: int = 0, min_community_size: int = 2) -> Partition:
@@ -241,12 +238,10 @@ def _best_louvain_assignment(graph: WordGraph, seed: int) -> tuple[list[int], fl
     m = graph.total_weight
     if m == 0:
         raise GraphError("clustering requires a graph with at least one edge")
-    level = graph._level
-    singleton_q = _level_modularity(level, list(range(len(level))), m)
+    singleton_q = _level_modularity(graph._level, range(len(graph)), m)
     best_comm, best_q = None, -np.inf
     for sub_seed in np.random.SeedSequence(seed).generate_state(_RESTARTS):
-        comm = _louvain_assignment(graph, int(sub_seed), singleton_q)
-        q = _level_modularity(level, comm, m)
+        comm, q = _louvain_assignment(graph, int(sub_seed), singleton_q)
         if q > best_q + 1e-14:
             best_comm, best_q = comm, q
     return best_comm, best_q

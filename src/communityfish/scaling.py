@@ -598,13 +598,17 @@ def bootstrap(
 
 def analytic_theta_se(result: ScalingResult) -> np.ndarray:
     """Standard errors from the observed information of the per-document
-    (alpha_i, theta_i) blocks, conditioning on (psi, beta)."""
+    (alpha_i, theta_i) blocks, conditioning on (psi, beta). A block singular
+    to the rounding error of its k-term sums has none: a ``ScalingError``."""
     mu = _rates(result.params)
     beta = result.params.beta
     h11 = mu.sum(axis=1)
     h12 = mu @ beta
     h22 = mu @ beta**2
     det = h11 * h22 - h12**2
+    if (singular := ~(det > len(beta) * np.finfo(float).eps * h11 * h22)).any():
+        doc = result.matrix.doc_ids[np.argmax(singular)]
+        raise ScalingError(f"analytic SE undefined: document {doc!r} has singular information")
     return np.sqrt(h11 / det)
 
 

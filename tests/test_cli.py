@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -99,6 +100,18 @@ class TestRunConfig:
         ("seed = -1", "config key 'seed' must be >= 0, got -1"),
         (["--seed", "-2"], "config key 'seed' must be >= 0, got -2"),
         ("anchor_low = doc_1\nanchor_high = doc_1", "config: anchor documents must be distinct"),
+        # a flag's value gets a config line's message, after its own location
+        (["--clustering", "Louvain"],
+         "config key 'clustering' must be one of louvain, leiden, got 'Louvain'"),
+        (["--format", "foo"], "config key 'format' must be one of jsonl, text-directory, csv, "
+                              "got 'foo'"),
+        ("min_bigram_count = abc",
+         "{config}:2: config key 'min_bigram_count': expected int, got 'abc'"),
+        (["--pi", "abc"],
+         "command line: config key 'min_bigram_count': expected int, got 'abc'"),
+        (["--pi", "1e3"],
+         "command line: config key 'min_bigram_count': expected int, got '1e3'"),
+        (["--seed", "x"], "command line: config key 'seed': expected int, got 'x'"),
     ])
     def test_out_of_domain_value_exits_1(self, corpus_file, tmp_path, capsys, setting,
                                          message):
@@ -152,6 +165,32 @@ class TestRunConfig:
         assert capsys.readouterr().err == (
             f"error: {p}:4: duplicate config key 'min_bigram_count' (first on line 2)\n")
         assert not out.exists()
+
+
+class TestUsage:
+    """Argument errors are one-line exit-1 errors; help and version exit 0."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scale", "--bogus"], "unrecognized arguments: --bogus"),
+        (["scale", "--se", "foo"], "argument --se: invalid choice: 'foo'"),
+        (["scale", "--pi"], "argument --pi: expected one argument"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, argv,
+                                               message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())  # no output directory
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["scale", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 0
+        assert capsys.readouterr().err == ""
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:
@@ -342,6 +381,15 @@ class TestScale:
         assert set(reasons) == {"zero_row", "not_converged", "error"}
         assert sum(reasons.values()) == report["bootstrap_failures"]
 
+    def test_fit_report_holds_the_log_likelihood_trace(self, corpus_file, tmp_path):
+        rc = main(["scale", *base_args(corpus_file, tmp_path, "t"), "--no-bootstrap"])
+        assert rc == 0
+        report = json.loads((tmp_path / "t" / "fit_report.json").read_text(),
+                            parse_constant=_reject_constant)
+        trace = report["loglik_trace"]
+        assert len(trace) == report["iterations"] + 1
+        assert trace[-1] == report["log_likelihood"]
+
     def test_csv_document_longer_than_the_csv_field_limit(self, corpus_file, tmp_path):
         rows = [json.loads(line) for line in open(corpus_file)]
         long = rows[0]["text"]
@@ -421,6 +469,21 @@ class TestScale:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error: metadata key {key!r} is also a positions.csv column\n")
+        assert not (out / "positions.csv").exists()
+
+    def test_analytic_se_of_a_singular_block_exits_3(self, tmp_path, capsys):
+        # the fit puts all of document 3's rate on one feature, so its
+        # (alpha, theta) information has determinant 0
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps({"text": t}) + "\n" for t in (
+            "alpha alpha alpha alpha alpha alpha alpha delta", "alpha alpha alpha alpha",
+            "alpha alpha alpha alpha Beta gamma", "the Of")))
+        out = tmp_path / "o"
+        rc = main(["scale", "--input", str(path), "--pi", "1", "--se", "analytic",
+                   "--out", str(out), "--quiet"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: analytic SE undefined: document '3' has singular information\n")
         assert not (out / "positions.csv").exists()
 
     def test_analytic_se_records_no_bootstrap(self, corpus_file, tmp_path):
@@ -691,6 +754,27 @@ _BAD_LINES = ["clamp = 30", "max_iter = ten", "tol = nan", "seed = -1", "dtm = b
 # anchors: unset, present (unless an id replaces the first record's default
 # "1"), trimmed away and absent
 _ANCHORS = [None, None, None, "1", "d", "stop", "nowhere"]
+# flags after the config: none, a good or a bad value of a config key, and an
+# unknown flag; "{fmt}" is the corpus's format
+_GOOD_FLAGS = [[]] * 6 + [["--format", "{fmt}"], ["--clustering", "leiden"]]
+_BAD_FLAGS = [["--format", "foo"], ["--clustering", "Louvain"], ["--bogus"]]
+_BAD_PI = ["0", "abc", "1e3"]
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """``main``'s exit code and what it wrote to stderr."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _check_run(rc: int, err: str, out: Path, bad: bool) -> None:
+    """A bad input exits 1, any other run 0, 2 or 3; a failure is one stderr
+    line, and every JSON file written is strict JSON."""
+    assert rc == 1 if bad else rc in (0, 2, 3)
+    assert err.count("\n") == (rc != 0) and (rc == 0 or err.startswith("error: "))
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 # fits of a few tokens may clamp or stop at max_iter; they warn, and that is allowed
@@ -702,17 +786,21 @@ _ANCHORS = [None, None, None, "1", "d", "stop", "nowhere"]
        # a byte that is never UTF-8, in one of the files a run reads
        garbled=st.sampled_from([None] * 15 + ["corpus", "config", "stopwords"]),
        where=st.floats(0, 1),
-       pi=st.sampled_from(["1", "2"]))
-def test_pipeline_commands_keep_the_error_contract(corpus, lines, anchors, garbled, where, pi):
+       pi=st.sampled_from(["1", "2"] * 8 + _BAD_PI),
+       flags=st.sampled_from(_GOOD_FLAGS * 2 + _BAD_FLAGS))
+def test_pipeline_commands_keep_the_error_contract(corpus, lines, anchors, garbled, where, pi,
+                                                   flags):
     """Every run exits 0 to 3 without a traceback and writes only strict JSON;
-    a bad input, config line or file exits 1."""
+    a bad input, config line, flag or file exits 1."""
     fmt, body, bad = corpus
     low, high = anchors
     lines = [*lines, *(f"{key} = {value}" for key, value in
                        (("anchor_low", low), ("anchor_high", high)) if value)]
     keys = [line.partition("=")[0].strip() for line in lines]
     bad |= (any(line in _BAD_LINES for line in lines) or len(set(keys)) < len(keys)
-            or (low is not None and low == high) or garbled is not None)
+            or (low is not None and low == high) or garbled is not None
+            or pi in _BAD_PI or flags in _BAD_FLAGS)
+    flags = [flag.format(fmt=fmt) for flag in flags]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         corpus_path, stop, cfg = tmp / f"c.{fmt}", tmp / "stop.txt", tmp / "run.cfg"
@@ -720,7 +808,8 @@ def test_pipeline_commands_keep_the_error_contract(corpus, lines, anchors, garbl
             "corpus": (corpus_path, body),
             "stopwords": (stop, "the\nof\n"),
             "config": (cfg, "".join(f"{line}\n" for line in [
-                f"input = {corpus_path}", f"format = {fmt}", f"stopwords = {stop}", *lines])),
+                f"input = {corpus_path}", f"format = {fmt}", f"stopwords = {stop}",
+                "bootstrap_b = 3", *lines])),
         }
         for name, (path, text) in files.items():
             data = text.encode()
@@ -729,9 +818,45 @@ def test_pipeline_commands_keep_the_error_contract(corpus, lines, anchors, garbl
                 data = data[:cut] + b"\xff" + data[cut:]
             path.write_bytes(data)
         for n, argv in enumerate((["communities"], ["communities", "--clustering", "leiden"],
-                                  ["scale", "--no-bootstrap"], ["compare"])):
+                                  ["scale", "--no-bootstrap"], ["scale", "--se", "analytic"],
+                                  ["scale"], ["compare"])):
             out = tmp / f"out{n}"
-            rc = main([*argv, "--config", str(cfg), "--pi", pi, "--out", str(out), "--quiet"])
-            assert rc == 1 if bad else rc in (0, 2, 3)
-            for path in out.glob("*.json"):
-                json.loads(path.read_text(), parse_constant=_reject_constant)
+            _check_run(*_run_quietly([*argv, "--config", str(cfg), "--pi", pi, *flags,
+                                      "--out", str(out), "--quiet"]), out, bad)
+
+
+# spec lines: in the domain, a comment, a blank line, below a floor, unknown
+# keys (the config's seed among them), not an integer, and a line without "=";
+# two lines with one key are also an error
+_GOOD_SPEC_LINES = ["n_docs = 6", "n_features = 5", "expected_row_total = 60", "# n_docs = 1",
+                    ""]
+_BAD_SPEC_LINES = ["n_docs = 1", "n_features = 1", "expected_row_total = 0", "seed = 3",
+                   "bogus = 1", "n_docs = 6.5", "n_features = x", "n_docs"]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(lines=st.lists(st.sampled_from(_GOOD_SPEC_LINES * 4 + _BAD_SPEC_LINES), max_size=4),
+       # a byte that is never UTF-8, somewhere in the spec file
+       garbled=st.sampled_from([False] * 5 + [True]),
+       where=st.floats(0, 1))
+def test_simulate_keeps_the_error_contract(lines, garbled, where):
+    """A bad spec file exits 1 before the output directory exists; every
+    other run exits 0, 2 or 3 and writes only strict JSON."""
+    keys = [line.partition("=")[0].strip() for line in lines
+            if line and not line.startswith("#")]
+    bad = (any(line in _BAD_SPEC_LINES for line in lines) or len(set(keys)) < len(keys)
+           or garbled)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        spec, cfg, out = tmp / "sim.spec", tmp / "run.cfg", tmp / "out"
+        data = "".join(f"{line}\n" for line in lines).encode()
+        if garbled:
+            cut = int(where * len(data))
+            data = data[:cut] + b"\xff" + data[cut:]
+        spec.write_bytes(data)
+        cfg.write_text("bootstrap_b = 3\n")
+        rc, err = _run_quietly(["simulate", str(spec), "--config", str(cfg), "--out", str(out),
+                                "--quiet"])
+        _check_run(rc, err, out, bad)
+        assert out.exists() != bad

@@ -319,3 +319,16 @@ class TestLevels:
             assert graph_module._level_modularity(level, range(ncomm), m) == q
             node_comm = [comm[c] for c in node_comm]
             assert graph_module._level_modularity(g._level, node_comm, m) == q
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_louvain_run_reports_the_modularity_of_its_assignment(self, seed):
+        # the last level's Q is the Q of the returned assignment on the word
+        # graph, equal and not only close, so no restart recomputes it
+        rng = np.random.default_rng(seed)
+        g = random_graph(seed, n_nodes=int(rng.integers(2, 25)), p=float(rng.uniform(0.05, 0.8)),
+                         max_weight=9)
+        level, m = g._level, g.total_weight
+        singleton_q = graph_module._level_modularity(level, range(len(g)), m)
+        comm, q = graph_module._louvain_assignment(g, seed, singleton_q)
+        assert graph_module._level_modularity(level, comm, m) == q
