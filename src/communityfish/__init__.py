@@ -17,7 +17,6 @@ from .graph import (
     GraphError,
     Partition,
     WordGraph,
-    brute_force_best_partition,
     build_graph,
     leiden,
     louvain,
@@ -75,7 +74,6 @@ __all__ = [
     "WordGraph",
     "analytic_theta_se",
     "bootstrap",
-    "brute_force_best_partition",
     "build_graph",
     "community_dtm",
     "compare_models",

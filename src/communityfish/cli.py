@@ -230,12 +230,11 @@ def _cluster(corpus: Corpus, config: RunConfig) -> tuple[WordGraph, Partition]:
     return graph, partition
 
 
-def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False,
-                 fit_config: FitConfig | None = None) -> PipelineRun:
+def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False) -> PipelineRun:
     """Run the stages on a tokenized corpus, in order: ``_cluster`` ->
     community count matrix -> fit. ``baseline`` replaces everything before
-    the fit by the unigram count matrix. The fit runs with ``fit_config``,
-    by default ``config.fit_config()``.
+    the fit by the unigram count matrix. The fit runs with
+    ``config.fit_config()``.
 
     Failures raise the library's ``ValueError`` subclasses: ``GraphError``
     and ``MatrixError`` for an empty stage, ``ScalingError`` for the fit. A
@@ -253,7 +252,7 @@ def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False,
     if n < 2 or k < 2:
         raise MatrixError(f"count matrix is {n} x {k} after trimming; "
                           "need >= 2 documents and >= 2 features")
-    return PipelineRun(partition, trim_report, fit(matrix, fit_config or config.fit_config()))
+    return PipelineRun(partition, trim_report, fit(matrix, config.fit_config()))
 
 
 @dataclass(frozen=True)
@@ -274,8 +273,7 @@ def _theta_by_doc(result: ScalingResult | None) -> dict[str, float]:
     return dict(zip(result.matrix.doc_ids, result.params.theta.tolist())) if result else {}
 
 
-def compare_models(corpus: Corpus, config: RunConfig,
-                   fit_config: FitConfig | None = None) -> ComparisonReport:
+def compare_models(corpus: Corpus, config: RunConfig) -> ComparisonReport:
     """Fit the community-feature model and the unigram baseline on the same
     corpus, each by ``run_pipeline`` with these arguments; one branch
     failing still reports the other.
@@ -289,7 +287,7 @@ def compare_models(corpus: Corpus, config: RunConfig,
         results[branch] = runtimes[branch] = None
         try:
             t0 = time.perf_counter()
-            results[branch] = run_pipeline(corpus, config, baseline, fit_config).result
+            results[branch] = run_pipeline(corpus, config, baseline).result
             runtimes[branch] = time.perf_counter() - t0
         except ValueError as exc:
             errors[branch] = exc
@@ -456,8 +454,7 @@ def _write_features(out: Path, result: ScalingResult) -> None:
 def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
     corpus = _load_pipeline_corpus(config)
     meta_keys = _metadata_keys(corpus)  # a clash fails before the fit
-    fit_config = config.fit_config()
-    run = run_pipeline(corpus, config, args.baseline, fit_config)
+    run = run_pipeline(corpus, config, args.baseline)
     result = run.result
     matrix = result.matrix
     if args.se == "analytic":
@@ -469,7 +466,8 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
             theta_ci_high=result.params.theta + 1.96 * se,
         )
     elif config.bootstrap_b > 0:
-        result = bootstrap(result, B=config.bootstrap_b, seed=config.seed, config=fit_config)
+        result = bootstrap(result, B=config.bootstrap_b, seed=config.seed,
+                           config=config.fit_config())
     _write_positions(out, corpus, meta_keys, result)
     _write_features(out, result)
     report = {

@@ -58,10 +58,6 @@ class WordGraph:
                       np.concatenate((self.weights, self.weights)), np.zeros(len(self)))
 
     @property
-    def strengths(self) -> np.ndarray:
-        return self._level.strength
-
-    @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
@@ -296,41 +292,4 @@ def _finalize_partition(
         w: remap[comm[i]] for i, w in enumerate(graph.nodes) if comm[i] in remap
     }
     return Partition(assignment=assignment, quality=q)
-
-
-def brute_force_best_partition(graph: WordGraph) -> tuple[Partition, float]:
-    """Exhaustive modularity maximization over all set partitions.
-
-    Ties break toward fewer communities, then the lexicographically smallest
-    assignment in node order. Only for graphs with at most 10 nodes.
-    """
-    n = len(graph)
-    if n > 10:
-        raise GraphError("brute force limited to graphs with <= 10 nodes")
-    if graph.total_weight == 0:
-        raise GraphError("no edges")
-    best = None
-    for rgs in _restricted_growth_strings(n):
-        part = Partition({w: rgs[i] for i, w in enumerate(graph.nodes)})
-        q = modularity(graph, part)
-        key = (-q, max(rgs) + 1, rgs)
-        if best is None or key < best[0]:
-            best = (key, part, q)
-    _, part, q = best
-    return Partition(part.assignment, quality=q), q
-
-
-def _restricted_growth_strings(n: int):
-    """All set partitions of n items as canonical restricted growth strings."""
-    rgs = [0] * n
-
-    def rec(i: int, max_used: int):
-        if i == n:
-            yield tuple(rgs)
-            return
-        for c in range(max_used + 2):
-            rgs[i] = c
-            yield from rec(i + 1, max(max_used, c))
-
-    yield from rec(1, 0) if n > 0 else iter(())
 

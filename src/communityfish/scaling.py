@@ -42,8 +42,6 @@ class FitConfig:
     max_iter: int = 500
     anchor_low: str | None = None  # defaults to first document
     anchor_high: str | None = None  # defaults to last document
-    # cross-check every accepted half-step against a full LL recomputation
-    debug_ascent: bool = False
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
@@ -131,15 +129,11 @@ def _params(x: np.ndarray, n: int) -> ScalingParams:
 def log_likelihood(matrix: CountMatrix, params: ScalingParams) -> float:
     """Poisson log likelihood up to the constant -sum(log y!), with the
     linear predictor clamped to +-30 inside the exponential."""
-    return _log_likelihood(matrix.counts, params)
-
-
-def _log_likelihood(y, params: ScalingParams) -> float:
     for arr in (params.alpha, params.psi, params.theta, params.beta):
         if not np.all(np.isfinite(arr)):
             raise ScalingError("non-finite parameter")
     eta = _eta(params)
-    return float(np.sum(y * eta - _clamped_mu(eta)))
+    return float(np.sum(matrix.counts * eta - _clamped_mu(eta)))
 
 
 def initialize(matrix: CountMatrix) -> ScalingParams:
@@ -378,19 +372,13 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
         """Move the live replicates where accept holds to the points new,
         whose log likelihoods ll_new are at least their last kept ones', and
         write the others' points into new, which becomes x; returns where the
-        live replicates stop: converged, out of evaluations or, under
-        debug_ascent, not ascending."""
+        live replicates stop: converged or out of evaluations."""
         nonlocal x, ll
         ll_new = np.where(accept, ll_new, ll)
         stop = accept & (np.abs(ll_new - ll) < config.tol * (1.0 + np.abs(ll)))
         converged[live] = stop
         for i in np.flatnonzero(accept):
             traces[live[i]].append(float(ll_new[i]))
-            if config.debug_ascent:
-                try:
-                    _check_ascent(y[i], _params(new[i], n), ll[i])
-                except ScalingError as exc:
-                    errors[live[i]], stop[i] = str(exc), True
         np.copyto(new, x, where=~accept[:, None])
         x, ll = new, ll_new
         return stop | (evaluations[live] >= config.max_iter)
@@ -486,23 +474,6 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         map_evaluations=int(run.evaluations[0]),
         score=_score(y, params, _clamped_mu(eta, out=eta)),
     )
-
-
-def _check_ascent(y, params, ll_prev):
-    ll = _log_likelihood(y, params)
-    if ll < ll_prev - 1e-9:
-        raise ScalingError(f"log-likelihood decreased: {ll_prev} -> {ll}")
-
-
-def gradients(matrix: CountMatrix, params: ScalingParams):
-    """Analytic gradients of the log likelihood for every parameter block."""
-    r = matrix.counts - _rates(params)
-    return {
-        "alpha": r.sum(axis=1),
-        "theta": r @ params.beta,
-        "psi": r.sum(axis=0),
-        "beta": r.T @ params.theta,
-    }
 
 
 # Cells (replicates x documents x features) in one batch of bootstrap

@@ -170,9 +170,12 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
-def spearman(a, b) -> float:
-    """Spearman rank correlation: Pearson's r of the average ranks."""
+def spearman(a, b) -> float | None:
+    """Spearman rank correlation: Pearson's r of the average ranks. None
+    when a or b has fewer than two distinct values: then it is undefined."""
     ranks = np.column_stack([_average_ranks(a), _average_ranks(b)])
+    if (ranks.min(axis=0) == ranks.max(axis=0)).any():
+        return None
     return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +573,29 @@ class TestCompare:
         manifest = json.load(open(tmp_path / "cmp" / "manifest.json"))
         assert manifest["exit_status"] == code
 
+    def test_all_tied_branch_has_a_null_rank_correlation(self, tmp_path):
+        # the unigram branch keeps d1-d3 only, and the community branch gives
+        # all three one theta
+        docs = [("d1", "x x x y", 100), ("d2", "x y", 200), ("d3", "x y y y", 100),
+                ("d4", "a b c", 20), ("d5", "a b c c", 20)]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps({"id": d, "text": " ".join([text] * runs)}) + "\n"
+                                for d, text, runs in docs))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {path}\nmin_bigram_count = 1\nunigram_min_count = 200\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp"),
+                       "--quiet"])
+        assert rc == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        rows = list(csv.DictReader(open(tmp_path / "cmp" / "comparison.csv")))
+        assert [r["doc_id"] for r in rows if r["theta_unigram"]] == ["d1", "d2", "d3"]
+        assert len({r["theta_community"] for r in rows[:3]}) == 1
+        report = json.loads((tmp_path / "cmp" / "report.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert report["rank_correlation"] is None
+
 
 class TestSimulate:
     def test_default_spec_recovers(self, tmp_path):
@@ -714,12 +738,16 @@ _WIDTHS = [3] * 10 + [2, 1, 4]
 
 @st.composite
 def _corpora(draw):
-    """A JSONL or CSV corpus whose last document, "stop", is all stopwords
-    and so trimmed from every count matrix: its format, its text, and
-    whether loading it must fail."""
-    fmt = draw(st.sampled_from(["jsonl", "csv"]))
+    """A JSONL, CSV or text-directory corpus whose last document, "stop", is
+    all stopwords and so trimmed from every count matrix: its format, its
+    text (for a text directory, each file's name and text), and whether
+    loading it must fail. A text directory may be empty."""
+    fmt = draw(st.sampled_from(["jsonl", "csv", "text-directory"]))
     texts = draw(st.lists(st.lists(st.sampled_from(_PIECES), max_size=12).map(" ".join),
-                          min_size=1, max_size=6))
+                          min_size=0 if fmt == "text-directory" else 1, max_size=6))
+    if fmt == "text-directory":
+        files = {f"{n}.txt": t for n, t in enumerate(texts, 1)}
+        return fmt, {**files, "stop.txt": "the Of"} if files else {}, not files
     ids = [draw(st.sampled_from(_IDS)) for _ in texts]
     if fmt == "jsonl":
         records = [{"text": t} if i is None else {"id": i, "text": t} for t, i in zip(texts, ids)]
@@ -804,8 +832,14 @@ def test_pipeline_commands_keep_the_error_contract(corpus, lines, anchors, garbl
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         corpus_path, stop, cfg = tmp / f"c.{fmt}", tmp / "stop.txt", tmp / "run.cfg"
-        files = {
-            "corpus": (corpus_path, body),
+        if fmt == "text-directory":
+            corpus_path.mkdir()
+            # the first file is the one a garbled corpus garbles
+            files = {"corpus" if n == 0 else name: (corpus_path / name, text)
+                     for n, (name, text) in enumerate(body.items())}
+        else:
+            files = {"corpus": (corpus_path, body)}
+        files |= {
             "stopwords": (stop, "the\nof\n"),
             "config": (cfg, "".join(f"{line}\n" for line in [
                 f"input = {corpus_path}", f"format = {fmt}", f"stopwords = {stop}",
@@ -819,7 +853,7 @@ def test_pipeline_commands_keep_the_error_contract(corpus, lines, anchors, garbl
             path.write_bytes(data)
         for n, argv in enumerate((["communities"], ["communities", "--clustering", "leiden"],
                                   ["scale", "--no-bootstrap"], ["scale", "--se", "analytic"],
-                                  ["scale"], ["compare"])):
+                                  ["scale"], ["scale", "--baseline"], ["compare"])):
             out = tmp / f"out{n}"
             _check_run(*_run_quietly([*argv, "--config", str(cfg), "--pi", pi, *flags,
                                       "--out", str(out), "--quiet"]), out, bad)

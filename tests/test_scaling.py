@@ -18,11 +18,12 @@ from communityfish.scaling import (
     bootstrap,
     dispersion,
     fit,
-    gradients,
     initialize,
     log_likelihood,
 )
 from communityfish.synthbench import SyntheticSpec, generate_matrix
+
+from oracles import fit_checking_ascent, gradients
 
 
 def random_matrix(seed, n=8, k=10, row_total=300):
@@ -109,7 +110,7 @@ class TestFit:
 
     def test_trace_non_decreasing(self):
         matrix, _ = random_matrix(11, n=10, k=12)
-        result = fit(matrix, FitConfig(debug_ascent=True))
+        result = fit_checking_ascent(matrix)
         diffs = np.diff(result.loglik_trace)
         assert (diffs >= -1e-9).all()
 
@@ -121,10 +122,26 @@ class TestFit:
         assert result.loglik_trace[-1] == pytest.approx(
             log_likelihood(matrix, result.params), rel=1e-12)
 
-    def test_debug_ascent_on_wide_matrix(self):
+    def test_ascent_checked_on_wide_matrix(self):
         matrix, _ = random_matrix(23, n=8, k=300, row_total=6000)
-        result = fit(matrix, FitConfig(debug_ascent=True))
+        result = fit_checking_ascent(matrix)
         assert result.converged
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # the broken fit clamps
+    def test_ascent_check_fails_when_the_trace_is_wrong(self, monkeypatch):
+        # a constant added to psi after the loop has summed its log
+        # likelihood: the trace no longer holds the points' log likelihoods
+        standardize = scaling._standardize
+
+        def shifted(alpha, theta, psi, beta):
+            x, degenerate = standardize(alpha, theta, psi, beta)
+            scaling._split(x, theta.shape[-1])[2][...] += 0.1
+            return x, degenerate
+
+        monkeypatch.setattr(scaling, "_standardize", shifted)
+        matrix, _ = random_matrix(11, n=10, k=12)
+        with pytest.raises(AssertionError, match="trace ends at"):
+            fit_checking_ascent(matrix)
 
     def test_singleton_columns_in_extreme_documents(self):
         # a word seen once, only in the most extreme document, has no finite
@@ -138,7 +155,7 @@ class TestFit:
         matrix = CountMatrix(matrix.doc_ids, matrix.feature_labels, counts)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the clamp may engage
-            result = fit(matrix, FitConfig(debug_ascent=True))
+            result = fit_checking_ascent(matrix)
         assert result.converged
         assert (np.diff(result.loglik_trace) >= -1e-9).all()
 

@@ -8,7 +8,7 @@ from scipy import stats
 from communityfish.cli import RunConfig, compare_models, run_pipeline
 from communityfish.graph import build_graph, louvain
 from communityfish.corpus import count_bigrams, filter_bigrams
-from communityfish.scaling import FitConfig, bootstrap, fit
+from communityfish.scaling import bootstrap, fit
 from communityfish.synthbench import (
     PlantedCorpusSpec,
     SynthError,
@@ -200,6 +200,11 @@ class TestSpearman:
         assume(len(set(a)) > 1 and len(set(b)) > 1)  # constant input has no rho
         assert spearman(a, b) == stats.spearmanr(a, b).statistic
 
+    @pytest.mark.parametrize("a, b", [([0.5, 0.5, 0.5], [1.0, 3.0, 2.0]),
+                                      ([1.0, 3.0, 2.0], [-2.0, -2.0, -2.0])])
+    def test_all_tied_input_has_no_rho(self, a, b):
+        assert spearman(a, b) is None
+
 
 class TestCompareModels:
     def test_community_branch_has_fewer_features(self):
@@ -230,11 +235,10 @@ class TestCompareModels:
             return fit(matrix, config)
 
         monkeypatch.setattr("communityfish.cli.fit", recording_fit)
-        config = FitConfig(debug_ascent=True)
-        report = compare_models(generate_corpus(planted_spec(13))[0],
-                                RunConfig(min_bigram_count=30, seed=13), config)
+        config = RunConfig(min_bigram_count=30, seed=13, tol=1e-10, max_iter=400)
+        report = compare_models(generate_corpus(planted_spec(13))[0], config)
         assert report.errors == {}
-        assert len(seen) == 2 and all(c is config for c in seen)
+        assert seen == [config.fit_config()] * 2
 
     def test_empty_corpus_rejected(self):
         from communityfish.corpus import Corpus
