@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -70,13 +69,6 @@ class Corpus:
         word = coding.words.__getitem__
         ids, starts = coding.ids.tolist(), coding.starts.tolist()
         return [tuple(map(word, ids[start:end])) for start, end in zip(starts, starts[1:])]
-
-    @property
-    def vocabulary(self) -> Counter:
-        """Token count of each word type, in sorted word order."""
-        coding = self.coding
-        counts = np.bincount(coding.ids, minlength=len(coding.words))
-        return Counter(dict(zip(coding.words, counts.tolist())))
 
     def __len__(self):
         return len(self.documents)
@@ -148,58 +140,14 @@ class _Memo(dict):
         return value
 
 
-class PairCounts(Mapping):
-    """Read-only mapping ``frozenset({u, w}) -> count`` over arrays, one
-    entry per pair: ``u[i] < w[i]`` index the sorted vocabulary ``words``.
-
-    Iteration follows the arrays. A lookup by key builds the key to
-    position table on first use; counting and filtering never need it.
-    """
-
-    def __init__(self, words: tuple[str, ...], u: np.ndarray, w: np.ndarray,
-                 counts: np.ndarray):
-        self.words, self.u, self.w, self.counts = words, u, w, counts
-
-    @classmethod
-    def from_mapping(cls, pairs: Mapping[frozenset, int]) -> "PairCounts":
-        words = tuple(sorted({x for pair in pairs for x in pair}))
-        index = dict(zip(words, range(len(words))))
-        ends = np.array([sorted(map(index.__getitem__, pair)) for pair in pairs],
-                        dtype=np.int32).reshape(-1, 2)
-        counts = np.fromiter(pairs.values(), np.int64, len(pairs))
-        return cls(words, ends[:, 0].copy(), ends[:, 1].copy(), counts)
-
-    @cached_property
-    def _position(self) -> dict[frozenset, int]:
-        return dict(zip(self, range(len(self))))
-
-    def __getitem__(self, pair: frozenset) -> int:
-        return int(self.counts[self._position[pair]])
-
-    def __iter__(self):
-        words = self.words.__getitem__
-        return map(frozenset, zip(map(words, self.u.tolist()), map(words, self.w.tolist())))
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __repr__(self) -> str:
-        return f"PairCounts({dict(self)!r})"
-
-
 @dataclass(frozen=True)
 class BigramCounts:
-    """Unordered word-pair co-occurrence counts; self-pairs are excluded.
+    """Unordered word-pair co-occurrence counts; self-pairs are excluded."""
 
-    ``pairs`` is a read-only mapping backed by arrays; a plain mapping is
-    converted once, in its own order.
-    """
-
-    pairs: Mapping[frozenset, int]
-
-    def __post_init__(self):
-        if not isinstance(self.pairs, PairCounts):
-            object.__setattr__(self, "pairs", PairCounts.from_mapping(self.pairs))
+    words: tuple[str, ...]  # sorted word types
+    # one row (u, w) per pair, u < w indexing ``words``
+    pairs: np.ndarray
+    counts: np.ndarray  # each pair's count
 
 
 def load_corpus(source, format: str) -> Corpus:
@@ -331,20 +279,16 @@ def count_bigrams(corpus: Corpus) -> BigramCounts:
     n = codes.searchsorted(none)
     codes = codes[:n]
     heads = np.flatnonzero(np.concatenate(([n > 0], codes[1:] != codes[:-1])))
-    pair_codes = codes[heads]
-    return BigramCounts(PairCounts(
-        coding.words, (pair_codes // n_words).astype(np.int32),
-        (pair_codes % n_words).astype(np.int32), np.diff(heads, append=n)))
+    pairs = np.stack(np.divmod(codes[heads], n_words), axis=1).astype(np.int32)
+    return BigramCounts(coding.words, pairs, np.diff(heads, append=n))
 
 
 def filter_bigrams(counts: BigramCounts, threshold: int) -> BigramCounts:
     """Keep pairs with count >= threshold."""
     if threshold < 1:
         raise CorpusError("bigram threshold must be >= 1")
-    pairs = counts.pairs
-    keep = pairs.counts >= threshold
-    return BigramCounts(PairCounts(pairs.words, pairs.u[keep], pairs.w[keep],
-                                   pairs.counts[keep]))
+    keep = counts.counts >= threshold
+    return BigramCounts(counts.words, counts.pairs[keep], counts.counts[keep])
 
 
 def _read_text(path) -> str:

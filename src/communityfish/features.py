@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 
@@ -49,13 +48,14 @@ def community_dtm(
     """
     if not partition.assignment:
         raise MatrixError("empty partition: no communities to count")
-    members = partition.members
+    coding, members = corpus.coding, partition.members
     col_of = {w: j for j, words in enumerate(members.values()) for w in words}
-    col_of_id = np.fromiter(map(col_of.get, corpus.coding.words, repeat(len(members))), np.intp)
+    col_of_id = np.fromiter(map(col_of.get, coding.words, repeat(len(members))), np.intp)
     counts = _count_matrix(corpus, col_of_id, len(members), bigram_match)
-    vocab = corpus.vocabulary
+    frequency = dict(zip(coding.words,
+                         np.bincount(coding.ids, minlength=len(coding.words)).tolist()))
     labels = tuple(
-        _community_label(cid, words, vocab) for cid, words in members.items()
+        _community_label(cid, words, frequency) for cid, words in members.items()
     )
     matrix = CountMatrix(
         doc_ids=tuple(d.id for d in corpus.documents),
@@ -65,8 +65,10 @@ def community_dtm(
     return trim(matrix)
 
 
-def _community_label(cid: int, words: list[str], vocab: Counter) -> str:
-    top = sorted(words, key=lambda w: (-vocab[w], w))[:3]
+def _community_label(cid: int, words: list[str], frequency: dict[str, int]) -> str:
+    """The community's three most frequent words in the corpus, ties broken
+    by word; a word absent from the corpus counts 0."""
+    top = sorted(words, key=lambda w: (-frequency.get(w, 0), w))[:3]
     return f"com_{cid}:" + "+".join(top)
 
 

@@ -62,8 +62,8 @@ class WordGraph:
         return float(self.weights.sum())
 
     # ``adjacency[i]`` maps each neighbour of node i to the edge weight, built
-    # on each access. Unused here: perfbench/child.py's graph.build counter and
-    # tests read it.
+    # on each access. The package never reads it: perfbench/child.py's
+    # graph.build edge counter and the graph tests do.
     @property
     def adjacency(self) -> tuple[dict[int, float], ...]:
         return tuple(map(dict, self._level.neighbours))
@@ -93,16 +93,14 @@ class Partition:
 
 def build_graph(counts: BigramCounts) -> WordGraph:
     """One node per word in a retained pair; edge weight = pair count."""
-    pairs = counts.pairs
-    if not pairs:
+    if not len(counts.pairs):
         raise GraphError("empty graph: no bigrams survive threshold")
     # word ids index the sorted vocabulary, so nodes in id order are sorted
-    in_graph = np.zeros(len(pairs.words), dtype=bool)
-    in_graph[pairs.u] = in_graph[pairs.w] = True
-    nodes = tuple(map(pairs.words.__getitem__, np.flatnonzero(in_graph).tolist()))
+    in_graph = np.zeros(len(counts.words), dtype=bool)
+    in_graph[counts.pairs] = True
+    nodes = tuple(map(counts.words.__getitem__, np.flatnonzero(in_graph).tolist()))
     node_of = np.cumsum(in_graph) - 1
-    return WordGraph(nodes=nodes, edges=np.stack((node_of[pairs.u], node_of[pairs.w]), axis=1),
-                     weights=pairs.counts.astype(float))
+    return WordGraph(nodes=nodes, edges=node_of[counts.pairs], weights=counts.counts.astype(float))
 
 
 def modularity(graph: WordGraph, partition: Partition) -> float:

@@ -66,8 +66,7 @@ class ScalingResult:
     theta_se: np.ndarray | None = None
     theta_ci_low: np.ndarray | None = None
     theta_ci_high: np.ndarray | None = None
-    bootstrap_failures: int = 0
-    # bootstrap_failures by reason; they sum to it
+    # failed bootstrap replicates by reason
     bootstrap_failure_reasons: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(FAILURE_REASONS, 0))
     # row step halvings of the Newton steps, summed over all evaluations
@@ -78,6 +77,10 @@ class ScalingResult:
     score: float = 0.0
     # evaluations of the map summed over the bootstrap refits
     bootstrap_map_evaluations: int = 0
+
+    @property
+    def bootstrap_failures(self) -> int:
+        return sum(self.bootstrap_failure_reasons.values())
 
 
 _CLAMP = 30.0  # bound on the linear predictor inside every exponential
@@ -561,7 +564,6 @@ def bootstrap(
         theta_se=se,
         theta_ci_low=ci_low,
         theta_ci_high=ci_high,
-        bootstrap_failures=failed,
         bootstrap_failure_reasons=failures,
         bootstrap_map_evaluations=evaluations,
     )

@@ -1,14 +1,33 @@
-"""Reference implementations the tests check the package against: node
-strengths, an exhaustive modularity maximizer, analytic gradients of the log
-likelihood, and a fit whose every step is checked to ascend."""
+"""Reference implementations the tests check the package against: bigram
+counts to and from plain dicts, node strengths, an exhaustive modularity
+maximizer, analytic gradients of the log likelihood, and a fit whose every
+step is checked to ascend."""
 
 import dataclasses
 import warnings
 
 import numpy as np
 
+from communityfish.corpus import BigramCounts
 from communityfish.graph import GraphError, Partition, WordGraph, modularity
 from communityfish.scaling import FitConfig, ScalingParams, ScalingResult, fit, log_likelihood
+
+
+def bigram_counts(pairs: dict[frozenset, int]) -> BigramCounts:
+    """The counts of a ``{frozenset({u, w}): count}`` dict, its pairs in the
+    dict's order."""
+    words = tuple(sorted({x for pair in pairs for x in pair}))
+    index = dict(zip(words, range(len(words))))
+    ends = np.array([sorted(map(index.__getitem__, pair)) for pair in pairs],
+                    dtype=np.int32).reshape(-1, 2)
+    return BigramCounts(words, ends, np.fromiter(pairs.values(), np.int64, len(pairs)))
+
+
+def pair_dict(counts: BigramCounts) -> dict[frozenset, int]:
+    """The counts as a ``{frozenset({u, w}): count}`` dict, in pair order."""
+    word = counts.words.__getitem__
+    return {frozenset(map(word, pair)): count
+            for pair, count in zip(counts.pairs.tolist(), counts.counts.tolist())}
 
 
 def strengths(graph: WordGraph) -> np.ndarray:

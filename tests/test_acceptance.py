@@ -12,7 +12,6 @@ from scipy.optimize import minimize
 
 import communityfish as cf
 from communityfish.cli import main
-from communityfish.corpus import BigramCounts
 
 import oracles
 
@@ -24,7 +23,7 @@ def report(num, name, ok, detail=""):
 
 
 def graph_from_edges(edges):
-    return cf.build_graph(BigramCounts({frozenset((u, v)): w for u, v, w in edges}))
+    return cf.build_graph(oracles.bigram_counts({frozenset((u, v)): w for u, v, w in edges}))
 
 
 def clique(names, weight=1):
@@ -43,7 +42,7 @@ def random_connected_graph(seed, n_nodes):
         for j in range(i + 1, n_nodes):
             if rng.random() < 0.35:
                 pairs.setdefault(frozenset((names[i], names[j])), int(rng.integers(1, 5)))
-    return cf.build_graph(BigramCounts(pairs))
+    return cf.build_graph(oracles.bigram_counts(pairs))
 
 
 def test_criterion_1_modularity_hand_values():

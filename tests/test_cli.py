@@ -726,6 +726,8 @@ def _reject_constant(name):
 # of no pieces has an empty text
 _PIECES = ["alpha", "Beta", "gamma", "delta", "the", "Of", "42", "٣", "3.5", "!", ", ", "ß",
            '"', "\n"]
+# how many times each text of a corpus repeats its pieces
+_REPEATS = [1, 20]
 # no id (the record number), an empty one, and ones that may repeat: "2" is
 # also the second record's default
 _IDS = [None] * 8 + ["", "d", 2]
@@ -743,8 +745,15 @@ def _corpora(draw):
     text (for a text directory, each file's name and text), and whether
     loading it must fail. A text directory may be empty."""
     fmt = draw(st.sampled_from(["jsonl", "csv", "text-directory"]))
-    texts = draw(st.lists(st.lists(st.sampled_from(_PIECES), max_size=12).map(" ".join),
-                          min_size=0 if fmt == "text-directory" else 1, max_size=6))
+    # half of the corpora hold at least two texts, each of distinct pieces
+    # repeated, so that their pairs pass --pi and their matrices reach a fit
+    times = draw(st.sampled_from(_REPEATS))
+    long = times > 1
+    texts = draw(st.lists(st.lists(st.sampled_from(_PIECES), min_size=4 if long else 0,
+                                   max_size=12, unique=long)
+                          .map(lambda pieces: " ".join(pieces * times)),
+                          min_size=2 if long else 0 if fmt == "text-directory" else 1,
+                          max_size=6))
     if fmt == "text-directory":
         files = {f"{n}.txt": t for n, t in enumerate(texts, 1)}
         return fmt, {**files, "stop.txt": "the Of"} if files else {}, not files

@@ -2,7 +2,6 @@ import csv
 import json
 import re
 import sys
-import time
 from collections import Counter
 from itertools import accumulate, chain
 
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from communityfish.corpus import (
-    BigramCounts,
     Corpus,
     CorpusError,
     Document,
@@ -24,6 +22,8 @@ from communityfish.corpus import (
     tokenize,
 )
 from communityfish.features import unigram_dtm
+
+from oracles import bigram_counts, pair_dict
 
 
 _DIGITS_RE = re.compile(r"^\d+$")
@@ -291,7 +291,7 @@ class TestTokenized:
         assert plain.coding.words == coded.coding.words
         assert plain.coding.ids.tolist() == coded.coding.ids.tolist()
         assert plain.coding.starts.tolist() == coded.coding.starts.tolist()
-        assert dict(count_bigrams(plain).pairs) == dict(count_bigrams(coded).pairs)
+        assert pair_dict(count_bigrams(plain)) == pair_dict(count_bigrams(coded))
         (matrix, report), (want, want_report) = unigram_dtm(plain), unigram_dtm(coded)
         assert (matrix.doc_ids, matrix.feature_labels) == (want.doc_ids, want.feature_labels)
         assert matrix.counts.tolist() == want.counts.tolist()
@@ -324,18 +324,18 @@ class TestTokenized:
 class TestCountBigrams:
     def test_alternating(self):
         counts = count_bigrams(make_corpus(["a", "b", "a", "b"]))
-        assert counts.pairs == {frozenset(("a", "b")): 3}
+        assert pair_dict(counts) == {frozenset(("a", "b")): 3}
 
     def test_across_documents(self):
         counts = count_bigrams(make_corpus(["a", "b", "a", "b"], ["a", "b"]))
-        assert counts.pairs == {frozenset(("a", "b")): 4}
+        assert pair_dict(counts) == {frozenset(("a", "b")): 4}
 
     def test_self_pair_excluded(self):
-        assert count_bigrams(make_corpus(["a", "a"])).pairs == {}
+        assert pair_dict(count_bigrams(make_corpus(["a", "a"]))) == {}
 
     def test_no_cross_document_pairs(self):
         counts = count_bigrams(make_corpus(["a"], ["b"]))
-        assert counts.pairs == {}
+        assert pair_dict(counts) == {}
 
     @given(st.lists(
         st.lists(st.sampled_from("abcde"), max_size=12), min_size=1, max_size=4,
@@ -345,12 +345,11 @@ class TestCountBigrams:
     def test_matches_brute_force_scan(self, docs):
         corpus = make_corpus(*docs)
         expected = brute_force_pairs(docs)
-        pairs = count_bigrams(corpus).pairs
-        assert len(pairs) == len(expected)
-        assert pairs == dict(expected)
-        assert dict(pairs.items()) == dict(expected.items())
-        with pytest.raises(TypeError):
-            pairs[frozenset(("a", "b"))] = 1
+        counts = count_bigrams(corpus)
+        assert counts.words == corpus.coding.words
+        assert counts.pairs.dtype == np.int32 and counts.pairs.shape == (len(expected), 2)
+        assert (counts.pairs[:, 0] < counts.pairs[:, 1]).all()
+        assert pair_dict(counts) == dict(expected)
 
     def test_vocabulary_too_large_for_int32_codes(self):
         # 50,000 words: the largest pair code, about V**2, exceeds 2**31
@@ -360,14 +359,9 @@ class TestCountBigrams:
         words = [f"w{i:05d}" for i in ids.tolist()]
         docs = [words[:25_000], words[25_000:60_000], words[60_000:]]
         expected = brute_force_pairs(docs)
-        pairs = count_bigrams(make_corpus(*docs)).pairs
-        t0 = time.perf_counter()
-        as_dict = dict(pairs)
-        # each key lookup is O(1): a quadratic one takes minutes here
-        assert time.perf_counter() - t0 < 10
+        as_dict = pair_dict(count_bigrams(make_corpus(*docs)))
         assert as_dict == dict(expected)
-        assert dict(pairs.items()) == dict(expected.items())
-        assert pairs[frozenset(("w49998", "w49999"))] >= 3
+        assert as_dict[frozenset(("w49998", "w49999"))] >= 3
 
     @given(st.lists(
         st.lists(st.sampled_from("abc"), max_size=10), min_size=1, max_size=4,
@@ -381,32 +375,35 @@ class TestCountBigrams:
             if toks[i] == toks[i + 1]
         )
         adjacencies = sum(max(len(toks) - 1, 0) for toks in docs)
-        total = sum(count_bigrams(corpus).pairs.values())
+        total = count_bigrams(corpus).counts.sum()
         assert total == adjacencies - self_pairs
 
 
 class TestFilterBigrams:
     def test_threshold(self):
-        counts = BigramCounts({frozenset(("a", "b")): 4, frozenset(("b", "c")): 2})
+        counts = bigram_counts({frozenset(("a", "b")): 4, frozenset(("b", "c")): 2})
         kept = filter_bigrams(counts, 3)
-        assert kept.pairs == {frozenset(("a", "b")): 4}
+        assert kept.words == counts.words
+        assert pair_dict(kept) == {frozenset(("a", "b")): 4}
 
     def test_threshold_one_is_identity(self):
-        counts = BigramCounts({frozenset(("a", "b")): 4, frozenset(("b", "c")): 2})
-        assert filter_bigrams(counts, 1).pairs == counts.pairs
+        counts = bigram_counts({frozenset(("a", "b")): 4, frozenset(("b", "c")): 2})
+        kept = filter_bigrams(counts, 1)
+        assert kept.pairs.tolist() == counts.pairs.tolist()
+        assert kept.counts.tolist() == counts.counts.tolist()
 
     def test_everything_filtered(self):
-        counts = BigramCounts({frozenset(("a", "b")): 4})
-        assert filter_bigrams(counts, 5).pairs == {}
+        counts = bigram_counts({frozenset(("a", "b")): 4})
+        assert pair_dict(filter_bigrams(counts, 5)) == {}
 
     def test_strict_greater(self):
         # the threshold is inclusive
-        counts = BigramCounts({frozenset(("a", "b")): 4})
-        assert filter_bigrams(counts, 4).pairs != {}
+        counts = bigram_counts({frozenset(("a", "b")): 4})
+        assert pair_dict(filter_bigrams(counts, 4)) != {}
 
     def test_zero_threshold_rejected(self):
         with pytest.raises(CorpusError):
-            filter_bigrams(BigramCounts({}), 0)
+            filter_bigrams(bigram_counts({}), 0)
 
 
 def test_read_stopwords_and_lemmas(tmp_path):
@@ -437,7 +434,3 @@ def test_stopword_and_lemma_entries_are_lowercased(tmp_path):
     assert corpus.tokenized(stopwords, table).token_lists[0] == (
         "island", "of", "north")
 
-
-def test_vocabulary_matches_token_union():
-    corpus = make_corpus(["a", "b", "a"], ["b", "c"])
-    assert corpus.vocabulary == Counter({"a": 2, "b": 2, "c": 1})

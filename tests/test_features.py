@@ -87,10 +87,19 @@ class TestCommunityDtm:
         assert matrix.counts.sum(axis=1)[0] <= 4
 
     def test_labels_carry_top_member_words(self):
-        corpus = make_corpus(["b", "b", "b", "a", "c"])
-        part = Partition({"a": 0, "b": 0, "c": 0})
+        corpus = make_corpus(["d", "d", "d", "d", "b", "b", "c", "c", "a", "e", "f", "f"],
+                             ["j", "i", "h", "g"])
+        part = Partition({"a": 0, "b": 0, "c": 0, "d": 0, "e": 0,
+                          "aa": 1, "f": 1, "g": 2, "h": 2, "i": 2, "j": 2})
         matrix, _ = community_dtm(corpus, part)
-        assert matrix.feature_labels[0].startswith("com_0:b+")
+        assert matrix.feature_labels == (
+            # the top three by corpus frequency, the tie of b and c by word
+            "com_0:d+b+c",
+            # a member absent from the corpus ranks last; fewer than three words
+            "com_1:f+aa",
+            # four words tied: the first three by word
+            "com_2:g+h+i",
+        )
 
 
 class TestUnigramDtm:

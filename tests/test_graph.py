@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from communityfish import graph as graph_module
-from communityfish.corpus import BigramCounts, Corpus, Document, count_bigrams, filter_bigrams
+from communityfish.corpus import Corpus, Document, count_bigrams, filter_bigrams
 from communityfish.graph import (
     GraphError,
     Partition,
@@ -16,11 +16,11 @@ from communityfish.graph import (
     modularity,
 )
 
-from oracles import brute_force_best_partition, strengths
+from oracles import bigram_counts, brute_force_best_partition, strengths
 
 
 def graph_from_edges(edges):
-    return build_graph(BigramCounts({frozenset((u, v)): w for u, v, w in edges}))
+    return build_graph(bigram_counts({frozenset((u, v)): w for u, v, w in edges}))
 
 
 TWO_EDGES = graph_from_edges([("a", "b", 1), ("c", "d", 1)])
@@ -41,7 +41,7 @@ def random_graph(seed, n_nodes=6, p=0.6, max_weight=4):
                 pairs[frozenset((names[i], names[j]))] = int(rng.integers(1, max_weight + 1))
     if not pairs:
         pairs[frozenset((names[0], names[1]))] = 1
-    return build_graph(BigramCounts(pairs))
+    return build_graph(bigram_counts(pairs))
 
 
 class TestBuildGraph:
@@ -58,7 +58,7 @@ class TestBuildGraph:
 
     def test_empty_is_error(self):
         with pytest.raises(GraphError, match="empty"):
-            build_graph(BigramCounts({}))
+            build_graph(bigram_counts({}))
 
     @given(st.lists(
         st.lists(st.sampled_from("abcdef"), max_size=15), min_size=1, max_size=4,
@@ -78,7 +78,7 @@ class TestBuildGraph:
         corpus = Corpus(tuple(Document(id=f"d{i}", text=" ".join(toks))
                               for i, toks in enumerate(docs)))
         g = build_graph(filter_bigrams(count_bigrams(corpus), 1))
-        want = build_graph(BigramCounts(reference))
+        want = build_graph(bigram_counts(reference))
         assert g.nodes == want.nodes
         assert [dict(a) for a in g.adjacency] == [dict(a) for a in want.adjacency]
 
@@ -261,7 +261,7 @@ class TestPairOrder:
         for order in (pairs, shuffled):
             with mock.patch.object(graph_module, "_aggregate",
                                    wraps=graph_module._aggregate) as aggregate:
-                results.append(cluster(build_graph(BigramCounts(dict(order))),
+                results.append(cluster(build_graph(bigram_counts(dict(order))),
                                        seed=seed, min_community_size=1))
             assert aggregate.call_count > 0  # the run reached an aggregated level
         assert results[1].assignment == results[0].assignment
