@@ -86,34 +86,59 @@ class ScalingResult:
 _CLAMP = 30.0  # bound on the linear predictor inside every exponential
 
 
-def _clamped_mu(eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    mu = np.clip(eta, -_CLAMP, _CLAMP, out=out)
-    return np.exp(mu, out=mu)
+def _peak(x: np.ndarray) -> float:
+    """max |x| over all of x, every replicate's entries included."""
+    return float(np.abs(x).max())
 
 
-def _predictor(a, offset, b, slope):
-    """eta_ij = a_i + offset_j + b_i * slope_j in one array, built with the
-    longer axis contiguous: numpy's broadcast loops run fastest along long
-    rows. Leading axes, if any, index replicates."""
-    if offset.shape[-1] >= a.shape[-1]:
-        eta = b[..., :, None] * slope[..., None, :]
-        eta += a[..., :, None]
-        eta += offset[..., None, :]
-        return eta
-    eta = slope[..., :, None] * b[..., None, :]
-    eta += offset[..., :, None]
-    eta += a[..., None, :]
-    return eta.swapaxes(-1, -2)
+def _reach(params: ScalingParams) -> float:
+    """An upper bound on every |eta_ij| at params: max|alpha| + max|psi| +
+    max|theta| * max|beta|."""
+    return _peak(params.alpha) + _peak(params.psi) + _peak(params.theta) * _peak(params.beta)
+
+
+def _clamped_mu(eta: np.ndarray, reach: float, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(clip(eta, -_CLAMP, _CLAMP)), into out if given. reach bounds
+    every |eta|; the rounding of a three-term eta is far below 1, so below
+    reach = _CLAMP - 1 no eta reaches the clamp, and the clip, a no-op there,
+    is skipped."""
+    if reach >= _CLAMP - 1.0:
+        eta = out = np.clip(eta, -_CLAMP, _CLAMP, out=out)
+    return np.exp(eta, out=out)
+
+
+def _columns(*columns) -> np.ndarray:
+    """The matrix whose columns, along a new last axis, are the given arrays
+    or scalars, all of the shape of the last."""
+    out = np.empty(np.shape(columns[-1]) + (len(columns),))
+    for j, column in enumerate(columns):
+        out[..., j] = column
+    return out
+
+
+def _predictor(a, b, right, transposed: bool = False) -> np.ndarray:
+    """eta_ij = a_i + offset_j + b_i * slope_j as one matrix product per
+    replicate, [a, 1, b] @ [1, offset, slope]^T, where right is
+    _columns(1.0, offset, slope); transposed forms it as the transpose of
+    [1, offset, slope] @ [a, 1, b]^T, a view of an array whose rows run
+    over j. Leading axes, if any, index replicates. Each replicate's product
+    has the same shape whatever else is in its batch, so its values do not
+    depend on the batch."""
+    left = _columns(a, 1.0, b)
+    if transposed:
+        return (right @ left.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return left @ right.swapaxes(-1, -2)
 
 
 def _eta(params: ScalingParams) -> np.ndarray:
-    return _predictor(params.alpha, params.psi, params.theta, params.beta)
+    """The linear predictor at params, documents by features in C order."""
+    return _predictor(params.alpha, params.theta, _columns(1.0, params.psi, params.beta))
 
 
 def _rates(params: ScalingParams) -> np.ndarray:
     """Clamped rates at params, computed in place of the linear predictor."""
     eta = _eta(params)
-    return _clamped_mu(eta, out=eta)
+    return _clamped_mu(eta, _reach(params), out=eta)
 
 
 def _split(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -136,15 +161,28 @@ def log_likelihood(matrix: CountMatrix, params: ScalingParams) -> float:
         if not np.all(np.isfinite(arr)):
             raise ScalingError("non-finite parameter")
     eta = _eta(params)
-    return float(np.sum(matrix.counts * eta - _clamped_mu(eta)))
+    return float(np.sum(matrix.counts * eta - _clamped_mu(eta, _reach(params))))
+
+
+def _log_counts(y: np.ndarray) -> np.ndarray:
+    """log(y + 0.1) of the counts y. Integer counts are looked up in a table
+    of the log of every count from 0 to max(y): one log per count value, not
+    per cell. Where that table would have more entries than y has cells, or
+    the counts are not integers, each cell takes its own log. Both give the
+    bits of np.log(y + 0.1)."""
+    if y.dtype.kind in "iu":
+        top = int(y.max())
+        if top < y.size:
+            return np.log(np.arange(top + 1) + 0.1)[y]
+    return np.log(y + 0.1)
 
 
 def initialize(matrix: CountMatrix) -> ScalingParams:
     """Standard starting values: log row-sum ratios for alpha, log column
     means for psi, first singular pair of the doubly centered log counts
-    for (theta, beta). The pair comes from the top eigenvector of the
-    smaller Gram matrix, which costs a fraction of a thin SVD of a wide
-    matrix."""
+    log(y + 0.1) (_log_counts) for (theta, beta). The pair comes from the
+    top eigenvector of the smaller Gram matrix, which costs a fraction of a
+    thin SVD of a wide matrix."""
     y = matrix.counts
     n, k = y.shape
     if k < 2:
@@ -154,7 +192,7 @@ def initialize(matrix: CountMatrix) -> ScalingParams:
     rowsum = y.sum(axis=1, dtype=float)
     alpha = np.log(rowsum / rowsum[0])
     psi = np.log(y.mean(axis=0))
-    centered = np.log(y + 0.1)
+    centered = _log_counts(y)
     row_means = centered.mean(axis=1, keepdims=True)
     col_means = centered.mean(axis=0, keepdims=True)
     grand_mean = centered.mean()
@@ -180,15 +218,6 @@ def initialize(matrix: CountMatrix) -> ScalingParams:
     return ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta)
 
 
-def _with_ones(*columns):
-    """The matrix with columns 1, *columns along a new last axis."""
-    out = np.empty(columns[0].shape + (1 + len(columns),))
-    out[..., 0] = 1.0
-    for j, column in enumerate(columns, start=1):
-        out[..., j] = column
-    return out
-
-
 def _newton_block(y, offset, slope, a, b, mu):
     """One damped Newton step on every row's (a_i, b_i) of every replicate,
     towards the maximum of sum_j y_ij*eta - exp(eta) with
@@ -198,21 +227,29 @@ def _newton_block(y, offset, slope, a, b, mu):
 
     mu holds the clamped rates at (a, b); it is only read. The gradient,
     the Hessian and the row log likelihood depend on the counts only through
-    y @ (1, offset, slope) and on the rates only through
-    mu @ (1, slope, slope^2), so the full step costs one exp over the
-    matrix. A row accepts a trial step when its log likelihood drops by no
-    more than a relative 1e-12 (float noise on sums of 1e3-1e5); only rows
-    still failing are re-evaluated at half the step, and a row failing all
-    30 trials keeps its point. The full step is tried on all replicates at
-    once, the halved ones replicate by replicate: a matrix product's values
-    depend on its number of rows, and each replicate's must not depend on
-    the others in its batch.
+    y @ [1, offset, slope] and on the rates only through
+    mu @ [1, slope, slope^2], and a trial's linear predictor is
+    [a, 1, b] @ [1, offset, slope]^T, with the same right factor as the
+    count sums. So a trial costs one product for eta, one exp over the
+    matrix, a clip only where max|a| + max|offset| + max|b| * max|slope| lets
+    eta come near the clamp, and one product for the rate sums. The trial
+    rates take the memory layout of mu, so the rates keep the one layout
+    _eta gives them, whichever path made them: the next block's Hessian
+    sums are a matrix product, whose bits depend on the layout of its
+    operands. A row accepts a trial step when its log likelihood drops by
+    no more than a relative 1e-12 (float noise on sums of 1e3-1e5); only
+    rows still failing are re-evaluated at half the step, and a row failing
+    all 30 trials keeps its point. The full step is tried on all replicates
+    at once, the halved ones replicate by replicate: a matrix product's
+    values depend on its number of rows, and each replicate's must not
+    depend on the others in its batch.
 
     Returns the updated (a, b), the row log likelihoods there, the rates
     there and each replicate's number of row step halvings."""
-    sums = y @ _with_ones(offset, slope)
+    right = _columns(1.0, offset, slope)
+    sums = y @ right
     ysum, yoff, yslope = sums[..., 0], sums[..., 1], sums[..., 2]
-    weights = _with_ones(slope, slope**2)
+    weights = _columns(1.0, slope, slope**2)
     h = mu @ weights
     h11, h12, h22 = h[..., 0], h[..., 1], h[..., 2]
     ll = a * ysum + yoff + b * yslope - h11
@@ -226,14 +263,18 @@ def _newton_block(y, offset, slope, a, b, mu):
     da = np.where(singular, g1 / np.maximum(h11, 1e-300), (h22 * g1 - h12 * g2) / det_safe)
     db = np.where(singular, 0.0, (h11 * g2 - h12 * g1) / det_safe)
 
-    def trial(a_try, b_try, offset, slope, ysum, yoff, yslope, weights, ll_old):
-        eta = _predictor(a_try, offset, b_try, slope)
-        mu_try = _clamped_mu(eta, out=eta)
+    offset_peak, slope_peak = _peak(offset), _peak(slope)
+    transposed = mu.strides[-1] > mu.strides[-2]  # mu is a transposed view
+
+    def trial(a_try, b_try, right, ysum, yoff, yslope, weights, ll_old):
+        eta = _predictor(a_try, b_try, right, transposed)
+        reach = _peak(a_try) + offset_peak + _peak(b_try) * slope_peak
+        mu_try = _clamped_mu(eta, reach, out=eta)
         ll_try = a_try * ysum + yoff + b_try * yslope - (mu_try @ weights)[..., 0]
         return ll_try, mu_try, ll_try >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
 
     a_try, b_try = a + da, b + db
-    ll_try, mu_try, ok = trial(a_try, b_try, offset, slope, ysum, yoff, yslope, weights, ll)
+    ll_try, mu_try, ok = trial(a_try, b_try, right, ysum, yoff, yslope, weights, ll)
     halvings = np.zeros(len(a), dtype=int)
     if ok.all():
         return a_try, b_try, ll_try, mu_try, halvings
@@ -247,7 +288,7 @@ def _newton_block(y, offset, slope, a, b, mu):
             halvings[r] += rows.size
             a_try = a[r, rows] + step * da[r, rows]
             b_try = b[r, rows] + step * db[r, rows]
-            ll_try, mu_rows, done = trial(a_try, b_try, offset[r], slope[r], ysum[r, rows],
+            ll_try, mu_rows, done = trial(a_try, b_try, right[r], ysum[r, rows],
                                           yoff[r, rows], yslope[r, rows], weights[r], ll[r, rows])
             accepted = rows[done]
             a[r, accepted], b[r, accepted] = a_try[done], b_try[done]
@@ -303,7 +344,7 @@ def _score(y, params: ScalingParams, mu) -> float:
     document rows (alpha_i, theta_i), then the feature rows (psi_j, beta_j)."""
     score = 0.0
     for counts, rates, slope in ((y, mu, params.beta), (y.T, mu.T, params.theta)):
-        w = _with_ones(slope)
+        w = _columns(1.0, slope)
         g = counts @ w - rates @ w
         h = rates @ (w * w)
         score = max(score, float(np.max(np.abs(g) / np.sqrt(np.maximum(h, 1e-300)))))
@@ -348,9 +389,9 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
     errors: list[str | None] = [None] * R
     live = np.arange(R)  # the replicates still running, by position
     x = start
-    mu = _eta(_params(x, n))
+    mu = _eta(at := _params(x, n))
     ll = np.array([np.vdot(y_r, eta_r) for y_r, eta_r in zip(y, mu)])
-    _clamped_mu(mu, out=mu)  # the rates at x, the only full-size state
+    _clamped_mu(mu, _reach(at), out=mu)  # the rates at x, the only full-size state
     ll -= [mu_r.sum() for mu_r in mu]
     for trace, ll_r in zip(traces, ll):
         trace.append(float(ll_r))
@@ -450,8 +491,10 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
                                "(unknown id, or dropped by trimming)")
     lo = doc_index[config.anchor_low] if config.anchor_low else 0
     hi = doc_index[config.anchor_high] if config.anchor_high else n - 1
-    if lo == hi:
-        raise ScalingError("anchor documents must be distinct")
+    if lo == hi:  # FitConfig rejects two equal anchors, so one is unset
+        given, unset, end = (("anchor_high", "anchor_low", "first") if config.anchor_high
+                             else ("anchor_low", "anchor_high", "last"))
+        raise ScalingError(f"{given} names the {end} document, where the unset {unset} defaults")
 
     run = _squarem(y[np.newaxis], x[np.newaxis], config)
     if run.errors[0]:
@@ -459,8 +502,8 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     params = _params(run.x[0], n)
     if params.theta[lo] > params.theta[hi]:
         params = replace(params, theta=-params.theta, beta=-params.beta)
-    eta = _eta(params)
-    clamped = bool(eta.max() > _CLAMP or eta.min() < -_CLAMP)
+    eta, reach = _eta(params), _reach(params)
+    clamped = reach >= _CLAMP - 1.0 and bool(eta.max() > _CLAMP or eta.min() < -_CLAMP)
     if clamped:
         warnings.warn("linear predictor clamp active; extreme rates truncated")
     converged = bool(run.converged[0])
@@ -475,7 +518,7 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         clamp_activated=clamped,
         line_search_halvings=int(run.halvings[0]),
         map_evaluations=int(run.evaluations[0]),
-        score=_score(y, params, _clamped_mu(eta, out=eta)),
+        score=_score(y, params, _clamped_mu(eta, reach, out=eta)),
     )
 
 
@@ -593,6 +636,8 @@ def dispersion(matrix: CountMatrix, params: ScalingParams) -> float | None:
     df = n * k - (2 * n + 2 * k - 3)
     if df <= 0:
         return None
-    y = matrix.counts.astype(float)
     mu = _rates(params)
-    return float(np.sum((y - mu) ** 2 / mu)) / df
+    r = matrix.counts - mu
+    r *= r
+    r /= mu
+    return float(np.sum(r)) / df

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the package against: bigram
 counts to and from plain dicts, node strengths, an exhaustive modularity
-maximizer, analytic gradients of the log likelihood, and a fit whose every
-step is checked to ascend."""
+maximizer, the fit's elementwise kernels (linear predictor, clamped rates,
+log counts), analytic gradients of the log likelihood, and a fit whose
+every step is checked to ascend."""
 
 import dataclasses
 import warnings
@@ -70,6 +71,25 @@ def _restricted_growth_strings(n: int):
             yield from rec(i + 1, max(max_used, c))
 
     yield from rec(1, 0) if n > 0 else iter(())
+
+
+def predictor(a, offset, b, slope) -> np.ndarray:
+    """eta_ij = a_i + offset_j + b_i * slope_j by broadcasting: one multiply
+    and two adds over the matrix. Leading axes index replicates."""
+    eta = b[..., :, None] * slope[..., None, :]
+    eta += a[..., :, None]
+    eta += offset[..., None, :]
+    return eta
+
+
+def clamped_rates(eta: np.ndarray) -> np.ndarray:
+    """exp of eta clipped to +-30, every cell clipped."""
+    return np.exp(np.clip(eta, -30.0, 30.0))
+
+
+def log_counts(y: np.ndarray) -> np.ndarray:
+    """log(y + 0.1), one log per cell."""
+    return np.log(y + 0.1)
 
 
 def gradients(matrix, params: ScalingParams) -> dict[str, np.ndarray]:

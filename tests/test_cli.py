@@ -514,6 +514,21 @@ class TestScale:
         assert err.startswith("error: anchor document") and repr(anchor) in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("key, doc, message", [
+        ("anchor_high", "doc_0", "anchor_high names the first document, where the unset "
+                                 "anchor_low defaults"),
+        ("anchor_low", "doc_11", "anchor_low names the last document, where the unset "
+                                 "anchor_high defaults"),
+    ])
+    def test_one_anchor_on_the_others_default_exit_3(self, corpus_file, tmp_path, capsys,
+                                                     key, doc, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {doc}\n")
+        rc = main(["scale", "--config", str(cfg), *base_args(corpus_file, tmp_path),
+                   "--no-bootstrap"])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flags, shape", [([], "1 x 1"), (["--baseline"], "1 x 2")],
                              ids=["community", "baseline"])
     def test_matrix_below_2x2_exit_2(self, tmp_path, capsys, flags, shape):

@@ -23,7 +23,7 @@ from communityfish.scaling import (
 )
 from communityfish.synthbench import SyntheticSpec, generate_matrix
 
-from oracles import fit_checking_ascent, gradients
+from oracles import clamped_rates, fit_checking_ascent, gradients, log_counts, predictor
 
 
 def random_matrix(seed, n=8, k=10, row_total=300):
@@ -64,6 +64,77 @@ class TestInitialize:
         sign = np.sign(params.theta @ theta)  # a singular pair's sign is arbitrary
         np.testing.assert_allclose(sign * params.theta, theta, rtol=0, atol=1e-10)
         np.testing.assert_allclose(sign * params.beta, beta, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n, k, top, dtype", [
+        (30, 400, 10**4 + 7, int), (6, 9, 10**4 + 7, int), (40, 12, 30, int), (40, 12, 30, float)],
+        ids=["table", "cell-by-cell", "few-counts", "float-counts"])
+    def test_log_counts_give_the_bits_of_one_log_per_cell(self, monkeypatch, n, k, top, dtype):
+        # "table" looks its 12,000 cells up in a table of 10,008 logs; the
+        # 54 cells of "cell-by-cell" are fewer than that, so each takes its
+        # own log, as float counts do. Column 0 is all zero, and one cell
+        # holds the maximum.
+        rng = np.random.default_rng(top + n)
+        counts = rng.poisson(3.0, size=(n, k)).astype(dtype)
+        counts[:, 0] = 0
+        counts[1, 2] = top
+        matrix = CountMatrix(tuple(f"d{i}" for i in range(n)), tuple(f"w{j}" for j in range(k)),
+                             counts)
+        np.testing.assert_array_equal(scaling._log_counts(counts), log_counts(counts))
+        with np.errstate(divide="ignore"):  # psi of the all-zero column is log 0
+            params = initialize(matrix)
+            monkeypatch.setattr(scaling, "_log_counts", log_counts)
+            reference = initialize(matrix)
+        for block in ("alpha", "psi", "theta", "beta"):
+            np.testing.assert_array_equal(getattr(params, block), getattr(reference, block))
+
+
+class TestKernels:
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 40), (6, 40), (40, 6), (5, 6, 40), (5, 40, 6)],
+                             ids=["one-row", "wide", "tall", "batch-wide", "batch-tall"])
+    def test_predictor_is_the_broadcast_sum_to_a_few_ulp(self, shape, transposed):
+        *lead, m, n = shape
+        rng = np.random.default_rng(m * n)
+        a, b = rng.normal(scale=4.0, size=(2, *lead, m))
+        offset, slope = rng.normal(scale=4.0, size=(2, *lead, n))
+        eta = scaling._predictor(a, b, scaling._columns(1.0, offset, slope), transposed)
+        reference = predictor(a, offset, b, slope)
+        assert eta.shape == reference.shape
+        # |a_i| + |offset_j| + |b_i * slope_j|
+        scale = predictor(np.abs(a), np.abs(offset), np.abs(b), np.abs(slope))
+        assert (np.abs(eta - reference) <= 4 * np.finfo(float).eps * scale).all()
+
+    @pytest.mark.parametrize("top", [28.0, 29.0, 29.5, 45.0])
+    def test_rates_are_the_clipped_exp_bit_for_bit(self, top):
+        # max|alpha| + max|psi| + max|theta| * max|beta| is exactly top: below,
+        # at and above the bound 29 from which the clip runs. Cells (1, 2)
+        # and (3, 4) reach +top and -top, beyond +-30 only at top = 45.
+        rng = np.random.default_rng(int(top))
+        alpha, theta = rng.uniform(-1.0, 1.0, size=(2, 6))
+        psi, beta = rng.uniform(-1.0, 1.0, size=(2, 8))
+        alpha[[1, 3]], theta[[1, 3]] = (top / 4, -top / 4), (1.0, 1.0)
+        psi[[2, 4]], beta[[2, 4]] = (top / 2, -top / 2), (top / 4, -top / 4)
+        params = ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta)
+        assert scaling._reach(params) == top
+        eta = _eta(params)
+        assert eta[1, 2] == top and eta[3, 4] == -top
+        np.testing.assert_array_equal(scaling._rates(params), clamped_rates(eta))
+        counts = rng.poisson(2.0, size=eta.shape)
+        matrix = CountMatrix(tuple("abcdef"), tuple("stuvwxyz"), counts)
+        assert log_likelihood(matrix, params) == float(np.sum(counts * eta - clamped_rates(eta)))
+
+    @pytest.mark.parametrize("clamps", [False, True])
+    def test_clamp_activated_is_whether_eta_passes_the_clamp(self, clamps):
+        if clamps:  # two one-document features: their betas run off
+            counts = np.array([[8, 0, 0], [4, 0, 0], [4, 2, 0], [0, 0, 2]])
+            matrix = CountMatrix(tuple("abcd"), tuple("xyz"), counts)
+        else:
+            matrix, _ = random_matrix(3, n=6, k=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the clamp warns
+            result = fit(matrix)
+        assert result.clamp_activated == clamps
+        assert bool((np.abs(_eta(result.params)) > 30.0).any()) == clamps
 
 
 class TestLogLikelihood:
@@ -500,6 +571,23 @@ class TestBootstrap:
         assert alone.bootstrap_failure_reasons == batched.bootstrap_failure_reasons
         assert alone.bootstrap_map_evaluations == batched.bootstrap_map_evaluations
         assert (batched.bootstrap_failures > 0) == zero_row
+
+    def test_square_matrix_results_do_not_depend_on_batch_size(self, monkeypatch):
+        # neither axis is the longer one: the rates must still reach the
+        # document block in one memory layout, whichever path made them (a
+        # batch mixes replicates that extrapolate with some that do not)
+        rng = np.random.default_rng(0)
+        eta = rng.normal(size=20) + np.outer(rng.normal(size=20), rng.normal(scale=1.5, size=20))
+        labels = tuple(f"d{i}" for i in range(20)), tuple(f"w{j}" for j in range(20))
+        matrix = CountMatrix(*labels, rng.poisson(3.0 * np.exp(eta)))
+        result = fit(matrix)
+        assert scaling.BATCH_CELLS // matrix.counts.size >= 12  # one batch
+        batched = bootstrap(result, B=12, seed=0)
+        monkeypatch.setattr(scaling, "BATCH_CELLS", 1)
+        alone = bootstrap(result, B=12, seed=0)
+        for name in ("theta_se", "theta_ci_low", "theta_ci_high"):
+            np.testing.assert_array_equal(getattr(alone, name), getattr(batched, name))
+        assert alone.bootstrap_map_evaluations == batched.bootstrap_map_evaluations
 
     def test_batches_stay_independent_when_refits_halve(self, monkeypatch):
         # heavy counts (up to 374) on wide discriminations: the refits' Newton
