@@ -29,7 +29,6 @@ from .scaling import (
     ScalingResult,
     analytic_theta_se,
     bootstrap,
-    dispersion,
     fit,
     initialize,
     log_likelihood,
@@ -78,7 +77,6 @@ __all__ = [
     "community_dtm",
     "compare_models",
     "count_bigrams",
-    "dispersion",
     "filter_bigrams",
     "fit",
     "generate_corpus",

@@ -49,7 +49,6 @@ from .scaling import (
     ScalingResult,
     analytic_theta_se,
     bootstrap,
-    dispersion,
     fit,
 )
 from .synthbench import (
@@ -181,10 +180,6 @@ class RunConfig:
         except ScalingError as exc:
             raise CliError(f"config: {exc}", EXIT_CONFIG) from None
 
-    @classmethod
-    def from_file(cls, path: Path) -> "RunConfig":
-        return cls(**read_key_values(path, cls, "config"))
-
     def fit_config(self) -> FitConfig:
         return FitConfig(
             tol=self.tol,
@@ -279,7 +274,7 @@ def compare_models(corpus: Corpus, config: RunConfig) -> ComparisonReport:
     failing still reports the other.
     """
     if len(corpus) == 0:
-        raise SynthError("empty corpus")
+        raise CorpusError("empty corpus")
     results: dict[str, ScalingResult | None] = {}
     runtimes: dict[str, float | None] = {}
     errors: dict[str, ValueError] = {}
@@ -458,13 +453,7 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
     result = run.result
     matrix = result.matrix
     if args.se == "analytic":
-        se = analytic_theta_se(result)
-        result = dataclasses.replace(
-            result,
-            theta_se=se,
-            theta_ci_low=result.params.theta - 1.96 * se,
-            theta_ci_high=result.params.theta + 1.96 * se,
-        )
+        result = analytic_theta_se(result)
     elif config.bootstrap_b > 0:
         result = bootstrap(result, B=config.bootstrap_b, seed=config.seed,
                            config=config.fit_config())
@@ -475,7 +464,7 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "iterations": len(result.loglik_trace) - 1,
         "log_likelihood": result.loglik_trace[-1],
         "loglik_trace": list(result.loglik_trace),
-        "dispersion": dispersion(matrix, result.params),
+        "dispersion": result.dispersion,
         "runtime_seconds": result.runtime,
         "clamp_activated": result.clamp_activated,
         "matrix_shape": list(matrix.shape),
@@ -515,8 +504,8 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "runtime_community": report.runtime_community,
         "runtime_unigram": report.runtime_unigram,
         "rank_correlation": report.rank_correlation,
-        "dispersion_community": dispersion(com.matrix, com.params) if com else None,
-        "dispersion_unigram": dispersion(uni.matrix, uni.params) if uni else None,
+        "dispersion_community": com.dispersion if com else None,
+        "dispersion_unigram": uni.dispersion if uni else None,
         "errors": errors,
     }
     (out / "report.json").write_text(json.dumps(summary, indent=2))

@@ -18,7 +18,6 @@ class MatrixError(ValueError):
 @dataclass(frozen=True)
 class TrimReport:
     dropped_doc_ids: tuple[str, ...] = ()
-    dropped_features: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,7 @@ def trim(matrix: CountMatrix) -> tuple[CountMatrix, TrimReport]:
         raise MatrixError("count matrix is entirely zero after trimming")
     if not (row_ok.all() and col_ok.all()):
         counts = counts[np.ix_(row_ok, col_ok)]
-    doc_ids, labels = matrix.doc_ids, matrix.feature_labels
+    doc_ids = matrix.doc_ids
     trimmed = CountMatrix(tuple(compress(doc_ids, row_ok)),
-                          tuple(compress(labels, col_ok)), counts)
-    return trimmed, TrimReport(tuple(compress(doc_ids, ~row_ok)),
-                               tuple(compress(labels, ~col_ok)))
+                          tuple(compress(matrix.feature_labels, col_ok)), counts)
+    return trimmed, TrimReport(tuple(compress(doc_ids, ~row_ok)))

@@ -77,6 +77,8 @@ class ScalingResult:
     score: float = 0.0
     # evaluations of the map summed over the bootstrap refits
     bootstrap_map_evaluations: int = 0
+    # Pearson chi-square over residual degrees of freedom; None without any
+    dispersion: float | None = None
 
     @property
     def bootstrap_failures(self) -> int:
@@ -339,6 +341,21 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray):
     return x, extrapolated
 
 
+def _dispersion(y: np.ndarray, mu: np.ndarray) -> float | None:
+    """Pearson chi-square of the counts y at the rates mu over the residual
+    degrees of freedom n*k - (2n + 2k - 3); values well above 1 indicate
+    overdispersion relative to the Poisson assumption. None when the fit
+    leaves no residual degrees of freedom."""
+    n, k = y.shape
+    df = n * k - (2 * n + 2 * k - 3)
+    if df <= 0:
+        return None
+    r = y - mu
+    r *= r
+    r /= mu
+    return float(np.sum(r)) / df
+
+
 def _score(y, params: ScalingParams, mu) -> float:
     """Max over every parameter of |gradient| / sqrt(Hessian diagonal): the
     document rows (alpha_i, theta_i), then the feature rows (psi_j, beta_j)."""
@@ -474,12 +491,18 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
 def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         start: ScalingParams | None = None) -> ScalingResult:
     """Maximize the Poisson likelihood by SQUAREM-accelerated block ascent:
-    _squarem on one replicate, from start or from initialize's values."""
+    _squarem on one replicate, from start or from initialize's values. A
+    document or feature without counts has no finite estimate: a
+    ScalingError."""
     t0 = time.perf_counter()
     y = matrix.counts.astype(float)
     n, k = y.shape
     if n < 2 or k < 2:
         raise ScalingError("need >= 2 documents and >= 2 features")
+    for kind, labels, axis in (("document", matrix.doc_ids, 1),
+                               ("feature", matrix.feature_labels, 0)):
+        if not (nonzero := y.any(axis=axis)).all():
+            raise ScalingError(f"{kind} {labels[np.argmin(nonzero)]!r} has no counts")
     start = start if start is not None else initialize(matrix)
     x, degenerate = _standardize(start.alpha, start.theta, start.psi, start.beta)
     if degenerate.any():
@@ -509,6 +532,7 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     converged = bool(run.converged[0])
     if not converged:
         warnings.warn("fit did not converge within max_iter")
+    mu = _clamped_mu(eta, reach, out=eta)
     return ScalingResult(
         matrix=matrix,
         params=params,
@@ -518,7 +542,8 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         clamp_activated=clamped,
         line_search_halvings=int(run.halvings[0]),
         map_evaluations=int(run.evaluations[0]),
-        score=_score(y, params, _clamped_mu(eta, reach, out=eta)),
+        score=_score(y, params, mu),
+        dispersion=_dispersion(y, mu),
     )
 
 
@@ -612,32 +637,19 @@ def bootstrap(
     )
 
 
-def analytic_theta_se(result: ScalingResult) -> np.ndarray:
-    """Standard errors from the observed information of the per-document
-    (alpha_i, theta_i) blocks, conditioning on (psi, beta). A block singular
-    to the rounding error of its k-term sums has none: a ``ScalingError``."""
-    mu = _rates(result.params)
-    beta = result.params.beta
-    h11 = mu.sum(axis=1)
-    h12 = mu @ beta
-    h22 = mu @ beta**2
+def analytic_theta_se(result: ScalingResult) -> ScalingResult:
+    """The result with theta_se, the standard errors from the observed
+    information of the per-document (alpha_i, theta_i) blocks, conditioning
+    on (psi, beta), and the interval theta -+ 1.96 * theta_se, as bootstrap
+    returns its own. A block singular to the rounding error of its k-term
+    sums has none: a ``ScalingError``."""
+    p = result.params
+    h = _rates(p) @ _columns(1.0, p.beta, p.beta**2)
+    h11, h12, h22 = h[:, 0], h[:, 1], h[:, 2]
     det = h11 * h22 - h12**2
-    if (singular := ~(det > len(beta) * np.finfo(float).eps * h11 * h22)).any():
+    if (singular := ~(det > len(p.beta) * np.finfo(float).eps * h11 * h22)).any():
         doc = result.matrix.doc_ids[np.argmax(singular)]
         raise ScalingError(f"analytic SE undefined: document {doc!r} has singular information")
-    return np.sqrt(h11 / det)
-
-
-def dispersion(matrix: CountMatrix, params: ScalingParams) -> float | None:
-    """Pearson chi-square over residual degrees of freedom; values well above
-    1 indicate overdispersion relative to the Poisson assumption. None when
-    the fit leaves no residual degrees of freedom."""
-    n, k = matrix.shape
-    df = n * k - (2 * n + 2 * k - 3)
-    if df <= 0:
-        return None
-    mu = _rates(params)
-    r = matrix.counts - mu
-    r *= r
-    r /= mu
-    return float(np.sum(r)) / df
+    se = np.sqrt(h11 / det)
+    return replace(result, theta_se=se, theta_ci_low=p.theta - 1.96 * se,
+                   theta_ci_high=p.theta + 1.96 * se)

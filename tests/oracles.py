@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against: bigram
 counts to and from plain dicts, node strengths, an exhaustive modularity
 maximizer, the fit's elementwise kernels (linear predictor, clamped rates,
-log counts), analytic gradients of the log likelihood, and a fit whose
-every step is checked to ascend."""
+log counts), analytic gradients of the log likelihood, the Pearson
+dispersion and analytic standard errors of a fit, and a fit whose every
+step is checked to ascend."""
 
 import dataclasses
 import warnings
@@ -11,7 +12,8 @@ import numpy as np
 
 from communityfish.corpus import BigramCounts
 from communityfish.graph import GraphError, Partition, WordGraph, modularity
-from communityfish.scaling import FitConfig, ScalingParams, ScalingResult, fit, log_likelihood
+from communityfish.scaling import (
+    FitConfig, ScalingParams, ScalingResult, _rates, fit, log_likelihood)
 
 
 def bigram_counts(pairs: dict[frozenset, int]) -> BigramCounts:
@@ -103,6 +105,29 @@ def gradients(matrix, params: ScalingParams) -> dict[str, np.ndarray]:
         "psi": r.sum(axis=0),
         "beta": r.T @ params.theta,
     }
+
+
+def dispersion(matrix, params: ScalingParams) -> float | None:
+    """Pearson chi-square of the counts at the package's rates at params, over
+    n*k - (2n + 2k - 3) residual degrees of freedom; None when that is not
+    positive. The same operations on the same rates as the fit's."""
+    n, k = matrix.shape
+    df = n * k - (2 * n + 2 * k - 3)
+    if df <= 0:
+        return None
+    mu = _rates(params)
+    r = matrix.counts - mu
+    r *= r
+    r /= mu
+    return float(np.sum(r)) / df
+
+
+def analytic_se(result: ScalingResult) -> np.ndarray:
+    """sqrt(h11 / det) of each document's (alpha_i, theta_i) information
+    block, its three sums taken as separate passes over the rates."""
+    mu, beta = _rates(result.params), result.params.beta
+    h11, h12, h22 = mu.sum(axis=1), mu @ beta, mu @ beta**2
+    return np.sqrt(h11 / (h11 * h22 - h12**2))
 
 
 def fit_checking_ascent(matrix, config: FitConfig = FitConfig()) -> ScalingResult:

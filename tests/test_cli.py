@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import communityfish
-from communityfish.cli import CliError, RunConfig, SimulationSpec, main
+from communityfish.cli import CliError, RunConfig, SimulationSpec, main, read_key_values
 from communityfish.synthbench import PlantedCorpusSpec, generate_corpus
 
 COM_A = tuple(f"alpha{i}" for i in range(5))
@@ -44,17 +44,21 @@ def base_args(corpus_file, tmp_path, name="out"):
             "--pi", "30", "--out", str(tmp_path / name), "--quiet"]
 
 
+def read_config(path) -> RunConfig:
+    return RunConfig(**read_key_values(path, RunConfig, "config"))
+
+
 class TestRunConfig:
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("bogus_key = 1\n")
         with pytest.raises(CliError, match="bogus_key"):
-            RunConfig.from_file(p)
+            read_config(p)
 
     def test_parses_types(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("min_bigram_count = 10\nclustering = leiden\ntol = 1e-6\n")
-        config = RunConfig.from_file(p)
+        config = read_config(p)
         assert config.min_bigram_count == 10
         assert config.clustering == "leiden"
         assert config.tol == 1e-6
@@ -62,11 +66,11 @@ class TestRunConfig:
     def test_byte_order_mark_is_ignored(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("min_bigram_count = 10\n", encoding="utf-8-sig")
-        assert RunConfig.from_file(p).min_bigram_count == 10
+        assert read_config(p).min_bigram_count == 10
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CliError):
-            RunConfig.from_file(tmp_path / "nope.cfg")
+            read_config(tmp_path / "nope.cfg")
 
     def test_bad_value_exits_1_with_location(self, corpus_file, tmp_path, capsys):
         for body, message in ((b"max_iter = ten\n", ":2: config key 'max_iter'"),
@@ -226,6 +230,11 @@ class TestImports:
         assert proc.stdout.split() == ["False", "True", "True", "True"]
         with pytest.raises(AttributeError, match="no_such_name"):
             communityfish.no_such_name
+
+    def test_every_exported_name_resolves(self):
+        # the lazy names (compare_models and its RunConfig) included
+        missing = [name for name in communityfish.__all__ if not hasattr(communityfish, name)]
+        assert missing == []
 
 
 class TestScripts:

@@ -196,7 +196,7 @@ class TestTrim:
         trimmed, report = trim(matrix)
         assert trimmed.counts.tolist() == [[1]]
         assert report.dropped_doc_ids == ("d1",)
-        assert report.dropped_features == ("f1",)
+        assert trimmed.feature_labels == ("f0",)
 
     def test_identity_when_no_zeros(self):
         matrix = CountMatrix(("d0",), ("f0", "f1"), np.array([[1, 2]]))

@@ -16,13 +16,13 @@ from communityfish.scaling import (
     _newton_block,
     analytic_theta_se,
     bootstrap,
-    dispersion,
     fit,
     initialize,
     log_likelihood,
 )
 from communityfish.synthbench import SyntheticSpec, generate_matrix
 
+import oracles
 from oracles import clamped_rates, fit_checking_ascent, gradients, log_counts, predictor
 
 
@@ -178,6 +178,21 @@ class TestFit:
         matrix = CountMatrix(tuple("abcde"), tuple("pqrstuvw"), counts)
         result = fit(matrix)
         assert abs(result.params.theta[1] - result.params.theta[3]) < 1e-6
+
+    @pytest.mark.parametrize("axis, message", [(0, "document 'd2' has no counts"),
+                                               (1, "feature 'f0' has no counts")])
+    def test_zero_row_or_column_is_an_error(self, axis, message):
+        counts = np.random.default_rng(0).poisson(3.0, size=(6, 5)) + 1
+        if axis == 0:
+            counts[2] = 0
+        else:
+            counts[:, 0] = 0
+        matrix = CountMatrix(tuple(f"d{i}" for i in range(6)), tuple(f"f{j}" for j in range(5)),
+                             counts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ScalingError, match=f"^{message}$"):
+                fit(matrix)
 
     def test_trace_non_decreasing(self):
         matrix, _ = random_matrix(11, n=10, k=12)
@@ -667,19 +682,59 @@ class TestBootstrap:
 
 def test_analytic_se_positive_and_ordered():
     matrix, _ = random_matrix(43, n=10, k=12, row_total=400)
-    result = fit(matrix)
-    se = analytic_theta_se(result)
+    se = analytic_theta_se(fit(matrix)).theta_se
     assert (se > 0).all()
     assert se.max() < 1.0
 
 
+class TestAnalyticSE:
+    @pytest.mark.parametrize("n, k", [(30, 8), (8, 120)])
+    def test_matches_the_three_sum_formula(self, n, k):
+        matrix, _ = random_matrix(44, n=n, k=k, row_total=40 * k)
+        result = fit(matrix)
+        se = analytic_theta_se(result).theta_se
+        np.testing.assert_allclose(se, oracles.analytic_se(result), rtol=1e-14, atol=0)
+
+    def test_interval_is_theta_plus_minus_1_96_se(self):
+        matrix, _ = random_matrix(45, n=10, k=12)
+        result = analytic_theta_se(fit(matrix))
+        theta, se = result.params.theta, result.theta_se
+        np.testing.assert_array_equal(result.theta_ci_low, theta - 1.96 * se)
+        np.testing.assert_array_equal(result.theta_ci_high, theta + 1.96 * se)
+
+    def test_singular_block_raises(self):
+        matrix, _ = random_matrix(46, n=6, k=8)
+        result = fit(matrix)
+        flat = dataclasses.replace(result.params, beta=np.zeros(8))
+        with pytest.raises(ScalingError, match="document '.*' has singular information"):
+            analytic_theta_se(dataclasses.replace(result, params=flat))
+
+
+@pytest.mark.parametrize("uncertainty", [
+    analytic_theta_se, lambda result: bootstrap(result, B=10, seed=1)])
+def test_uncertainty_keeps_the_point_fit(uncertainty):
+    matrix, _ = random_matrix(49, n=10, k=12)
+    result = fit(matrix)
+    described = uncertainty(result)
+    assert described.theta_se is not None
+    assert described.dispersion == result.dispersion
+    assert described.params is result.params
+    assert described.loglik_trace == result.loglik_trace
+
+
 def test_dispersion_near_one_for_true_poisson():
     matrix, _ = random_matrix(47, n=20, k=30, row_total=500)
+    assert 0.5 < fit(matrix).dispersion < 2.0
+
+
+@pytest.mark.parametrize("n, k", [(40, 6), (6, 200)])
+def test_dispersion_is_the_pearson_statistic_of_the_fit(n, k):
+    matrix, _ = random_matrix(50, n=n, k=k, row_total=30 * k)
     result = fit(matrix)
-    assert 0.5 < dispersion(matrix, result.params) < 2.0
+    assert result.dispersion == oracles.dispersion(matrix, result.params)
 
 
 def test_dispersion_is_none_without_residual_degrees_of_freedom():
     # 4 x 2 cells against 2n + 2k - 3 = 9 parameters: df = -1
     matrix, _ = random_matrix(48, n=4, k=2, row_total=200)
-    assert dispersion(matrix, fit(matrix).params) is None
+    assert fit(matrix).dispersion is None

@@ -241,6 +241,6 @@ class TestCompareModels:
         assert seen == [config.fit_config()] * 2
 
     def test_empty_corpus_rejected(self):
-        from communityfish.corpus import Corpus
-        with pytest.raises(SynthError):
+        from communityfish.corpus import Corpus, CorpusError
+        with pytest.raises(CorpusError, match="^empty corpus$"):
             compare_models(Corpus(()), RunConfig())
