@@ -54,6 +54,7 @@ from .scaling import (
 from .synthbench import (
     SynthError,
     SyntheticSpec,
+    check_spec,
     generate_matrix,
     recovery_report,
     spearman,
@@ -118,7 +119,7 @@ def _coerce(default, raw: str, where: str):
 
 
 # The values of the enumerated config keys, and the least value of the
-# integer config and spec keys; FitConfig checks tol, max_iter and the anchors.
+# integer config keys; FitConfig checks tol, max_iter and the anchors.
 CHOICES = {
     "format": ("jsonl", "text-directory", "csv"),
     "clustering": ("louvain", "leiden"),
@@ -130,19 +131,16 @@ FLOORS = {
     "unigram_min_count": 1,
     "bootstrap_b": 0,
     "seed": 0,
-    "n_docs": 2,
-    "n_features": 2,
-    "expected_row_total": 1,
 }
 
 
-def _check_floors(values, kind: str) -> None:
+def _check_floors(values) -> None:
     """A one-line exit-1 error for the first field of the dataclass ``values``
     below its floor in ``FLOORS``."""
     for key in (f.name for f in dataclasses.fields(values) if f.name in FLOORS):
         value = getattr(values, key)
         if value < FLOORS[key]:
-            raise CliError(f"{kind} key {key!r} must be >= {FLOORS[key]}, got {value!r}",
+            raise CliError(f"config key {key!r} must be >= {FLOORS[key]}, got {value!r}",
                            EXIT_CONFIG)
 
 
@@ -174,7 +172,7 @@ class RunConfig:
             if value not in allowed:
                 raise CliError(f"config key {key!r} must be one of {', '.join(allowed)}, "
                                f"got {value!r}", EXIT_CONFIG)
-        _check_floors(self, "config")
+        _check_floors(self)
         try:  # tol, max_iter and the anchors
             self.fit_config()
         except ScalingError as exc:
@@ -192,14 +190,15 @@ class RunConfig:
 @dataclass(frozen=True)
 class SimulationSpec:
     """Keys of a ``simulate`` spec file; the seed and the bootstrap
-    replicates come from the ``RunConfig``, as in every command."""
+    replicates come from the ``RunConfig``, as in every command. A value
+    below its floor is a ``SynthError``, an exit-1 error."""
 
     n_docs: int = 25
     n_features: int = 40
     expected_row_total: int = 500
 
     def __post_init__(self):
-        _check_floors(self, "spec")
+        check_spec(self.n_docs, self.n_features, self.expected_row_total)
 
 
 @dataclass(frozen=True)
@@ -455,8 +454,7 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
     if args.se == "analytic":
         result = analytic_theta_se(result)
     elif config.bootstrap_b > 0:
-        result = bootstrap(result, B=config.bootstrap_b, seed=config.seed,
-                           config=config.fit_config())
+        result = bootstrap(result, B=config.bootstrap_b, seed=config.seed)
     _write_positions(out, corpus, meta_keys, result)
     _write_features(out, result)
     report = {
@@ -521,10 +519,9 @@ def cmd_simulate(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         seed=config.seed,
     )
     matrix, spec = generate_matrix(spec)
-    fit_config = config.fit_config()
-    result = fit(matrix, fit_config)
+    result = fit(matrix, config.fit_config())
     if config.bootstrap_b > 0:
-        result = bootstrap(result, B=config.bootstrap_b, seed=config.seed, config=fit_config)
+        result = bootstrap(result, B=config.bootstrap_b, seed=config.seed)
     metrics = recovery_report(spec.theta_star, result)
     report = {
         "spec": dataclasses.asdict(sim),

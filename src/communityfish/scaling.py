@@ -62,6 +62,7 @@ class ScalingResult:
     loglik_trace: tuple[float, ...]
     converged: bool
     runtime: float
+    config: FitConfig  # the settings of the fit, under which bootstrap refits
     clamp_activated: bool = False
     theta_se: np.ndarray | None = None
     theta_ci_low: np.ndarray | None = None
@@ -166,25 +167,12 @@ def log_likelihood(matrix: CountMatrix, params: ScalingParams) -> float:
     return float(np.sum(matrix.counts * eta - _clamped_mu(eta, _reach(params))))
 
 
-def _log_counts(y: np.ndarray) -> np.ndarray:
-    """log(y + 0.1) of the counts y. Integer counts are looked up in a table
-    of the log of every count from 0 to max(y): one log per count value, not
-    per cell. Where that table would have more entries than y has cells, or
-    the counts are not integers, each cell takes its own log. Both give the
-    bits of np.log(y + 0.1)."""
-    if y.dtype.kind in "iu":
-        top = int(y.max())
-        if top < y.size:
-            return np.log(np.arange(top + 1) + 0.1)[y]
-    return np.log(y + 0.1)
-
-
 def initialize(matrix: CountMatrix) -> ScalingParams:
     """Standard starting values: log row-sum ratios for alpha, log column
     means for psi, first singular pair of the doubly centered log counts
-    log(y + 0.1) (_log_counts) for (theta, beta). The pair comes from the
-    top eigenvector of the smaller Gram matrix, which costs a fraction of a
-    thin SVD of a wide matrix."""
+    log(y + 0.1) for (theta, beta). The pair comes from the top eigenvector
+    of the smaller Gram matrix, which costs a fraction of a thin SVD of a
+    wide matrix."""
     y = matrix.counts
     n, k = y.shape
     if k < 2:
@@ -194,7 +182,7 @@ def initialize(matrix: CountMatrix) -> ScalingParams:
     rowsum = y.sum(axis=1, dtype=float)
     alpha = np.log(rowsum / rowsum[0])
     psi = np.log(y.mean(axis=0))
-    centered = _log_counts(y)
+    centered = np.log(y + 0.1)
     row_means = centered.mean(axis=1, keepdims=True)
     col_means = centered.mean(axis=0, keepdims=True)
     grand_mean = centered.mean()
@@ -376,7 +364,7 @@ class _Refits:
     converged: np.ndarray
     evaluations: np.ndarray
     halvings: np.ndarray
-    errors: list[str | None]  # the ScalingError message that stopped it
+    degenerate: np.ndarray  # stopped because theta lost its variance
 
 
 def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
@@ -403,7 +391,7 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
     converged = np.zeros(R, dtype=bool)
     evaluations = np.zeros(R, dtype=int)
     halvings = np.zeros(R, dtype=int)
-    errors: list[str | None] = [None] * R
+    zero_variance = np.zeros(R, dtype=bool)
     live = np.arange(R)  # the replicates still running, by position
     x = start
     mu = _eta(at := _params(x, n))
@@ -460,8 +448,7 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
         for _ in range(2):
             new, ll_new, mu, degenerate = evaluate(x)
             stop = keep(new, ll_new, np.ones(live.size, dtype=bool))
-            for i in np.flatnonzero(degenerate):
-                errors[live[i]] = "degenerate theta: zero variance"
+            zero_variance[live] = degenerate
             if (stop := stop | degenerate).any():
                 going = finish(stop)
                 if not live.size:
@@ -483,9 +470,8 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
             mu[~ascended] = _rates(_params(x[~ascended], n))
         if (stop := keep(new, ll_new, ascended)).any():
             finish(stop)
-    for r, error in enumerate(errors):
-        converged[r] &= error is None
-    return _Refits(final, traces, converged, evaluations, halvings, errors)
+    converged &= ~zero_variance
+    return _Refits(final, traces, converged, evaluations, halvings, zero_variance)
 
 
 def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
@@ -520,8 +506,8 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         raise ScalingError(f"{given} names the {end} document, where the unset {unset} defaults")
 
     run = _squarem(y[np.newaxis], x[np.newaxis], config)
-    if run.errors[0]:
-        raise ScalingError(run.errors[0])
+    if run.degenerate[0]:
+        raise ScalingError("degenerate theta: zero variance")
     params = _params(run.x[0], n)
     if params.theta[lo] > params.theta[hi]:
         params = replace(params, theta=-params.theta, beta=-params.beta)
@@ -539,6 +525,7 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         loglik_trace=tuple(run.traces[0]),
         converged=converged,
         runtime=time.perf_counter() - t0,
+        config=config,
         clamp_activated=clamped,
         line_search_halvings=int(run.halvings[0]),
         map_evaluations=int(run.evaluations[0]),
@@ -553,18 +540,14 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
 BATCH_CELLS = 2**15
 
 
-def bootstrap(
-    result: ScalingResult,
-    B: int,
-    seed: int = 0,
-    config: FitConfig | None = None,
-) -> ScalingResult:
+def bootstrap(result: ScalingResult, B: int, seed: int = 0) -> ScalingResult:
     """Parametric bootstrap for theta uncertainty.
 
     Simulates B count matrices from the fitted rates, refits each replicate
-    warm-started from the fitted parameters, sign-aligns every replicate's
-    theta to the point estimate, and reports the empirical standard
-    deviation and the 2.5/97.5 percentile interval per document. A
+    under the fit's ``result.config``, warm-started from the fitted
+    parameters, sign-aligns every replicate's theta to the point estimate,
+    and reports the empirical standard deviation and the 2.5/97.5
+    percentile interval per document. A
     replicate's all-zero columns carry no information about theta, so its
     refit leaves them out. A replicate with an all-zero row, or whose refit
     fails or does not converge within ``max_iter``, counts in
@@ -582,7 +565,6 @@ def bootstrap(
         raise ScalingError("need at least one bootstrap replicate")
     if not result.converged:
         raise ScalingError("bootstrap requires a converged fit")
-    config = config or FitConfig()
     rng = np.random.default_rng(seed)
     p = result.params
     mu = _rates(p)
@@ -608,11 +590,10 @@ def bootstrap(
                 continue
             kept = np.concatenate([np.ones(2 * n, dtype=bool), cols, cols])
             run = _squarem(y_star[members][:, :, cols].astype(float),
-                           np.tile(start[kept], (members.size, 1)), config)
+                           np.tile(start[kept], (members.size, 1)), result.config)
             evaluations += int(run.evaluations.sum())
-            errored = np.array([error is not None for error in run.errors])
-            failures["error"] += int(np.count_nonzero(errored))
-            failures["not_converged"] += int(np.count_nonzero(~errored & ~run.converged))
+            failures["error"] += int(np.count_nonzero(run.degenerate))
+            failures["not_converged"] += int(np.count_nonzero(~run.degenerate & ~run.converged))
             thetas[first + members] = run.x[:, n:2 * n]
             refit[first + members] = run.converged
     failed = sum(failures.values())

@@ -24,6 +24,14 @@ class SynthError(ValueError):
     """Raised for invalid simulation specs or persistently degenerate draws."""
 
 
+def check_spec(n_docs: int, n_features: int, expected_row_total: int) -> None:
+    """A SynthError naming the first spec value below its floor."""
+    for key, value, floor in (("n_docs", n_docs, 2), ("n_features", n_features, 2),
+                              ("expected_row_total", expected_row_total, 1)):
+        if value < floor:
+            raise SynthError(f"spec key {key!r} must be >= {floor}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     n_docs: int
@@ -43,8 +51,7 @@ class SyntheticSpec:
         expected_row_total: int = 500,
         seed: int = 0,
     ) -> "SyntheticSpec":
-        if n_docs < 2 or n_features < 2 or expected_row_total < 1:
-            raise SynthError("spec dimensions must be positive (>= 2 docs/features)")
+        check_spec(n_docs, n_features, expected_row_total)
         rng = np.random.default_rng(seed)
         theta = rng.normal(size=n_docs)
         theta = (theta - theta.mean()) / theta.std(ddof=1)

@@ -1,9 +1,9 @@
 """Reference implementations the tests check the package against: bigram
 counts to and from plain dicts, node strengths, an exhaustive modularity
-maximizer, the fit's elementwise kernels (linear predictor, clamped rates,
-log counts), analytic gradients of the log likelihood, the Pearson
-dispersion and analytic standard errors of a fit, and a fit whose every
-step is checked to ascend."""
+maximizer, the fit's elementwise kernels (linear predictor, clamped rates),
+analytic gradients of the log likelihood, the Pearson dispersion and
+analytic standard errors of a fit, and a fit whose every step is checked to
+ascend."""
 
 import dataclasses
 import warnings
@@ -87,11 +87,6 @@ def predictor(a, offset, b, slope) -> np.ndarray:
 def clamped_rates(eta: np.ndarray) -> np.ndarray:
     """exp of eta clipped to +-30, every cell clipped."""
     return np.exp(np.clip(eta, -30.0, 30.0))
-
-
-def log_counts(y: np.ndarray) -> np.ndarray:
-    """log(y + 0.1), one log per cell."""
-    return np.log(y + 0.1)
 
 
 def gradients(matrix, params: ScalingParams) -> dict[str, np.ndarray]:

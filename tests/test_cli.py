@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import communityfish
 from communityfish.cli import CliError, RunConfig, SimulationSpec, main, read_key_values
-from communityfish.synthbench import PlantedCorpusSpec, generate_corpus
+from communityfish.synthbench import PlantedCorpusSpec, SynthError, generate_corpus
 
 COM_A = tuple(f"alpha{i}" for i in range(5))
 COM_B = tuple(f"beta{i}" for i in range(5))
@@ -157,7 +157,7 @@ class TestRunConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_library_spec_value_is_checked_with_the_spec_message(self):
-        with pytest.raises(CliError, match=r"^spec key 'n_docs' must be >= 2, got 1$"):
+        with pytest.raises(SynthError, match=r"^spec key 'n_docs' must be >= 2, got 1$"):
             SimulationSpec(n_docs=1)
 
     def test_duplicate_key_exits_1_naming_both_lines(self, corpus_file, tmp_path, capsys):

@@ -206,9 +206,31 @@ class TestLouvain:
             assert part.quality >= 0.95 * q_best
 
 
+def connected(graph, words) -> bool:
+    """Whether the edges among words join them all."""
+    index = {w: i for i, w in enumerate(graph.nodes)}
+    nodes = {index[w] for w in words}
+    arcs = [(i, j) for i, j in graph.edges.tolist() if i in nodes and j in nodes]
+    arcs += [(j, i) for i, j in arcs]
+    reached = {min(nodes)}
+    while grown := {j for i, j in arcs if i in reached} - reached:
+        reached |= grown
+    return reached == nodes
+
+
 class TestLeiden:
     def test_matches_louvain_on_triangles(self):
         assert leiden(TWO_TRIANGLES, seed=0).members == louvain(TWO_TRIANGLES, seed=0).members
+
+    @given(st.integers(0, 10**6), st.integers(3, 12), st.sampled_from([0.2, 0.35, 0.6]))
+    @settings(deadline=None, max_examples=60)
+    def test_is_louvain_where_louvain_communities_are_connected(self, seed, n_nodes, p):
+        g = random_graph(seed, n_nodes=n_nodes, p=p)
+        expected = louvain(g, seed=seed, min_community_size=1)
+        assume(all(connected(g, words) for words in expected.members.values()))
+        part = leiden(g, seed=seed, min_community_size=1)
+        assert part.assignment == expected.assignment
+        assert part.quality == expected.quality
 
     def test_single_edge(self):
         assert leiden(SINGLE_EDGE, seed=0).members == {0: ["a", "b"]}
@@ -218,18 +240,7 @@ class TestLeiden:
     def test_communities_are_connected(self, seed):
         g = random_graph(seed, n_nodes=8, p=0.35)
         part = leiden(g, seed=seed, min_community_size=1)
-        index = {w: i for i, w in enumerate(g.nodes)}
-        for words in part.members.values():
-            nodes = {index[w] for w in words}
-            seen = {next(iter(nodes))}
-            stack = list(seen)
-            while stack:
-                i = stack.pop()
-                for j in g.adjacency[i]:
-                    if j in nodes and j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            assert seen == nodes
+        assert all(connected(g, words) for words in part.members.values())
 
     def test_path_graph(self):
         g = graph_from_edges([("a", "b", 1), ("b", "c", 1)])

@@ -23,7 +23,7 @@ from communityfish.scaling import (
 from communityfish.synthbench import SyntheticSpec, generate_matrix
 
 import oracles
-from oracles import clamped_rates, fit_checking_ascent, gradients, log_counts, predictor
+from oracles import clamped_rates, fit_checking_ascent, gradients, predictor
 
 
 def random_matrix(seed, n=8, k=10, row_total=300):
@@ -64,28 +64,6 @@ class TestInitialize:
         sign = np.sign(params.theta @ theta)  # a singular pair's sign is arbitrary
         np.testing.assert_allclose(sign * params.theta, theta, rtol=0, atol=1e-10)
         np.testing.assert_allclose(sign * params.beta, beta, rtol=0, atol=1e-10)
-
-    @pytest.mark.parametrize("n, k, top, dtype", [
-        (30, 400, 10**4 + 7, int), (6, 9, 10**4 + 7, int), (40, 12, 30, int), (40, 12, 30, float)],
-        ids=["table", "cell-by-cell", "few-counts", "float-counts"])
-    def test_log_counts_give_the_bits_of_one_log_per_cell(self, monkeypatch, n, k, top, dtype):
-        # "table" looks its 12,000 cells up in a table of 10,008 logs; the
-        # 54 cells of "cell-by-cell" are fewer than that, so each takes its
-        # own log, as float counts do. Column 0 is all zero, and one cell
-        # holds the maximum.
-        rng = np.random.default_rng(top + n)
-        counts = rng.poisson(3.0, size=(n, k)).astype(dtype)
-        counts[:, 0] = 0
-        counts[1, 2] = top
-        matrix = CountMatrix(tuple(f"d{i}" for i in range(n)), tuple(f"w{j}" for j in range(k)),
-                             counts)
-        np.testing.assert_array_equal(scaling._log_counts(counts), log_counts(counts))
-        with np.errstate(divide="ignore"):  # psi of the all-zero column is log 0
-            params = initialize(matrix)
-            monkeypatch.setattr(scaling, "_log_counts", log_counts)
-            reference = initialize(matrix)
-        for block in ("alpha", "psi", "theta", "beta"):
-            np.testing.assert_array_equal(getattr(params, block), getattr(reference, block))
 
 
 class TestKernels:
@@ -469,7 +447,7 @@ class TestBootstrap:
         result = fit(matrix)
         with pytest.raises(ScalingError, match=r"failed on 10/10 replicates "
                            r"\(zero_row 0, not_converged 10, error 0\)"):
-            bootstrap(result, B=10, seed=9, config=FitConfig(max_iter=1))
+            bootstrap(dataclasses.replace(result, config=FitConfig(max_iter=1)), B=10, seed=9)
 
     @staticmethod
     def _with_sparse_cells(row_or_col):
@@ -509,9 +487,9 @@ class TestBootstrap:
     @staticmethod
     def _one_fit_per_replicate(matrix, result, B, seed):
         """The bootstrap as one fit per replicate: the same draws in order,
-        each refit on its non-zero columns from the point estimate, theta
-        sign-aligned by correlation. Also counts the replicates that drop a
-        column."""
+        each refit under the fit's config on its non-zero columns from the
+        point estimate, theta sign-aligned by correlation. Also counts the
+        replicates that drop a column."""
         rng = np.random.default_rng(seed)
         mu = np.exp(np.clip(_eta(result.params), -30.0, 30.0))
         failures = dict.fromkeys(("zero_row", "not_converged", "error"), 0)
@@ -529,7 +507,8 @@ class TestBootstrap:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)
-                    rep = fit(CountMatrix(matrix.doc_ids, labels, y[:, cols]), start=start)
+                    rep = fit(CountMatrix(matrix.doc_ids, labels, y[:, cols]), result.config,
+                              start=start)
             except ScalingError:
                 failures["error"] += 1
                 continue
@@ -542,6 +521,18 @@ class TestBootstrap:
         return (thetas.std(axis=0, ddof=1), np.percentile(thetas, 2.5, axis=0),
                 np.percentile(thetas, 97.5, axis=0), failures, dropped)
 
+    def _bootstrap_equal_to_one_fit_per_replicate(self, matrix, result):
+        """bootstrap(result, B=40, seed=4), checked against
+        _one_fit_per_replicate; also returns how many replicates dropped a
+        column."""
+        boot = bootstrap(result, B=40, seed=4)
+        se, low, high, failures, dropped = self._one_fit_per_replicate(matrix, result, 40, 4)
+        np.testing.assert_allclose(boot.theta_se, se, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(boot.theta_ci_low, low, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(boot.theta_ci_high, high, rtol=0, atol=1e-10)
+        assert boot.bootstrap_failure_reasons == failures
+        return boot, dropped
+
     @pytest.mark.parametrize("sparse", [False, True])
     def test_batches_equal_one_fit_per_replicate(self, sparse):
         if sparse:
@@ -549,14 +540,17 @@ class TestBootstrap:
         else:
             matrix, _ = random_matrix(31, n=8, k=10)
             result = fit(matrix)
-        boot = bootstrap(result, B=40, seed=4)
-        se, low, high, failures, dropped = self._one_fit_per_replicate(matrix, result, 40, 4)
+        _, dropped = self._bootstrap_equal_to_one_fit_per_replicate(matrix, result)
         if sparse:  # some replicates keep the sparse column, others drop it
             assert 0 < dropped < 40
-        np.testing.assert_allclose(boot.theta_se, se, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(boot.theta_ci_low, low, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(boot.theta_ci_high, high, rtol=0, atol=1e-10)
-        assert boot.bootstrap_failure_reasons == failures
+
+    def test_refits_run_under_the_fits_config(self):
+        # a loose tol stops the refits sooner than the default tol would
+        matrix, _ = random_matrix(31, n=8, k=10)
+        result = fit(matrix, FitConfig(tol=1e-5))
+        boot, _ = self._bootstrap_equal_to_one_fit_per_replicate(matrix, result)
+        default = bootstrap(fit(matrix), B=40, seed=4)
+        assert boot.bootstrap_map_evaluations < default.bootstrap_map_evaluations
 
     @staticmethod
     def _with_zero_row_failures():
@@ -718,6 +712,7 @@ def test_uncertainty_keeps_the_point_fit(uncertainty):
     described = uncertainty(result)
     assert described.theta_se is not None
     assert described.dispersion == result.dispersion
+    assert described.config is result.config
     assert described.params is result.params
     assert described.loglik_trace == result.loglik_trace
 

@@ -64,7 +64,7 @@ class TestGenerateMatrix:
         assert np.median(np.abs(result.params.beta)) < 0.3
 
     def test_invalid_spec(self):
-        with pytest.raises(SynthError):
+        with pytest.raises(SynthError, match=r"^spec key 'n_docs' must be >= 2, got 1$"):
             SyntheticSpec.create(n_docs=1)
 
 
