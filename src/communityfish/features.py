@@ -24,11 +24,18 @@ class TrimReport:
 class CountMatrix:
     doc_ids: tuple[str, ...]
     feature_labels: tuple[str, ...]
-    counts: np.ndarray  # (n_docs, n_features) non-negative integers
+    # (n_docs, n_features) non-negative integers, held as float64: the one
+    # copy the fit reads; a float64 array is kept, not copied
+    counts: np.ndarray
 
     def __post_init__(self):
-        if self.counts.shape != (len(self.doc_ids), len(self.feature_labels)):
+        counts = np.asarray(self.counts, dtype=np.float64)
+        if counts.shape != (len(self.doc_ids), len(self.feature_labels)):
             raise MatrixError("count matrix dimensions do not match labels")
+        # NaN fails the first comparison
+        if counts.size and not (0 <= counts.min() and counts.max() < np.inf):
+            raise MatrixError("count matrix has a negative or non-finite count")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -99,7 +106,7 @@ def _count_matrix(
     so no corpus-wide column array is ever built.
     """
     coding = corpus.coding
-    counts = np.zeros((len(corpus.documents), k), dtype=np.int64)
+    counts = np.zeros((len(corpus.documents), k))  # CountMatrix's float64
     starts = coding.starts.tolist()
     for i, (start, end) in enumerate(zip(starts, starts[1:])):
         ids = coding.ids[start:end]

@@ -119,28 +119,35 @@ def _columns(*columns) -> np.ndarray:
     return out
 
 
-def _predictor(a, b, right, transposed: bool = False) -> np.ndarray:
+def _predictor(a, b, right, transposed: bool = False,
+               out: np.ndarray | None = None) -> np.ndarray:
     """eta_ij = a_i + offset_j + b_i * slope_j as one matrix product per
     replicate, [a, 1, b] @ [1, offset, slope]^T, where right is
     _columns(1.0, offset, slope); transposed forms it as the transpose of
     [1, offset, slope] @ [a, 1, b]^T, a view of an array whose rows run
     over j. Leading axes, if any, index replicates. Each replicate's product
     has the same shape whatever else is in its batch, so its values do not
-    depend on the batch."""
+    depend on the batch. With out, an array of the result's shape and
+    layout, the product is written there: the same BLAS call, the same
+    bits."""
     left = _columns(a, 1.0, b)
     if transposed:
-        return (right @ left.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return left @ right.swapaxes(-1, -2)
+        out = None if out is None else out.swapaxes(-1, -2)
+        return np.matmul(right, left.swapaxes(-1, -2), out=out).swapaxes(-1, -2)
+    return np.matmul(left, right.swapaxes(-1, -2), out=out)
 
 
-def _eta(params: ScalingParams) -> np.ndarray:
-    """The linear predictor at params, documents by features in C order."""
-    return _predictor(params.alpha, params.theta, _columns(1.0, params.psi, params.beta))
+def _eta(params: ScalingParams, out: np.ndarray | None = None) -> np.ndarray:
+    """The linear predictor at params, documents by features in C order,
+    into out if given."""
+    return _predictor(params.alpha, params.theta, _columns(1.0, params.psi, params.beta),
+                      out=out)
 
 
-def _rates(params: ScalingParams) -> np.ndarray:
-    """Clamped rates at params, computed in place of the linear predictor."""
-    eta = _eta(params)
+def _rates(params: ScalingParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Clamped rates at params, computed in place of the linear predictor,
+    into out if given."""
+    eta = _eta(params, out)
     return _clamped_mu(eta, _reach(params), out=eta)
 
 
@@ -179,10 +186,11 @@ def initialize(matrix: CountMatrix) -> ScalingParams:
         raise ScalingError("need >= 2 features to identify discrimination")
     if n < 2:
         raise ScalingError("need >= 2 documents")
-    rowsum = y.sum(axis=1, dtype=float)
+    rowsum = y.sum(axis=1)
     alpha = np.log(rowsum / rowsum[0])
     psi = np.log(y.mean(axis=0))
-    centered = np.log(y + 0.1)
+    centered = y + 0.1
+    np.log(centered, out=centered)
     row_means = centered.mean(axis=1, keepdims=True)
     col_means = centered.mean(axis=0, keepdims=True)
     grand_mean = centered.mean()
@@ -208,14 +216,16 @@ def initialize(matrix: CountMatrix) -> ScalingParams:
     return ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta)
 
 
-def _newton_block(y, offset, slope, a, b, mu):
+def _newton_block(y, offset, slope, a, b, mu, out=None):
     """One damped Newton step on every row's (a_i, b_i) of every replicate,
     towards the maximum of sum_j y_ij*eta - exp(eta) with
     eta_ij = a_i + offset_j + b_i * slope_j. y is (R, m, n), a and b are
     (R, m), offset and slope (R, n): each replicate has its own. Rows are
     independent and each row problem is concave.
 
-    mu holds the clamped rates at (a, b); it is only read. The gradient,
+    mu holds the clamped rates at (a, b); it is only read. The rates at the
+    new point go to out, an array of mu's shape and layout (a new one if not
+    given), where the full step's trial forms them. The gradient,
     the Hessian and the row log likelihood depend on the counts only through
     y @ [1, offset, slope] and on the rates only through
     mu @ [1, slope, slope^2], and a trial's linear predictor is
@@ -234,8 +244,8 @@ def _newton_block(y, offset, slope, a, b, mu):
     values depend on its number of rows, and each replicate's must not
     depend on the others in its batch.
 
-    Returns the updated (a, b), the row log likelihoods there, the rates
-    there and each replicate's number of row step halvings."""
+    Returns the updated (a, b), the row log likelihoods there, out and each
+    replicate's number of row step halvings."""
     right = _columns(1.0, offset, slope)
     sums = y @ right
     ysum, yoff, yslope = sums[..., 0], sums[..., 1], sums[..., 2]
@@ -256,20 +266,19 @@ def _newton_block(y, offset, slope, a, b, mu):
     offset_peak, slope_peak = _peak(offset), _peak(slope)
     transposed = mu.strides[-1] > mu.strides[-2]  # mu is a transposed view
 
-    def trial(a_try, b_try, right, ysum, yoff, yslope, weights, ll_old):
-        eta = _predictor(a_try, b_try, right, transposed)
+    def trial(a_try, b_try, right, ysum, yoff, yslope, weights, ll_old, out=None):
+        eta = _predictor(a_try, b_try, right, transposed, out)
         reach = _peak(a_try) + offset_peak + _peak(b_try) * slope_peak
         mu_try = _clamped_mu(eta, reach, out=eta)
         ll_try = a_try * ysum + yoff + b_try * yslope - (mu_try @ weights)[..., 0]
         return ll_try, mu_try, ll_try >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
 
     a_try, b_try = a + da, b + db
-    ll_try, mu_try, ok = trial(a_try, b_try, right, ysum, yoff, yslope, weights, ll)
+    ll_try, mu_try, ok = trial(a_try, b_try, right, ysum, yoff, yslope, weights, ll, out)
     halvings = np.zeros(len(a), dtype=int)
     if ok.all():
         return a_try, b_try, ll_try, mu_try, halvings
     a, b, ll = np.where(ok, a_try, a), np.where(ok, b_try, b), np.where(ok, ll_try, ll)
-    mu_try[~ok] = mu[~ok]
     for r in np.flatnonzero(~ok.all(axis=1)):
         rows = np.flatnonzero(~ok[r])
         step = 1.0
@@ -282,10 +291,16 @@ def _newton_block(y, offset, slope, a, b, mu):
                                           yoff[r, rows], yslope[r, rows], weights[r], ll[r, rows])
             accepted = rows[done]
             a[r, accepted], b[r, accepted] = a_try[done], b_try[done]
-            ll[r, accepted], mu_try[r, accepted] = ll_try[done], mu_rows[done]
+            ll[r, accepted] = ll_try[done]
+            # every trial row, with no copy of the accepted ones: a failing
+            # row is written again by a later trial or restored below. The
+            # trial's rates go before the next trial forms its own
+            mu_try[r, rows] = mu_rows
+            del mu_rows
             rows = rows[~done]
             if not rows.size:
                 break
+        mu_try[r, rows] = mu[r, rows]  # failed every trial: the rates at its point
     return a, b, ll, mu_try, halvings
 
 
@@ -329,16 +344,17 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray):
     return x, extrapolated
 
 
-def _dispersion(y: np.ndarray, mu: np.ndarray) -> float | None:
+def _dispersion(y: np.ndarray, mu: np.ndarray, out: np.ndarray) -> float | None:
     """Pearson chi-square of the counts y at the rates mu over the residual
     degrees of freedom n*k - (2n + 2k - 3); values well above 1 indicate
     overdispersion relative to the Poisson assumption. None when the fit
-    leaves no residual degrees of freedom."""
+    leaves no residual degrees of freedom. The residuals are formed in out,
+    an array of y's shape."""
     n, k = y.shape
     df = n * k - (2 * n + 2 * k - 3)
     if df <= 0:
         return None
-    r = y - mu
+    r = np.subtract(y, mu, out=out)
     r *= r
     r /= mu
     return float(np.sum(r)) / df
@@ -367,10 +383,15 @@ class _Refits:
     degenerate: np.ndarray  # stopped because theta lost its variance
 
 
-def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
+def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig,
+             rates: tuple[np.ndarray, np.ndarray]) -> _Refits:
     """Maximize the Poisson likelihood of R replicates at once by
     SQUAREM-accelerated block ascent: y is (R, n, k), start the standardized
     (R, 2n + 2k) flat points [alpha | theta | psi | beta], the loop's state.
+    rates, two C-order arrays of y's shape, are the only other full-size
+    state: the rates at the live points, and the spare in which the next
+    ones are formed. Their contents on entry and on return mean nothing, and
+    as replicates stop, the others' counts move to the front of y.
 
     One evaluation of the map F takes a damped Newton step on every document
     block (alpha_i, theta_i), then on every feature block (psi_j, beta_j),
@@ -394,28 +415,40 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
     zero_variance = np.zeros(R, dtype=bool)
     live = np.arange(R)  # the replicates still running, by position
     x = start
-    mu = _eta(at := _params(x, n))
+    mu, spare = rates  # the rates at x, and the buffer for the next ones
+    _eta(at := _params(x, n), out=mu)
     ll = np.array([np.vdot(y_r, eta_r) for y_r, eta_r in zip(y, mu)])
-    _clamped_mu(mu, _reach(at), out=mu)  # the rates at x, the only full-size state
+    _clamped_mu(mu, _reach(at), out=mu)
     ll -= [mu_r.sum() for mu_r in mu]
     for trace, ll_r in zip(traces, ll):
         trace.append(float(ll_r))
 
     def evaluate(x: np.ndarray):
-        """F(x) for the live replicates, taking over mu, the rates at x: the
-        new points, their log likelihoods (the feature rows' sums, which
-        _standardize keeps), their rates, and where theta lost its
+        """F(x) for the live replicates, moving mu from the rates at x to
+        those at F(x): the new points, their log likelihoods (the feature
+        rows' sums, which _standardize keeps) and where theta lost its
         variance."""
-        nonlocal mu
-        rates, mu = mu, None
+        nonlocal mu, spare
         alpha, theta, psi, beta = _split(x, n)
-        alpha, theta, _, rates, h_doc = _newton_block(y, psi, beta, alpha, theta, rates)
-        psi, beta, ll_cols, rates, h_feat = _newton_block(
-            y.swapaxes(1, 2), alpha, theta, psi, beta, rates.swapaxes(1, 2))
+        alpha, theta, _, _, h_doc = _newton_block(y, psi, beta, alpha, theta, mu, spare)
+        mu, spare = spare, mu
+        psi, beta, ll_cols, _, h_feat = _newton_block(
+            y.swapaxes(1, 2), alpha, theta, psi, beta, mu.swapaxes(1, 2), spare.swapaxes(1, 2))
+        mu, spare = spare, mu
         evaluations[live] += 1
         halvings[live] += h_doc + h_feat
         new, degenerate = _standardize(alpha, theta, psi, beta)
-        return new, ll_cols.sum(axis=-1), rates.swapaxes(1, 2), degenerate
+        return new, ll_cols.sum(axis=-1), degenerate
+
+    def refresh(where: np.ndarray, points: np.ndarray) -> None:
+        """Set mu to the rates at points for the live replicates where
+        `where` holds, forming them in spare."""
+        nonlocal mu, spare
+        count = np.count_nonzero(where)
+        if count == live.size:
+            mu, spare = _rates(_params(points, n), out=spare), mu
+        elif count:
+            mu[where] = _rates(_params(points[where], n), out=spare[:count])
 
     def keep(new: np.ndarray, ll_new, accept) -> np.ndarray:
         """Move the live replicates where accept holds to the points new,
@@ -435,18 +468,22 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
     def finish(stop: np.ndarray) -> np.ndarray:
         """Record the live replicates where stop holds and drop them; returns
         where the others were."""
-        nonlocal live, y, x, mu, ll
+        nonlocal live, y, x, mu, spare, ll
         final[live[stop]] = x[stop]
         going = ~stop
         live = live[going]
         if live.size:
-            y, x, mu, ll = y[going], x[going], mu[going], ll[going]
+            x, ll, m = x[going], ll[going], live.size
+            # in place, in the memory they had
+            y[:m] = y[going]
+            mu[:m] = mu[going]
+            y, mu, spare = y[:m], mu[:m], spare[:m]
         return going
 
     while live.size:
         points = [x]  # x0, x1 and x2 of this cycle
         for _ in range(2):
-            new, ll_new, mu, degenerate = evaluate(x)
+            new, ll_new, degenerate = evaluate(x)
             stop = keep(new, ll_new, np.ones(live.size, dtype=bool))
             zero_variance[live] = degenerate
             if (stop := stop | degenerate).any():
@@ -458,16 +495,11 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig) -> _Refits:
         if not live.size:
             break
         x_ext, extrapolated = _extrapolate(*points)  # x is x2 until keep
-        if extrapolated.all():
-            mu = None  # x2's rates go before those of x_ext exist
-            mu = _rates(_params(x_ext, n))
-        elif extrapolated.any():
-            mu[extrapolated] = _rates(_params(x_ext[extrapolated], n))
-        new, ll_new, mu, degenerate = evaluate(x_ext)
+        refresh(extrapolated, x_ext)
+        new, ll_new, degenerate = evaluate(x_ext)
         ascended = ~degenerate & (ll_new >= ll)
         # a rejected point falls back to x2, with x2's rates
-        if not ascended.all():
-            mu[~ascended] = _rates(_params(x[~ascended], n))
+        refresh(~ascended, x)
         if (stop := keep(new, ll_new, ascended)).any():
             finish(stop)
     converged &= ~zero_variance
@@ -481,7 +513,7 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     document or feature without counts has no finite estimate: a
     ScalingError."""
     t0 = time.perf_counter()
-    y = matrix.counts.astype(float)
+    y = matrix.counts
     n, k = y.shape
     if n < 2 or k < 2:
         raise ScalingError("need >= 2 documents and >= 2 features")
@@ -505,13 +537,17 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
                              else ("anchor_low", "anchor_high", "last"))
         raise ScalingError(f"{given} names the {end} document, where the unset {unset} defaults")
 
-    run = _squarem(y[np.newaxis], x[np.newaxis], config)
+    # the fit's two n x k arrays: _squarem's rates, then the fitted rates
+    # and the residuals of the dispersion. Two arrays of the counts' size,
+    # not one of twice it: the allocator reuses the holes they leave
+    rates = np.empty((1, n, k)), np.empty((1, n, k))
+    run = _squarem(y[np.newaxis], x[np.newaxis], config, rates)
     if run.degenerate[0]:
         raise ScalingError("degenerate theta: zero variance")
     params = _params(run.x[0], n)
     if params.theta[lo] > params.theta[hi]:
         params = replace(params, theta=-params.theta, beta=-params.beta)
-    eta, reach = _eta(params), _reach(params)
+    eta, reach = _eta(params, out=rates[0][0]), _reach(params)
     clamped = reach >= _CLAMP - 1.0 and bool(eta.max() > _CLAMP or eta.min() < -_CLAMP)
     if clamped:
         warnings.warn("linear predictor clamp active; extreme rates truncated")
@@ -530,7 +566,7 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         line_search_halvings=int(run.halvings[0]),
         map_evaluations=int(run.evaluations[0]),
         score=_score(y, params, mu),
-        dispersion=_dispersion(y, mu),
+        dispersion=_dispersion(y, mu, out=rates[1][0]),
     )
 
 
@@ -576,7 +612,11 @@ def bootstrap(result: ScalingResult, B: int, seed: int = 0) -> ScalingResult:
     failures = dict.fromkeys(FAILURE_REASONS, 0)
     evaluations = 0
     for first in range(0, B, batch):
-        y_star = rng.poisson(mu, size=(min(batch, B - first), n, k))
+        # one draw per replicate, in replicate order, straight into floats:
+        # the same stream as one draw of the whole batch
+        y_star = np.empty((min(batch, B - first), n, k))
+        for y_b in y_star:
+            y_b[...] = rng.poisson(mu)
         full_rows = y_star.any(axis=2).all(axis=1)
         failures["zero_row"] += int(np.count_nonzero(~full_rows))
         nonzero = y_star.any(axis=1)
@@ -588,9 +628,13 @@ def bootstrap(result: ScalingResult, B: int, seed: int = 0) -> ScalingResult:
             if np.count_nonzero(cols) < 2:  # fit needs two features
                 failures["error"] += members.size
                 continue
+            # copied out of the batch only where it is a strict part of it
+            y = y_star if members.size == len(y_star) else y_star[members]
+            if not cols.all():
+                y = y[:, :, cols]
             kept = np.concatenate([np.ones(2 * n, dtype=bool), cols, cols])
-            run = _squarem(y_star[members][:, :, cols].astype(float),
-                           np.tile(start[kept], (members.size, 1)), result.config)
+            run = _squarem(y, np.tile(start[kept], (members.size, 1)), result.config,
+                           (np.empty(y.shape), np.empty(y.shape)))
             evaluations += int(run.evaluations.sum())
             failures["error"] += int(np.count_nonzero(run.degenerate))
             failures["not_converged"] += int(np.count_nonzero(~run.degenerate & ~run.converged))

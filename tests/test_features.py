@@ -146,7 +146,7 @@ def expected_matrix(docs, labels, col_of, bigram_match=False):
 
 def assert_same_cells(matrix, expected):
     assert matrix.doc_ids == expected.doc_ids
-    assert matrix.counts.dtype == np.int64
+    assert matrix.counts.dtype == np.float64
     assert matrix.counts.tolist() == expected.counts.tolist()
 
 
@@ -187,6 +187,24 @@ class TestCountsMatchLoop:
         expected = expected_matrix(docs, words, {w: j for j, w in enumerate(words)})
         assert_same_cells(matrix, expected)
         assert matrix.feature_labels == expected.feature_labels
+
+
+class TestCountMatrix:
+    def test_counts_are_held_once_as_float64(self):
+        counts = np.random.default_rng(0).poisson(5.0, size=(6, 5))
+        matrix = CountMatrix(tuple("abcdef"), tuple("vwxyz"), counts)
+        assert matrix.counts.dtype == np.float64
+        assert (matrix.counts == counts).all()
+        again = CountMatrix(matrix.doc_ids, matrix.feature_labels, matrix.counts)
+        assert again.counts is matrix.counts
+
+    @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
+    def test_rejects_counts_that_are_not_counts(self, value):
+        counts = np.random.default_rng(0).poisson(5.0, size=(6, 5)).astype(float)
+        counts[2, 3] = value
+        with pytest.raises(MatrixError,
+                           match="^count matrix has a negative or non-finite count$"):
+            CountMatrix(tuple("abcdef"), tuple("vwxyz"), counts)
 
 
 class TestTrim:

@@ -172,6 +172,26 @@ class TestFit:
             with pytest.raises(ScalingError, match=f"^{message}$"):
                 fit(matrix)
 
+    def test_holds_two_arrays_of_the_matrix_size(self):
+        # the counts are built before tracing starts; the fit itself holds
+        # two rate arrays of their shape, and initialize one log array. Its
+        # vectors of one entry per feature, some 40 of them live at once,
+        # add about 40 / n arrays: n is large enough for them to stay small
+        rng = np.random.default_rng(2)
+        n, k = 200, 2000
+        theta, beta = rng.normal(size=n), rng.normal(scale=0.5, size=k)
+        counts = rng.poisson(np.exp(1.0 + np.outer(theta, beta))) + 1
+        matrix = CountMatrix(tuple(f"d{i}" for i in range(n)),
+                             tuple(f"f{j}" for j in range(k)), counts)
+        tracemalloc.start()
+        try:
+            result = fit(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < 2.5 * 8 * n * k  # bytes
+
     def test_trace_non_decreasing(self):
         matrix, _ = random_matrix(11, n=10, k=12)
         result = fit_checking_ascent(matrix)
