@@ -50,10 +50,12 @@ def main():
         corpus, spec = cf.generate_corpus(spec)
         config = cf.RunConfig(min_bigram_count=args.pi, seed=seed)
         comparison = cf.compare_models(corpus, config)
-        # a branch that failed has no rho; its error goes into the row
+        planted = dict(zip((d.id for d in corpus.documents), spec.theta_star))
+        # rho is over the documents a branch fitted, which trimming may have
+        # thinned; a branch that failed has no rho, and its error goes into the row
         rho = {
             branch: None if result is None else float(abs(np.corrcoef(
-                result.params.theta, spec.theta_star)[0, 1]))
+                result.params.theta, [planted[d] for d in result.matrix.doc_ids])[0, 1]))
             for branch, result in (("community", comparison.community_result),
                                    ("unigram", comparison.unigram_result))
         }

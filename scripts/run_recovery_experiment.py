@@ -31,30 +31,46 @@ def main():
         spec = cf.SyntheticSpec.create(
             args.n_docs, args.n_features, args.row_total, seed=seed
         )
-        matrix, spec = cf.generate_matrix(spec)
-        result = cf.fit(matrix)
-        if args.bootstrap_b > 0:
-            result = cf.bootstrap(result, B=args.bootstrap_b, seed=seed)
+        # a replication whose draw, fit or bootstrap fails records the error
+        try:
+            matrix, spec = cf.generate_matrix(spec)
+            result = cf.fit(matrix)
+            if args.bootstrap_b > 0:
+                result = cf.bootstrap(result, B=args.bootstrap_b, seed=seed)
+        except ValueError as exc:
+            rows.append({"seed": seed, "error": str(exc)})
+            print(f"seed {seed}: failed ({exc})")
+            continue
         metrics = cf.recovery_report(spec.theta_star, result)
         metrics["seed"] = seed
         metrics["converged"] = result.converged
+        metrics["error"] = None
         rows.append(metrics)
         print(f"seed {seed}: pearson={metrics['pearson']:.4f} "
               f"rmse={metrics['rmse_affine']:.4f}"
               + (f" coverage={metrics['ci_coverage']:.3f}"
                  if "ci_coverage" in metrics else ""))
 
+    # the summary is over the replications that fitted; null when none did
+    fitted = [r for r in rows if r["error"] is None]
+
+    def over_fitted(stat, key):
+        return float(stat([r[key] for r in fitted])) if fitted else None
+
     summary = {
         "replications": rows,
-        "mean_pearson": float(np.mean([r["pearson"] for r in rows])),
-        "min_pearson": float(np.min([r["pearson"] for r in rows])),
+        "mean_pearson": over_fitted(np.mean, "pearson"),
+        "min_pearson": over_fitted(np.min, "pearson"),
     }
     if args.bootstrap_b > 0:
-        summary["mean_coverage"] = float(np.mean([r["ci_coverage"] for r in rows]))
+        summary["mean_coverage"] = over_fitted(np.mean, "ci_coverage")
     with open(args.out, "w") as fh:
         json.dump(summary, fh, indent=2)
-    print(f"\nmean pearson {summary['mean_pearson']:.4f}, "
-          f"min {summary['min_pearson']:.4f} -> {args.out}")
+    if fitted:
+        print(f"\n{len(fitted)}/{len(rows)} fitted: mean pearson {summary['mean_pearson']:.4f}, "
+              f"min {summary['min_pearson']:.4f} -> {args.out}")
+    else:
+        print(f"\nno replication fitted -> {args.out}")
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    FORMATS,
     Corpus,
     CorpusError,
     count_bigrams,
@@ -52,9 +53,9 @@ from .scaling import (
     fit,
 )
 from .synthbench import (
+    SimulationSpec,
     SynthError,
     SyntheticSpec,
-    check_spec,
     generate_matrix,
     recovery_report,
     spearman,
@@ -121,7 +122,7 @@ def _coerce(default, raw: str, where: str):
 # The values of the enumerated config keys, and the least value of the
 # integer config keys; FitConfig checks tol, max_iter and the anchors.
 CHOICES = {
-    "format": ("jsonl", "text-directory", "csv"),
+    "format": tuple(FORMATS),
     "clustering": ("louvain", "leiden"),
     "dtm": ("member-count", "bigram-match"),
 }
@@ -134,20 +135,11 @@ FLOORS = {
 }
 
 
-def _check_floors(values) -> None:
-    """A one-line exit-1 error for the first field of the dataclass ``values``
-    below its floor in ``FLOORS``."""
-    for key in (f.name for f in dataclasses.fields(values) if f.name in FLOORS):
-        value = getattr(values, key)
-        if value < FLOORS[key]:
-            raise CliError(f"config key {key!r} must be >= {FLOORS[key]}, got {value!r}",
-                           EXIT_CONFIG)
-
-
 @dataclass(frozen=True)
-class RunConfig:
-    """The config file's keys; a value outside its key's domain raises
-    ``CliError``, a ``ValueError``, with the config file's message."""
+class RunConfig(FitConfig):
+    """The config file's keys: the fit's, which ``FitConfig`` declares, and
+    the pipeline's; a value outside its key's domain raises ``CliError``, a
+    ``ValueError``, with the config file's message."""
 
     input: str = ""
     format: str = "jsonl"
@@ -158,10 +150,6 @@ class RunConfig:
     min_community_size: int = 2
     dtm: str = "member-count"
     unigram_min_count: int = 1
-    tol: float = 1e-8
-    max_iter: int = 500
-    anchor_low: str = ""
-    anchor_high: str = ""
     bootstrap_b: int = 200
     seed: int = 0
     out: str = "run_output"
@@ -172,33 +160,14 @@ class RunConfig:
             if value not in allowed:
                 raise CliError(f"config key {key!r} must be one of {', '.join(allowed)}, "
                                f"got {value!r}", EXIT_CONFIG)
-        _check_floors(self)
+        for key, floor in FLOORS.items():
+            if (value := getattr(self, key)) < floor:
+                raise CliError(f"config key {key!r} must be >= {floor}, got {value!r}",
+                               EXIT_CONFIG)
         try:  # tol, max_iter and the anchors
-            self.fit_config()
+            super().__post_init__()
         except ScalingError as exc:
             raise CliError(f"config: {exc}", EXIT_CONFIG) from None
-
-    def fit_config(self) -> FitConfig:
-        return FitConfig(
-            tol=self.tol,
-            max_iter=self.max_iter,
-            anchor_low=self.anchor_low or None,
-            anchor_high=self.anchor_high or None,
-        )
-
-
-@dataclass(frozen=True)
-class SimulationSpec:
-    """Keys of a ``simulate`` spec file; the seed and the bootstrap
-    replicates come from the ``RunConfig``, as in every command. A value
-    below its floor is a ``SynthError``, an exit-1 error."""
-
-    n_docs: int = 25
-    n_features: int = 40
-    expected_row_total: int = 500
-
-    def __post_init__(self):
-        check_spec(self.n_docs, self.n_features, self.expected_row_total)
 
 
 @dataclass(frozen=True)
@@ -227,8 +196,8 @@ def _cluster(corpus: Corpus, config: RunConfig) -> tuple[WordGraph, Partition]:
 def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False) -> PipelineRun:
     """Run the stages on a tokenized corpus, in order: ``_cluster`` ->
     community count matrix -> fit. ``baseline`` replaces everything before
-    the fit by the unigram count matrix. The fit runs with
-    ``config.fit_config()``.
+    the fit by the unigram count matrix. The fit runs under ``config``, a
+    ``FitConfig``.
 
     Failures raise the library's ``ValueError`` subclasses: ``GraphError``
     and ``MatrixError`` for an empty stage, ``ScalingError`` for the fit. A
@@ -246,7 +215,7 @@ def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False) -> P
     if n < 2 or k < 2:
         raise MatrixError(f"count matrix is {n} x {k} after trimming; "
                           "need >= 2 documents and >= 2 features")
-    return PipelineRun(partition, trim_report, fit(matrix, config.fit_config()))
+    return PipelineRun(partition, trim_report, fit(matrix, config))
 
 
 @dataclass(frozen=True)
@@ -511,20 +480,14 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
 
 
 def cmd_simulate(args, config: RunConfig, out: Path) -> tuple[str, dict]:
-    sim = args.spec
-    spec = SyntheticSpec.create(
-        n_docs=sim.n_docs,
-        n_features=sim.n_features,
-        expected_row_total=sim.expected_row_total,
-        seed=config.seed,
-    )
+    spec = SyntheticSpec.create(**dataclasses.asdict(args.spec), seed=config.seed)
     matrix, spec = generate_matrix(spec)
-    result = fit(matrix, config.fit_config())
+    result = fit(matrix, config)
     if config.bootstrap_b > 0:
         result = bootstrap(result, B=config.bootstrap_b, seed=config.seed)
     metrics = recovery_report(spec.theta_star, result)
     report = {
-        "spec": dataclasses.asdict(sim),
+        "spec": dataclasses.asdict(args.spec),
         "converged": result.converged,
         "log_likelihood": result.loglik_trace[-1],
         **metrics,

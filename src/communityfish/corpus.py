@@ -164,11 +164,10 @@ def load_corpus(source, format: str) -> Corpus:
     path = Path(source)
     if not path.exists():
         raise CorpusError(f"input not found: {path}")
-    loaders = {"jsonl": _load_jsonl, "text-directory": _load_textdir, "csv": _load_csv}
-    if format not in loaders:
+    if format not in FORMATS:
         raise CorpusError(f"unknown corpus format {format!r}")
     try:
-        docs = loaders[format](path)
+        docs = FORMATS[format](path)
     except UnicodeDecodeError:
         raise CorpusError(f"{path}: not UTF-8 text") from None
     if not docs:
@@ -248,6 +247,10 @@ def _load_csv(path: Path) -> list[Document]:
     finally:
         csv.field_size_limit(limit)
     return docs
+
+
+# each corpus format load_corpus reads, and its loader
+FORMATS = {"jsonl": _load_jsonl, "text-directory": _load_textdir, "csv": _load_csv}
 
 
 def tokenize(doc: Document, stopwords: frozenset[str] = frozenset()) -> tuple[str, ...]:

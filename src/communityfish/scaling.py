@@ -40,8 +40,9 @@ class ScalingParams:
 class FitConfig:
     tol: float = 1e-8
     max_iter: int = 500
-    anchor_low: str | None = None  # defaults to first document
-    anchor_high: str | None = None  # defaults to last document
+    # "" (or None) is unset: the first and the last document
+    anchor_low: str | None = ""
+    anchor_high: str | None = ""
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:

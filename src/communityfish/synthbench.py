@@ -24,12 +24,20 @@ class SynthError(ValueError):
     """Raised for invalid simulation specs or persistently degenerate draws."""
 
 
-def check_spec(n_docs: int, n_features: int, expected_row_total: int) -> None:
-    """A SynthError naming the first spec value below its floor."""
-    for key, value, floor in (("n_docs", n_docs, 2), ("n_features", n_features, 2),
-                              ("expected_row_total", expected_row_total, 1)):
-        if value < floor:
-            raise SynthError(f"spec key {key!r} must be >= {floor}, got {value!r}")
+@dataclass(frozen=True)
+class SimulationSpec:
+    """The size of a planted count matrix: the keys of a ``simulate`` spec
+    file, whose seed and bootstrap replicates come from the run's config. A
+    value below its floor is a ``SynthError``."""
+
+    n_docs: int = 25
+    n_features: int = 40
+    expected_row_total: int = 500
+
+    def __post_init__(self):
+        for key, floor in (("n_docs", 2), ("n_features", 2), ("expected_row_total", 1)):
+            if (value := getattr(self, key)) < floor:
+                raise SynthError(f"spec key {key!r} must be >= {floor}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,12 +54,12 @@ class SyntheticSpec:
     @classmethod
     def create(
         cls,
-        n_docs: int = 25,
-        n_features: int = 40,
-        expected_row_total: int = 500,
+        n_docs: int = SimulationSpec.n_docs,
+        n_features: int = SimulationSpec.n_features,
+        expected_row_total: int = SimulationSpec.expected_row_total,
         seed: int = 0,
     ) -> "SyntheticSpec":
-        check_spec(n_docs, n_features, expected_row_total)
+        SimulationSpec(n_docs, n_features, expected_row_total)
         rng = np.random.default_rng(seed)
         theta = rng.normal(size=n_docs)
         theta = (theta - theta.mean()) / theta.std(ddof=1)

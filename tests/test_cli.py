@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -250,6 +251,45 @@ class TestScripts:
         assert row["rho_community"] is None and 0 <= row["rho_unigram"] <= 1
         assert row["errors"] == {"community": "empty graph: no bigrams survive threshold"}
         assert summary["both_fitted"] == summary["community_wins"] == 0
+
+    @staticmethod
+    def _run_script(monkeypatch, tmp_path, name: str, *args: str) -> dict:
+        """Run a script's main() as ``python scripts/<name> ... --out``; the
+        summary it wrote."""
+        script = Path(communityfish.__file__).parents[2] / "scripts" / name
+        out = tmp_path / "summary.json"
+        monkeypatch.setattr(sys, "argv", [str(script), *args, "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the fits' clamp and max_iter notes
+            runpy.run_path(str(script), run_name="__main__")
+        return json.loads(out.read_text())
+
+    def test_model_comparison_correlates_the_documents_a_branch_fitted(self, monkeypatch,
+                                                                        tmp_path):
+        # trimming leaves the community branch 27 of the 40 documents, the
+        # unigram branch all 40: each rho is over its branch's own documents
+        summary = self._run_script(
+            monkeypatch, tmp_path, "run_model_comparison.py", "--n-communities", "12",
+            "--runs-per-doc", "1", "--n-docs", "40", "--pi", "4", "--replications", "1")
+        row = summary["replications"][0]
+        assert row["errors"] == {}
+        assert (row["k_features"], row["vocabulary"]) == (7, 64)
+        assert 0 <= row["rho_community"] <= 1 and 0 <= row["rho_unigram"] <= 1
+        assert summary["both_fitted"] == 1
+
+    def test_recovery_experiment_records_a_failed_replication(self, monkeypatch, tmp_path):
+        # seed 0's bootstrap fails on every replicate: the row holds the
+        # error, and no replication is left to average
+        summary = self._run_script(
+            monkeypatch, tmp_path, "run_recovery_experiment.py", "--n-docs", "6",
+            "--n-features", "8", "--row-total", "12", "--replications", "1",
+            "--bootstrap-b", "30")
+        assert summary["replications"] == [{
+            "seed": 0,
+            "error": "bootstrap failed on 30/30 replicates (zero_row 30, not_converged 0, error 0)",
+        }]
+        assert summary["mean_pearson"] is summary["min_pearson"] is None
+        assert summary["mean_coverage"] is None
 
 
 class TestCorpusInputs:

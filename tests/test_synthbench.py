@@ -238,7 +238,13 @@ class TestCompareModels:
         config = RunConfig(min_bigram_count=30, seed=13, tol=1e-10, max_iter=400)
         report = compare_models(generate_corpus(planted_spec(13))[0], config)
         assert report.errors == {}
-        assert seen == [config.fit_config()] * 2
+        assert seen == [config] * 2
+
+    def test_run_pipeline_fits_under_the_run_config(self):
+        # a RunConfig is the fit's FitConfig, not a copy of its fit keys
+        config = RunConfig(min_bigram_count=30, seed=13, tol=1e-10, anchor_low="doc_3")
+        run = run_pipeline(generate_corpus(planted_spec(13))[0], config)
+        assert run.result.config is config
 
     def test_empty_corpus_rejected(self):
         from communityfish.corpus import Corpus, CorpusError
