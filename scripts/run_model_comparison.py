@@ -39,7 +39,7 @@ def main():
             scale=args.polarity, size=args.n_communities))
 
     rows = []
-    wins = both = 0
+    both = 0
     for rep in range(args.replications):
         seed = args.seed + rep
         spec = cf.PlantedCorpusSpec(
@@ -53,19 +53,21 @@ def main():
         planted = dict(zip((d.id for d in corpus.documents), spec.theta_star))
         # rho is over the documents a branch fitted, which trimming may have
         # thinned; a branch that failed has no rho, and its error goes into the row
+        results = {"community": comparison.community_result,
+                   "unigram": comparison.unigram_result}
         rho = {
             branch: None if result is None else float(abs(np.corrcoef(
                 result.params.theta, [planted[d] for d in result.matrix.doc_ids])[0, 1]))
-            for branch, result in (("community", comparison.community_result),
-                                   ("unigram", comparison.unigram_result))
+            for branch, result in results.items()
         }
-        if None not in rho.values():
-            both += 1
-            wins += int(rho["community"] >= rho["unigram"])
+        both += None not in rho.values()
         rows.append({
             "seed": seed,
             "rho_community": rho["community"],
             "rho_unigram": rho["unigram"],
+            **{f"{flag}_{branch}": None if result is None else getattr(result, flag)
+               for flag in ("converged", "clamp_activated")
+               for branch, result in results.items()},
             "k_features": comparison.k_community_features,
             "vocabulary": comparison.vocabulary_size,
             "runtime_community": comparison.runtime_community,
@@ -77,20 +79,29 @@ def main():
             else f"{branch} failed ({comparison.errors[branch]})"
             for branch, value in rho.items()))
 
+    # a fit that stopped at max_iter, or whose linear predictor was clamped,
+    # has no trustworthy rho: wins and means count only the replications
+    # where both branches converged with the clamp inactive
+    sound = [r for r in rows if all(
+        r[f"converged_{b}"] and not r[f"clamp_activated_{b}"]
+        for b in ("community", "unigram"))]
+    wins = sum(r["rho_community"] >= r["rho_unigram"] for r in sound)
+
     def mean(key):
-        values = [r[key] for r in rows if r[key] is not None]
-        return float(np.mean(values)) if values else None
+        return float(np.mean([r[key] for r in sound])) if sound else None
 
     summary = {
         "replications": rows,
         "both_fitted": both,
+        "both_converged": len(sound),
         "community_wins": wins,
         "mean_rho_community": mean("rho_community"),
         "mean_rho_unigram": mean("rho_unigram"),
     }
     with open(args.out, "w") as fh:
         json.dump(summary, fh, indent=2)
-    print(f"\ncommunity wins {wins}/{both} with both branches fitted -> {args.out}")
+    print(f"\ncommunity wins {wins}/{len(sound)} with both branches converged "
+          f"({both} fitted) -> {args.out}")
 
 
 if __name__ == "__main__":

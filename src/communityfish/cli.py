@@ -284,12 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("communities", "detect word communities and export them"),
-        ("scale", "run the full scaling pipeline"),
-        ("compare", "fit community and unigram models side by side"),
-        ("simulate", "planted-truth recovery simulation"),
-    ]:
+    for name, (_, help_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", help="override the config seed")
@@ -333,13 +328,10 @@ def _resolve_config(args) -> RunConfig:
 def _load_pipeline_corpus(config: RunConfig) -> Corpus:
     if not config.input:
         raise CliError("no input corpus configured (set input= or --input)", EXIT_CONFIG)
-    try:
-        corpus = load_corpus(config.input, config.format)
-        stopwords = read_stopwords(config.stopwords) if config.stopwords else frozenset()
-        table = read_lemma_table(config.lemmas) if config.lemmas else None
-        return corpus.tokenized(stopwords, table)
-    except CorpusError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
+    corpus = load_corpus(config.input, config.format)
+    stopwords = read_stopwords(config.stopwords) if config.stopwords else frozenset()
+    table = read_lemma_table(config.lemmas) if config.lemmas else None
+    return corpus.tokenized(stopwords, table)
 
 
 def _write_manifest(out: Path, config: RunConfig, extra: dict) -> None:
@@ -456,10 +448,8 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
     report = compare_models(_load_pipeline_corpus(config), config)
     errors = {branch: str(exc) for branch, exc in report.errors.items()}
     if report.community_result is None and report.unigram_result is None:
-        # exit 2 unless a fit failed: the other errors are empty stages, as in scale
-        estimation = any(isinstance(e, ScalingError) for e in report.errors.values())
         raise CliError(f"both branches failed: {errors}",
-                       EXIT_ESTIMATION if estimation else EXIT_EMPTY)
+                       max(map(_exit_code, report.errors.values())))
     com, uni = report.community_result, report.unigram_result
     thetas = _theta_by_doc(com), _theta_by_doc(uni)
     _write_csv(out / "comparison.csv", ["doc_id", "theta_community", "theta_unigram"],
@@ -496,11 +486,12 @@ def cmd_simulate(args, config: RunConfig, out: Path) -> tuple[str, dict]:
     return f"recovery pearson = {metrics['pearson']:.4f}", {}
 
 
+# Each subcommand's handler and its help line.
 _COMMANDS = {
-    "communities": cmd_communities,
-    "scale": cmd_scale,
-    "compare": cmd_compare,
-    "simulate": cmd_simulate,
+    "communities": (cmd_communities, "detect word communities and export them"),
+    "scale": (cmd_scale, "run the full scaling pipeline"),
+    "compare": (cmd_compare, "fit community and unigram models side by side"),
+    "simulate": (cmd_simulate, "planted-truth recovery simulation"),
 }
 
 
@@ -508,11 +499,19 @@ _COMMANDS = {
 _EXIT_CODES = {
     SynthError: EXIT_CONFIG,
     OSError: EXIT_CONFIG,
-    CorpusError: EXIT_EMPTY,
+    CorpusError: EXIT_CONFIG,
     GraphError: EXIT_EMPTY,
     MatrixError: EXIT_EMPTY,
     ScalingError: EXIT_ESTIMATION,
 }
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code of ``exc``: a CliError's own, else its class's in
+    ``_EXIT_CODES``; an error of no class there is an empty stage."""
+    if isinstance(exc, CliError):
+        return exc.code
+    return next((c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls)), EXIT_EMPTY)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -525,11 +524,10 @@ def main(argv: list[str] | None = None) -> int:
             entries["spec"] = dataclasses.asdict(args.spec)
         Path(config.out).mkdir(parents=True, exist_ok=True)
         out = Path(config.out)
-        summary, extra = _COMMANDS[args.command](args, config, out)
+        summary, extra = _COMMANDS[args.command][0](args, config, out)
         _write_manifest(out, config, {**entries, **extra, "exit_status": 0})
     except (CliError, *_EXIT_CODES) as exc:
-        code = exc.code if isinstance(exc, CliError) else next(
-            c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
+        code = _exit_code(exc)
         print(f"error: {exc}", file=sys.stderr)
         if out is not None:  # the run got as far as creating out/
             with contextlib.suppress(OSError):

@@ -175,14 +175,19 @@ def load_corpus(source, format: str) -> Corpus:
     return Corpus(tuple(docs))
 
 
-def _check_id(path: Path, line: int, doc_id: str, first_line: dict[str, int]) -> None:
-    """Reject an empty id, or one in ``first_line``, the line of each id so far."""
+def _record(path: Path, line: int, doc_id: str, rec: Mapping,
+            first_line: dict[str, int]) -> Document:
+    """The document of the record ``rec`` ending on ``line``: its text, and
+    its other string values as metadata. An empty id, or one in
+    ``first_line``, the line of each id so far, is an error."""
     if not doc_id:
         raise CorpusError(f"{path}:{line}: document id must be non-empty")
     if doc_id in first_line:
         raise CorpusError(f"{path}:{line}: duplicate document id {doc_id!r} "
                           f"(first on line {first_line[doc_id]})")
     first_line[doc_id] = line
+    meta = {k: v for k, v in rec.items() if k not in ("id", "text") and isinstance(v, str)}
+    return Document(id=doc_id, text=rec["text"], metadata=meta)
 
 
 def _load_jsonl(path: Path) -> list[Document]:
@@ -197,18 +202,12 @@ def _load_jsonl(path: Path) -> list[Document]:
                 raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(rec, dict) or "text" not in rec:
                 raise CorpusError(f"{path}:{lineno}: record missing 'text' key")
-            text, doc_id = rec["text"], rec.get("id", lineno)
-            if not isinstance(text, str):
+            doc_id = rec.get("id", lineno)
+            if not isinstance(rec["text"], str):
                 raise CorpusError(f"{path}:{lineno}: 'text' must be a string")
             if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
                 raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer")
-            _check_id(path, lineno, str(doc_id), first_line)
-            meta = {
-                k: v
-                for k, v in rec.items()
-                if k not in ("id", "text") and isinstance(v, str)
-            }
-            docs.append(Document(id=str(doc_id), text=text, metadata=meta))
+            docs.append(_record(path, lineno, str(doc_id), rec, first_line))
     return docs
 
 
@@ -236,14 +235,8 @@ def _load_csv(path: Path) -> list[Document]:
                     raise CorpusError(f"{path}:{reader.line_num}: missing text field")
                 if None in row:  # DictReader's key for the fields past the header
                     raise CorpusError(f"{path}:{reader.line_num}: more fields than the header")
-                doc_id = row.get("id") or str(record)
-                _check_id(path, reader.line_num, doc_id, first_line)
-                meta = {
-                    k: v
-                    for k, v in row.items()
-                    if k not in ("id", "text") and v is not None
-                }
-                docs.append(Document(id=doc_id, text=row["text"], metadata=meta))
+                docs.append(_record(path, reader.line_num, row.get("id") or str(record),
+                                    row, first_line))
     finally:
         csv.field_size_limit(limit)
     return docs

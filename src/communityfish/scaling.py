@@ -608,7 +608,11 @@ def bootstrap(result: ScalingResult, B: int, seed: int = 0) -> ScalingResult:
     n, k = mu.shape
     start = _standardize(p.alpha, p.theta, p.psi, p.beta)[0]  # where every refit starts
     batch = max(1, BATCH_CELLS // mu.size)
-    thetas = np.empty((B, n))
+    try:
+        thetas = np.empty((B, n))
+    except (MemoryError, ValueError):  # B past memory, or past numpy's largest dimension
+        raise ScalingError(f"{B} bootstrap replicates of {n} documents do not fit "
+                           "in memory") from None
     refit = np.zeros(B, dtype=bool)  # replicates whose refit converged
     failures = dict.fromkeys(FAILURE_REASONS, 0)
     evaluations = 0

@@ -42,9 +42,8 @@ class SimulationSpec:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_docs: int
-    n_features: int
-    expected_row_total: int
+    """Planted parameters: one document per theta, one feature per beta."""
+
     seed: int
     theta_star: np.ndarray
     beta_star: np.ndarray
@@ -61,42 +60,47 @@ class SyntheticSpec:
     ) -> "SyntheticSpec":
         SimulationSpec(n_docs, n_features, expected_row_total)
         rng = np.random.default_rng(seed)
-        theta = rng.normal(size=n_docs)
-        theta = (theta - theta.mean()) / theta.std(ddof=1)
-        beta = rng.normal(size=n_features)
-        psi = rng.normal(scale=0.5, size=n_features)
-        alpha = rng.normal(scale=0.3, size=n_docs)
-        alpha[0] = 0.0
+        try:  # a size past memory fails at its first draw, or at the rates
+            theta = _standard_theta(rng, n_docs)
+            beta = rng.normal(size=n_features)
+            psi = rng.normal(scale=0.5, size=n_features)
+            alpha = rng.normal(scale=0.3, size=n_docs)
+            alpha[0] = 0.0
+            spec = cls(seed, theta, beta, psi, alpha)
+            rates = spec.rates()
+        except (MemoryError, ValueError):
+            raise SynthError(f"a {n_docs} x {n_features} planted matrix does not fit "
+                             "in memory") from None
         # shift psi so the average expected row total hits the target
-        rates = np.exp(alpha[:, None] + psi[None, :] + theta[:, None] * beta[None, :])
-        psi = psi + np.log(expected_row_total / rates.sum(axis=1).mean())
-        return cls(
-            n_docs=n_docs,
-            n_features=n_features,
-            expected_row_total=expected_row_total,
-            seed=seed,
-            theta_star=theta,
-            beta_star=beta,
-            psi_star=psi,
-            alpha_star=alpha,
-        )
+        return replace(spec, psi_star=psi + np.log(expected_row_total / rates.sum(axis=1).mean()))
+
+    def rates(self) -> np.ndarray:
+        """The planted Poisson rates exp(alpha_i + psi_j + theta_i * beta_j)."""
+        return np.exp(self.alpha_star[:, None] + self.psi_star[None, :]
+                      + self.theta_star[:, None] * self.beta_star[None, :])
+
+
+def _standard_theta(rng: np.random.Generator, n_docs: int) -> np.ndarray:
+    """Planted positions: standard normal draws, z-scored."""
+    theta = rng.normal(size=n_docs)
+    return (theta - theta.mean()) / theta.std(ddof=1)
 
 
 def generate_matrix(spec: SyntheticSpec) -> tuple[CountMatrix, SyntheticSpec]:
     """Draw counts from the exact Poisson model; degenerate draws (all-zero
     row or column) are resampled up to 10 times."""
     rng = np.random.default_rng(spec.seed)
-    rates = np.exp(
-        spec.alpha_star[:, None]
-        + spec.psi_star[None, :]
-        + spec.theta_star[:, None] * spec.beta_star[None, :]
-    )
+    rates = spec.rates()
+    n, k = rates.shape
     for _ in range(10):
-        y = rng.poisson(rates)
+        try:
+            y = rng.poisson(rates)
+        except ValueError:  # a rate past what numpy's Poisson sampler draws
+            raise SynthError("planted rates too large to draw") from None
         if (y.sum(axis=1) > 0).all() and (y.sum(axis=0) > 0).all():
             matrix = CountMatrix(
-                doc_ids=tuple(f"doc_{i}" for i in range(spec.n_docs)),
-                feature_labels=tuple(f"feat_{j}" for j in range(spec.n_features)),
+                doc_ids=tuple(f"doc_{i}" for i in range(n)),
+                feature_labels=tuple(f"feat_{j}" for j in range(k)),
                 counts=y,
             )
             return matrix, spec
@@ -146,8 +150,7 @@ def generate_corpus(
     rng = np.random.default_rng(spec.seed)
     theta = spec.theta_star
     if theta is None:
-        theta = rng.normal(size=spec.n_docs)
-        theta = (theta - theta.mean()) / theta.std(ddof=1)
+        theta = _standard_theta(rng, spec.n_docs)
     polarity = np.asarray(spec.polarity)
     docs = []
     for i in range(spec.n_docs):

@@ -16,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import communityfish
 from communityfish.cli import CliError, RunConfig, SimulationSpec, main, read_key_values
+from communityfish.features import MatrixError
+from communityfish.graph import GraphError
+from communityfish.scaling import ScalingError
 from communityfish.synthbench import PlantedCorpusSpec, SynthError, generate_corpus
 
 COM_A = tuple(f"alpha{i}" for i in range(5))
@@ -276,6 +279,20 @@ class TestScripts:
         assert (row["k_features"], row["vocabulary"]) == (7, 64)
         assert 0 <= row["rho_community"] <= 1 and 0 <= row["rho_unigram"] <= 1
         assert summary["both_fitted"] == 1
+
+    def test_model_comparison_counts_wins_only_where_both_branches_converged(
+            self, monkeypatch, tmp_path):
+        # the community fit converges with its clamp active and the unigram
+        # fit stops at max_iter: the replication is fitted, but not counted
+        summary = self._run_script(
+            monkeypatch, tmp_path, "run_model_comparison.py", "--n-communities", "12",
+            "--runs-per-doc", "1", "--n-docs", "40", "--pi", "4", "--replications", "1")
+        row = summary["replications"][0]
+        assert (row["converged_community"], row["clamp_activated_community"]) == (True, True)
+        assert row["converged_unigram"] is False
+        assert (summary["both_fitted"], summary["both_converged"]) == (1, 0)
+        assert summary["community_wins"] == 0
+        assert summary["mean_rho_community"] is summary["mean_rho_unigram"] is None
 
     def test_recovery_experiment_records_a_failed_replication(self, monkeypatch, tmp_path):
         # seed 0's bootstrap fails on every replicate: the row holds the
@@ -592,6 +609,22 @@ class TestScale:
             "need >= 2 documents and >= 2 features\n")
         assert json.load(open(out / "manifest.json"))["exit_status"] == 2
 
+    # B past numpy's largest dimension, and B x 12 floats past any memory:
+    # the table's allocation fails at once, before any replicate is drawn
+    @pytest.mark.parametrize("b", ["100000000000000000000", "1000000000000"])
+    def test_bootstrap_table_past_memory_exits_3(self, corpus_file, tmp_path, capsys, b):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"bootstrap_b = {b}\n")
+        out = tmp_path / "o"
+        rc = main(["scale", "--config", str(cfg), *base_args(corpus_file, tmp_path, "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {b} bootstrap replicates of 12 documents do not fit in memory\n"
+        manifest = json.load(open(out / "manifest.json"))
+        assert manifest["exit_status"] == 3
+        assert f"error: {manifest['error']}\n" == err
+        assert not (out / "positions.csv").exists()
+
     def test_missing_config_exit_1(self, tmp_path, capsys):
         rc = main(["scale", "--config", str(tmp_path / "nope.cfg"), "--quiet"])
         assert rc == 1
@@ -636,6 +669,25 @@ class TestCompare:
         assert "both branches failed" in err and "empty graph" in err and message in err
         manifest = json.load(open(tmp_path / "cmp" / "manifest.json"))
         assert manifest["exit_status"] == code
+
+    @pytest.mark.parametrize("errors, code", [
+        ((GraphError("no communities"), ScalingError("did not fit")), 3),
+        ((ScalingError("did not fit"), MatrixError("empty")), 3),
+        ((GraphError("no communities"), MatrixError("empty")), 2),
+        ((ValueError("not in the table"), ValueError("nor this")), 2),
+    ])
+    def test_both_branches_failed_exit_the_larger_code(self, corpus_file, tmp_path, capsys,
+                                                        monkeypatch, errors, code):
+        raised = iter(errors)
+
+        def fail(*args):
+            raise next(raised)
+        monkeypatch.setattr("communityfish.cli.run_pipeline", fail)
+        rc = main(["compare", *base_args(corpus_file, tmp_path, "cmp")])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: both branches failed: ") and err.count("\n") == 1
+        assert json.load(open(tmp_path / "cmp" / "manifest.json"))["exit_status"] == code
 
     def test_all_tied_branch_has_a_null_rank_correlation(self, tmp_path):
         # the unigram branch keeps d1-d3 only, and the community branch gives
@@ -770,6 +822,25 @@ class TestSimulate:
         report = json.load(open(tmp_path / "sim" / "report.json"))
         assert manifest["spec"] == report["spec"]
         assert "ci_coverage" in report
+
+    # the first draw fails at once: 10^14 features of 8 bytes, or rates
+    # near 10^30 / 40, past numpy's Poisson sampler
+    @pytest.mark.parametrize("line, message", [
+        ("n_features = 100000000000000",
+         "a 25 x 100000000000000 planted matrix does not fit in memory"),
+        ("expected_row_total = 1000000000000000000000000000000",
+         "planted rates too large to draw"),
+    ])
+    def test_spec_past_memory_or_the_sampler_exits_1(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "sim.spec"
+        spec.write_text(f"{line}\n")
+        out = tmp_path / "sim"
+        rc = main(["simulate", str(spec), "--out", str(out), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = json.load(open(out / "manifest.json"))
+        assert (manifest["exit_status"], manifest["error"]) == (1, message)
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("line", ["n_docs = x", "n_docs"])
     def test_bad_spec_line_exits_1_with_location(self, tmp_path, capsys, line):

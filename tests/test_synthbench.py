@@ -63,6 +63,14 @@ class TestGenerateMatrix:
         # compare against the spread of bootstrap thetas as a rough scale
         assert np.median(np.abs(result.params.beta)) < 0.3
 
+    def test_matrix_takes_its_shape_and_labels_from_the_planted_arrays(self):
+        spec = dataclasses.replace(SyntheticSpec.create(10, 12, 400, seed=9),
+                                   beta_star=np.zeros(5), psi_star=np.zeros(5))
+        matrix, _ = generate_matrix(spec)
+        assert matrix.shape == (10, 5)
+        assert matrix.doc_ids == tuple(f"doc_{i}" for i in range(10))
+        assert matrix.feature_labels == tuple(f"feat_{j}" for j in range(5))
+
     def test_invalid_spec(self):
         with pytest.raises(SynthError, match=r"^spec key 'n_docs' must be >= 2, got 1$"):
             SyntheticSpec.create(n_docs=1)
