@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -117,38 +118,46 @@ def modularity(graph: WordGraph, partition: Partition) -> float:
 
 
 def _local_move(level: _Graph, comm: list[int], m: float, rng) -> None:
-    """One full Louvain phase-1: repeated seeded-order sweeps of single-node
-    moves to the neighboring community with maximal positive gain."""
+    """One full Louvain phase 1 by Leiden's fast local moving (Traag et al.
+    2019): single-node moves to the neighbouring community of maximal positive
+    gain, every node in a seeded order, then each moved node's neighbours
+    outside its new community. A community's changed total can make any node
+    movable, so passes over all nodes repeat until one moves none."""
     strength, neighbours = level.strength.tolist(), level.neighbours
     sigma_tot = np.bincount(comm, level.strength).tolist()
-    order = np.arange(len(level))
-    while True:
-        rng.shuffle(order)
-        moved = 0
-        for i in order.tolist():
-            ci = comm[i]
-            k_i = strength[i]
-            # weight from i to each neighboring community
-            w_to: dict[int, float] = {}
-            for j, w in neighbours[i]:
-                w_to[comm[j]] = w_to.get(comm[j], 0.0) + w
-            sigma_tot[ci] -= k_i
-            base = w_to.get(ci, 0.0) / m - sigma_tot[ci] * k_i / (2.0 * m * m)
-            best_c, best_gain = ci, base
-            for c in sorted(w_to):
-                if c == ci:
-                    continue
-                gain = w_to[c] / m - sigma_tot[c] * k_i / (2.0 * m * m)
-                # a move is accepted only on strictly positive gain; targets
-                # come in id order, so among equal-gain ones the lowest id wins
-                if gain > best_gain + 1e-14:
-                    best_c, best_gain = c, gain
-            comm[i] = best_c
-            sigma_tot[best_c] += k_i
-            if best_c != ci:
-                moved += 1
-        if moved == 0:
-            return
+    order = rng.permutation(len(level)).tolist()
+    queue, moved = deque(), True
+    while queue or moved:
+        if not queue:
+            queue.extend(order)
+            queued, moved = [True] * len(level), False
+        i = queue.popleft()
+        queued[i] = False
+        ci = comm[i]
+        k_i = strength[i]
+        # weight from i to each neighboring community
+        w_to: dict[int, float] = {}
+        for j, w in neighbours[i]:
+            w_to[comm[j]] = w_to.get(comm[j], 0.0) + w
+        sigma_tot[ci] -= k_i
+        base = w_to.get(ci, 0.0) / m - sigma_tot[ci] * k_i / (2.0 * m * m)
+        best_c, best_gain = ci, base
+        for c in sorted(w_to):
+            if c == ci:
+                continue
+            gain = w_to[c] / m - sigma_tot[c] * k_i / (2.0 * m * m)
+            # a move is accepted only on strictly positive gain; targets
+            # come in id order, so among equal-gain ones the lowest id wins
+            if gain > best_gain + 1e-14:
+                best_c, best_gain = c, gain
+        comm[i] = best_c
+        sigma_tot[best_c] += k_i
+        if best_c != ci:
+            moved = True
+            for j, _ in neighbours[i]:
+                if not queued[j] and comm[j] != best_c:
+                    queued[j] = True
+                    queue.append(j)
 
 
 def _level_modularity(level: _Graph, comm, m: float) -> float:

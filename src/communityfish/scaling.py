@@ -120,6 +120,13 @@ def _columns(*columns) -> np.ndarray:
     return out
 
 
+def _sums(a, w) -> np.ndarray:
+    """a @ w, the sums along a's last axis weighted by each column of w,
+    formed as w^T @ a^T, which OpenBLAS runs up to 3x faster on a transposed
+    view. Leading axes index replicates, whose sums do not depend on them."""
+    return np.matmul(w.swapaxes(-1, -2), a.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
 def _predictor(a, b, right, transposed: bool = False,
                out: np.ndarray | None = None) -> np.ndarray:
     """eta_ij = a_i + offset_j + b_i * slope_j as one matrix product per
@@ -203,7 +210,7 @@ def initialize(matrix: CountMatrix) -> ScalingParams:
     eigvals, eigvecs = np.linalg.eigh(gram)  # ascending
     s = math.sqrt(max(eigvals[-1], 0.0))
     first = eigvecs[:, -1]
-    other = centered.T @ first if wide else centered @ first
+    other = _sums(centered.T if wide else centered, first[:, None])[:, 0]
     if s > 0:  # else the centered counts are all zero, and so is other
         other /= s
     theta_raw, v = (first, other) if wide else (other, first)
@@ -226,32 +233,33 @@ def _newton_block(y, offset, slope, a, b, mu, out=None):
 
     mu holds the clamped rates at (a, b); it is only read. The rates at the
     new point go to out, an array of mu's shape and layout (a new one if not
-    given), where the full step's trial forms them. The gradient,
-    the Hessian and the row log likelihood depend on the counts only through
+    given), where the full step's trial forms them. The gradient, the Hessian
+    and the row log likelihood depend on the counts only through
     y @ [1, offset, slope] and on the rates only through
     mu @ [1, slope, slope^2], and a trial's linear predictor is
-    [a, 1, b] @ [1, offset, slope]^T, with the same right factor as the
-    count sums. So a trial costs one product for eta, one exp over the
-    matrix, a clip only where max|a| + max|offset| + max|b| * max|slope| lets
-    eta come near the clamp, and one product for the rate sums. The trial
-    rates take the memory layout of mu, so the rates keep the one layout
-    _eta gives them, whichever path made them: the next block's Hessian
-    sums are a matrix product, whose bits depend on the layout of its
-    operands. A row accepts a trial step when its log likelihood drops by
-    no more than a relative 1e-12 (float noise on sums of 1e3-1e5); only
-    rows still failing are re-evaluated at half the step, and a row failing
-    all 30 trials keeps its point. The full step is tried on all replicates
-    at once, the halved ones replicate by replicate: a matrix product's
-    values depend on its number of rows, and each replicate's must not
-    depend on the others in its batch.
+    [a, 1, b] @ [1, offset, slope]^T, with the same right factor as the count
+    sums. So a trial costs one product for eta, one exp over the matrix, a
+    clip only where max|a| + max|offset| + max|b| * max|slope| lets eta come
+    near the clamp, and one product for the rate sums. _sums puts the weights
+    first, so it reads the feature block's y and mu, transposed views, in
+    memory order. The trial rates take the memory layout of mu, so the rates
+    keep the one layout _eta gives them, whichever path made them: the next
+    block's sums are a matrix product, whose bits depend on the layout of its
+    operands. A row accepts a trial step when its log likelihood drops by no
+    more than a relative 1e-12 (float noise on sums of 1e3-1e5); only rows
+    still failing are re-evaluated at half the step, and a row failing all 30
+    trials keeps its point. The full step is tried on all replicates at once,
+    the halved ones replicate by replicate: a matrix product's values depend
+    on its number of rows, and each replicate's must not depend on the others
+    in its batch.
 
     Returns the updated (a, b), the row log likelihoods there, out and each
     replicate's number of row step halvings."""
     right = _columns(1.0, offset, slope)
-    sums = y @ right
+    sums = _sums(y, right)
     ysum, yoff, yslope = sums[..., 0], sums[..., 1], sums[..., 2]
     weights = _columns(1.0, slope, slope**2)
-    h = mu @ weights
+    h = _sums(mu, weights)
     h11, h12, h22 = h[..., 0], h[..., 1], h[..., 2]
     ll = a * ysum + yoff + b * yslope - h11
     g1 = ysum - h11
@@ -271,7 +279,7 @@ def _newton_block(y, offset, slope, a, b, mu, out=None):
         eta = _predictor(a_try, b_try, right, transposed, out)
         reach = _peak(a_try) + offset_peak + _peak(b_try) * slope_peak
         mu_try = _clamped_mu(eta, reach, out=eta)
-        ll_try = a_try * ysum + yoff + b_try * yslope - (mu_try @ weights)[..., 0]
+        ll_try = a_try * ysum + yoff + b_try * yslope - _sums(mu_try, weights)[..., 0]
         return ll_try, mu_try, ll_try >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
 
     a_try, b_try = a + da, b + db
@@ -367,8 +375,8 @@ def _score(y, params: ScalingParams, mu) -> float:
     score = 0.0
     for counts, rates, slope in ((y, mu, params.beta), (y.T, mu.T, params.theta)):
         w = _columns(1.0, slope)
-        g = counts @ w - rates @ w
-        h = rates @ (w * w)
+        g = _sums(counts, w) - _sums(rates, w)
+        h = _sums(rates, w * w)
         score = max(score, float(np.max(np.abs(g) / np.sqrt(np.maximum(h, 1e-300)))))
     return score
 
@@ -674,7 +682,7 @@ def analytic_theta_se(result: ScalingResult) -> ScalingResult:
     returns its own. A block singular to the rounding error of its k-term
     sums has none: a ``ScalingError``."""
     p = result.params
-    h = _rates(p) @ _columns(1.0, p.beta, p.beta**2)
+    h = _sums(_rates(p), _columns(1.0, p.beta, p.beta**2))
     h11, h12, h22 = h[:, 0], h[:, 1], h[:, 2]
     det = h11 * h22 - h12**2
     if (singular := ~(det > len(p.beta) * np.finfo(float).eps * h11 * h22)).any():

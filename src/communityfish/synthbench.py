@@ -71,8 +71,11 @@ class SyntheticSpec:
         except (MemoryError, ValueError):
             raise SynthError(f"a {n_docs} x {n_features} planted matrix does not fit "
                              "in memory") from None
-        # shift psi so the average expected row total hits the target
-        return replace(spec, psi_star=psi + np.log(expected_row_total / rates.sum(axis=1).mean()))
+        try:  # shift psi so the average expected row total hits the target
+            shift = np.log(expected_row_total / rates.sum(axis=1).mean())
+        except OverflowError:  # a total past the float range
+            raise SynthError("planted rates too large to draw") from None
+        return replace(spec, psi_star=psi + shift)
 
     def rates(self) -> np.ndarray:
         """The planted Poisson rates exp(alpha_i + psi_j + theta_i * beta_j)."""

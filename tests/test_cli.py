@@ -824,12 +824,15 @@ class TestSimulate:
         assert "ci_coverage" in report
 
     # the first draw fails at once: 10^14 features of 8 bytes, or rates
-    # near 10^30 / 40, past numpy's Poisson sampler
+    # near 10^30 / 40, past numpy's Poisson sampler; a row total of 10^400
+    # is past the float range before any draw
     @pytest.mark.parametrize("line, message", [
         ("n_features = 100000000000000",
          "a 25 x 100000000000000 planted matrix does not fit in memory"),
         ("expected_row_total = 1000000000000000000000000000000",
          "planted rates too large to draw"),
+        pytest.param("expected_row_total = 1" + "0" * 400, "planted rates too large to draw",
+                     id="expected_row_total past the float range"),
     ])
     def test_spec_past_memory_or_the_sampler_exits_1(self, tmp_path, capsys, line, message):
         spec = tmp_path / "sim.spec"

@@ -332,6 +332,29 @@ class TestLevels:
             node_comm = [comm[c] for c in node_comm]
             assert graph_module._level_modularity(g._level, node_comm, m) == q
 
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(deadline=None, max_examples=100)
+    def test_local_move_stops_only_at_a_local_optimum(self, seed, singletons):
+        # from singletons, as Louvain starts, or from a random partition, as
+        # Leiden's refinement does: no node has a neighbouring community
+        # whose gain beats staying by more than the tolerance. The weights
+        # are integers, so the community totals here equal the running ones
+        rng = np.random.default_rng(seed)
+        g = random_graph(seed, n_nodes=int(rng.integers(2, 40)), p=float(rng.uniform(0.05, 0.8)),
+                         max_weight=9)
+        level, m = g._level, g.total_weight
+        comm = list(range(len(g))) if singletons else _random_partition(rng, len(g))[0]
+        graph_module._local_move(level, comm, m, rng)
+        sigma_tot = np.bincount(comm, level.strength)
+        for i, arcs in enumerate(level.neighbours):
+            k_i, ci = level.strength[i], comm[i]
+            w_to: dict[int, float] = {}
+            for j, w in arcs:
+                w_to[comm[j]] = w_to.get(comm[j], 0.0) + w
+            stay = w_to.pop(ci, 0.0) / m - (sigma_tot[ci] - k_i) * k_i / (2.0 * m * m)
+            for c, w in w_to.items():
+                assert w / m - sigma_tot[c] * k_i / (2.0 * m * m) <= stay + 1e-14, (i, c)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=60)
     def test_louvain_run_reports_the_modularity_of_its_assignment(self, seed):

@@ -82,6 +82,26 @@ class TestKernels:
         scale = predictor(np.abs(a), np.abs(offset), np.abs(b), np.abs(slope))
         assert (np.abs(eta - reference) <= 4 * np.finfo(float).eps * scale).all()
 
+    @pytest.mark.parametrize("columns", [1, 3])
+    @pytest.mark.parametrize("transposed", [False, True], ids=["c-order", "view"])
+    def test_sums_are_the_weighted_sums_and_do_not_depend_on_the_batch(self, transposed,
+                                                                         columns):
+        # 10 replicates of a 30 x 200 array, C-order or as the transposed view
+        # of a 200 x 30 one, as the feature block reads the counts
+        rng = np.random.default_rng(columns)
+        a = rng.poisson(3.0, size=(10, 200, 30) if transposed else (10, 30, 200)).astype(float)
+        a = a.swapaxes(1, 2) if transposed else a
+        w = rng.normal(size=(10, 200, columns))
+        batch = scaling._sums(a, w)
+        # to 1e-12 of the sum of the terms' magnitudes
+        scale = np.abs(a) @ np.abs(w)
+        assert batch.shape == scale.shape
+        assert (np.abs(batch - a @ w) <= 1e-12 * scale).all()
+        for r in range(len(a)):
+            alone = scaling._sums(a[r], w[r])
+            assert (np.abs(alone - a[r] @ w[r]) <= 1e-12 * scale[r]).all()
+            np.testing.assert_array_equal(alone, batch[r])
+
     @pytest.mark.parametrize("top", [28.0, 29.0, 29.5, 45.0])
     def test_rates_are_the_clipped_exp_bit_for_bit(self, top):
         # max|alpha| + max|psi| + max|theta| * max|beta| is exactly top: below,
