@@ -39,6 +39,10 @@ def main():
             scale=args.polarity, size=args.n_communities))
 
     rows = []
+    # a fit that stopped at max_iter, or whose linear predictor was clamped,
+    # has no trustworthy rho: wins and means count only the sound rows, those
+    # whose comparison is both_converged
+    sound = []
     both = 0
     for rep in range(args.replications):
         seed = args.seed + rep
@@ -61,30 +65,26 @@ def main():
             for branch, result in results.items()
         }
         both += None not in rho.values()
+        fits = {branch: result and result.summary() for branch, result in results.items()}
         rows.append({
             "seed": seed,
             "rho_community": rho["community"],
             "rho_unigram": rho["unigram"],
-            **{f"{flag}_{branch}": None if result is None else getattr(result, flag)
-               for flag in ("converged", "clamp_activated")
-               for branch, result in results.items()},
+            **{f"{flag}_{branch}": fit and fit[flag]
+               for flag in ("converged", "clamp_activated") for branch, fit in fits.items()},
             "k_features": comparison.k_community_features,
             "vocabulary": comparison.vocabulary_size,
             "runtime_community": comparison.runtime_community,
             "runtime_unigram": comparison.runtime_unigram,
             "errors": {branch: str(exc) for branch, exc in comparison.errors.items()},
         })
+        if comparison.both_converged:
+            sound.append(rows[-1])
         print(f"seed {seed}: " + " vs ".join(
             f"{branch} {value:.4f}" if value is not None
             else f"{branch} failed ({comparison.errors[branch]})"
             for branch, value in rho.items()))
 
-    # a fit that stopped at max_iter, or whose linear predictor was clamped,
-    # has no trustworthy rho: wins and means count only the replications
-    # where both branches converged with the clamp inactive
-    sound = [r for r in rows if all(
-        r[f"converged_{b}"] and not r[f"clamp_activated_{b}"]
-        for b in ("community", "unigram"))]
     wins = sum(r["rho_community"] >= r["rho_unigram"] for r in sound)
 
     def mean(key):

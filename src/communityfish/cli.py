@@ -230,6 +230,13 @@ class ComparisonReport:
     # the exception each failed branch raised, by branch name
     errors: dict[str, ValueError] = field(default_factory=dict)
 
+    @property
+    def both_converged(self) -> bool:
+        """Both branches fitted and converged with the clamp inactive: the
+        one condition under which their scales are worth comparing."""
+        return all(r is not None and r.converged and not r.clamp_activated
+                   for r in (self.community_result, self.unigram_result))
+
 
 def _theta_by_doc(result: ScalingResult | None) -> dict[str, float]:
     """Each fitted document's theta by its id; none for a failed branch."""
@@ -418,24 +425,8 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         result = bootstrap(result, B=config.bootstrap_b, seed=config.seed)
     _write_positions(out, corpus, meta_keys, result)
     _write_features(out, result)
-    report = {
-        "converged": result.converged,
-        "iterations": len(result.loglik_trace) - 1,
-        "log_likelihood": result.loglik_trace[-1],
-        "loglik_trace": list(result.loglik_trace),
-        "dispersion": result.dispersion,
-        "runtime_seconds": result.runtime,
-        "clamp_activated": result.clamp_activated,
-        "matrix_shape": list(matrix.shape),
-        "dropped_documents": list(run.trim_report.dropped_doc_ids),
-        "bootstrap_failures": result.bootstrap_failures,
-        "bootstrap_failure_reasons": result.bootstrap_failure_reasons,
-        "line_search_halvings": result.line_search_halvings,
-        "map_evaluations": result.map_evaluations,
-        "score": result.score,
-        "bootstrap_map_evaluations": result.bootstrap_map_evaluations,
-        "baseline": bool(args.baseline),
-    }
+    report = {**result.summary(), "dropped_documents": list(run.trim_report.dropped_doc_ids),
+              "baseline": bool(args.baseline)}
     (out / "fit_report.json").write_text(json.dumps(report, indent=2))
     return (f"wrote {out}/positions.csv ({matrix.shape[0]} documents, "
             f"{matrix.shape[1]} features)", {
@@ -464,6 +455,9 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
         "dispersion_community": com.dispersion if com else None,
         "dispersion_unigram": uni.dispersion if uni else None,
         "errors": errors,
+        "both_converged": report.both_converged,
+        "community": com.summary() if com else None,
+        "unigram": uni.summary() if uni else None,
     }
     (out / "report.json").write_text(json.dumps(summary, indent=2))
     return f"wrote {out}/comparison.csv", {}
@@ -476,12 +470,7 @@ def cmd_simulate(args, config: RunConfig, out: Path) -> tuple[str, dict]:
     if config.bootstrap_b > 0:
         result = bootstrap(result, B=config.bootstrap_b, seed=config.seed)
     metrics = recovery_report(spec.theta_star, result)
-    report = {
-        "spec": dataclasses.asdict(args.spec),
-        "converged": result.converged,
-        "log_likelihood": result.loglik_trace[-1],
-        **metrics,
-    }
+    report = {"spec": dataclasses.asdict(args.spec), **result.summary(), **metrics}
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return f"recovery pearson = {metrics['pearson']:.4f}", {}
 

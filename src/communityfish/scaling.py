@@ -86,6 +86,27 @@ class ScalingResult:
     def bootstrap_failures(self) -> int:
         return sum(self.bootstrap_failure_reasons.values())
 
+    def summary(self) -> dict:
+        """The fit's numbers as JSON values, the one form every report
+        writes them in: ``scale``'s fit_report.json, ``compare``'s
+        per-branch summaries and ``simulate``'s report.json."""
+        return {
+            "converged": self.converged,
+            "iterations": len(self.loglik_trace) - 1,
+            "log_likelihood": self.loglik_trace[-1],
+            "loglik_trace": list(self.loglik_trace),
+            "dispersion": self.dispersion,
+            "runtime_seconds": self.runtime,
+            "clamp_activated": self.clamp_activated,
+            "matrix_shape": list(self.matrix.shape),
+            "line_search_halvings": self.line_search_halvings,
+            "map_evaluations": self.map_evaluations,
+            "score": self.score,
+            "bootstrap_failures": self.bootstrap_failures,
+            "bootstrap_failure_reasons": dict(self.bootstrap_failure_reasons),
+            "bootstrap_map_evaluations": self.bootstrap_map_evaluations,
+        }
+
 
 _CLAMP = 30.0  # bound on the linear predictor inside every exponential
 
@@ -628,15 +649,16 @@ def bootstrap(result: ScalingResult, B: int, seed: int = 0) -> ScalingResult:
         # one draw per replicate, in replicate order, straight into floats:
         # the same stream as one draw of the whole batch
         y_star = np.empty((min(batch, B - first), n, k))
-        for y_b in y_star:
-            y_b[...] = rng.poisson(mu)
+        for b in range(len(y_star)):  # by index: no view of the draws outlives the loop
+            y_star[b] = rng.poisson(mu)
         full_rows = y_star.any(axis=2).all(axis=1)
         failures["zero_row"] += int(np.count_nonzero(~full_rows))
         nonzero = y_star.any(axis=1)
         groups: dict[bytes, list[int]] = {}
         for b in np.flatnonzero(full_rows):
             groups.setdefault(nonzero[b].tobytes(), []).append(b)
-        for members in map(np.array, groups.values()):
+        last = len(groups) - 1
+        for i, members in enumerate(map(np.array, groups.values())):
             cols = nonzero[members[0]]
             if np.count_nonzero(cols) < 2:  # fit needs two features
                 failures["error"] += members.size
@@ -645,6 +667,8 @@ def bootstrap(result: ScalingResult, B: int, seed: int = 0) -> ScalingResult:
             y = y_star if members.size == len(y_star) else y_star[members]
             if not cols.all():
                 y = y[:, :, cols]
+            if i == last:  # no later group reads the draws: only y stays held
+                del y_star
             kept = np.concatenate([np.ones(2 * n, dtype=bool), cols, cols])
             run = _squarem(y, np.tile(start[kept], (members.size, 1)), result.config,
                            (np.empty(y.shape), np.empty(y.shape)))

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -15,11 +16,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import communityfish
-from communityfish.cli import CliError, RunConfig, SimulationSpec, main, read_key_values
+from communityfish.cli import (
+    CliError,
+    RunConfig,
+    SimulationSpec,
+    _load_pipeline_corpus,
+    main,
+    read_key_values,
+    run_pipeline,
+)
 from communityfish.features import MatrixError
 from communityfish.graph import GraphError
-from communityfish.scaling import ScalingError
-from communityfish.synthbench import PlantedCorpusSpec, SynthError, generate_corpus
+from communityfish.scaling import ScalingError, fit
+from communityfish.synthbench import (
+    PlantedCorpusSpec,
+    SynthError,
+    SyntheticSpec,
+    generate_corpus,
+    generate_matrix,
+)
 
 COM_A = tuple(f"alpha{i}" for i in range(5))
 COM_B = tuple(f"beta{i}" for i in range(5))
@@ -46,6 +61,22 @@ def corpus_file(tmp_path):
 def base_args(corpus_file, tmp_path, name="out"):
     return ["--input", str(corpus_file), "--format", "jsonl",
             "--pi", "30", "--out", str(tmp_path / name), "--quiet"]
+
+
+def write_tied_corpus(path):
+    """Five documents: the unigram branch at unigram_min_count = 200 keeps
+    d1-d3 only, and the community branch at min_bigram_count = 1 gives all
+    three one theta."""
+    docs = [("d1", "x x x y", 100), ("d2", "x y", 200), ("d3", "x y y y", 100),
+            ("d4", "a b c", 20), ("d5", "a b c c", 20)]
+    path.write_text("".join(json.dumps({"id": d, "text": " ".join([text] * runs)}) + "\n"
+                            for d, text, runs in docs))
+    return path
+
+
+def without_runtime(summary: dict) -> dict:
+    """A report as JSON reads it back, without the fit's runtime."""
+    return {k: v for k, v in json.loads(json.dumps(summary)).items() if k != "runtime_seconds"}
 
 
 def read_config(path) -> RunConfig:
@@ -457,6 +488,18 @@ class TestScale:
         assert len(trace) == report["iterations"] + 1
         assert trace[-1] == report["log_likelihood"]
 
+    @pytest.mark.parametrize("flags", [[], ["--baseline"]], ids=["community", "baseline"])
+    def test_fit_report_is_the_fit_summary(self, corpus_file, tmp_path, flags):
+        rc = main(["scale", *base_args(corpus_file, tmp_path, "s"), "--no-bootstrap", *flags])
+        assert rc == 0
+        report = json.load(open(tmp_path / "s" / "fit_report.json"))
+        config = RunConfig(input=str(corpus_file), min_bigram_count=30)
+        run = run_pipeline(_load_pipeline_corpus(config), config, baseline=bool(flags))
+        summary = run.result.summary()
+        assert list(report) == [*summary, "dropped_documents", "baseline"]
+        assert without_runtime(report) == without_runtime(summary) | {
+            "dropped_documents": list(run.trim_report.dropped_doc_ids), "baseline": bool(flags)}
+
     def test_csv_document_longer_than_the_csv_field_limit(self, corpus_file, tmp_path):
         rows = [json.loads(line) for line in open(corpus_file)]
         long = rows[0]["text"]
@@ -639,6 +682,43 @@ class TestCompare:
         assert {"doc_id", "theta_community", "theta_unigram"} <= set(rows[0])
         report = json.load(open(tmp_path / "cmp" / "report.json"))
         assert report["k_community_features"] < report["vocabulary_size"]
+        assert report["both_converged"] is True
+        for branch, width in (("community", "k_community_features"),
+                              ("unigram", "vocabulary_size")):
+            assert report[branch]["matrix_shape"][1] == report[width]
+            assert report[branch]["dispersion"] == report[f"dispersion_{branch}"]
+
+    def test_fits_stopped_at_max_iter_are_not_both_converged(self, corpus_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {corpus_file}\nmin_bigram_count = 30\nmax_iter = 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # each fit warns that it did not converge
+            rc = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp"),
+                       "--quiet"])
+        assert rc == 0
+        report = json.load(open(tmp_path / "cmp" / "report.json"))
+        assert report["community"]["converged"] is False
+        assert report["unigram"]["converged"] is False
+        assert report["both_converged"] is False
+
+    # no bigram of the tied corpus reaches the threshold, and no word the
+    # unigram floor: one branch fails on each config. The other fits with
+    # its clamp active
+    @pytest.mark.filterwarnings("ignore:linear predictor clamp active")
+    @pytest.mark.parametrize("line, failed, fitted", [
+        ("min_bigram_count = 100000", "community", "unigram"),
+        ("unigram_min_count = 100000", "unigram", "community"),
+    ])
+    def test_failed_branch_has_a_null_summary(self, tmp_path, line, failed, fitted):
+        path = write_tied_corpus(tmp_path / "corpus.jsonl")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {path}\n{line}\n")
+        rc = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp"), "--quiet"])
+        assert rc == 0
+        report = json.load(open(tmp_path / "cmp" / "report.json"))
+        assert report[failed] is None and failed in report["errors"]
+        assert report[fitted]["converged"] is True
+        assert report["both_converged"] is False
 
     def test_honours_dtm(self, corpus_file, tmp_path):
         columns = {}
@@ -669,6 +749,7 @@ class TestCompare:
         assert "both branches failed" in err and "empty graph" in err and message in err
         manifest = json.load(open(tmp_path / "cmp" / "manifest.json"))
         assert manifest["exit_status"] == code
+        assert not (tmp_path / "cmp" / "report.json").exists()  # no summary of either branch
 
     @pytest.mark.parametrize("errors, code", [
         ((GraphError("no communities"), ScalingError("did not fit")), 3),
@@ -690,13 +771,7 @@ class TestCompare:
         assert json.load(open(tmp_path / "cmp" / "manifest.json"))["exit_status"] == code
 
     def test_all_tied_branch_has_a_null_rank_correlation(self, tmp_path):
-        # the unigram branch keeps d1-d3 only, and the community branch gives
-        # all three one theta
-        docs = [("d1", "x x x y", 100), ("d2", "x y", 200), ("d3", "x y y y", 100),
-                ("d4", "a b c", 20), ("d5", "a b c c", 20)]
-        path = tmp_path / "corpus.jsonl"
-        path.write_text("".join(json.dumps({"id": d, "text": " ".join([text] * runs)}) + "\n"
-                                for d, text, runs in docs))
+        path = write_tied_corpus(tmp_path / "corpus.jsonl")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"input = {path}\nmin_bigram_count = 1\nunigram_min_count = 200\n")
         with warnings.catch_warnings(record=True) as caught:
@@ -711,6 +786,9 @@ class TestCompare:
         report = json.loads((tmp_path / "cmp" / "report.json").read_text(),
                             parse_constant=_reject_constant)
         assert report["rank_correlation"] is None
+        # both branches converged, but the community fit's clamp fired
+        assert report["community"]["converged"] and report["community"]["clamp_activated"]
+        assert report["both_converged"] is False
 
 
 class TestSimulate:
@@ -719,6 +797,17 @@ class TestSimulate:
         assert rc == 0
         report = json.load(open(tmp_path / "sim" / "report.json"))
         assert report["pearson"] >= 0.95
+
+    def test_report_holds_the_fit_summary(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("bootstrap_b = 0\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"), "--quiet"])
+        assert rc == 0
+        report = json.load(open(tmp_path / "sim" / "report.json"))
+        spec = SyntheticSpec.create(**dataclasses.asdict(SimulationSpec()), seed=0)
+        summary = fit(generate_matrix(spec)[0], RunConfig()).summary()
+        assert summary.keys() <= report.keys()
+        assert without_runtime({k: report[k] for k in summary}) == without_runtime(summary)
 
     def test_spec_file(self, tmp_path):
         spec = tmp_path / "sim.spec"
@@ -778,7 +867,8 @@ class TestSimulate:
             rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name),
                        "--quiet"])
             assert rc == 0
-            return json.load(open(tmp_path / name / "report.json"))
+            # the fit's runtime is the one number a rerun may change
+            return without_runtime(json.load(open(tmp_path / name / "report.json")))
 
         seeded = report("a", "seed = 3\nbootstrap_b = 0\n")
         assert "ci_coverage" not in seeded

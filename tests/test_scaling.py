@@ -704,6 +704,23 @@ class TestBootstrap:
         assert boot.bootstrap_failures == 0
         assert peak < 16e6  # bytes
 
+    def test_refit_of_fewer_columns_does_not_hold_the_draws(self):
+        # each replicate of this sparse 200 x 2424 matrix is a batch of its
+        # own, and its draw has all-zero columns: the refit reads a copy of
+        # the kept columns, besides the point rates and its two rate buffers.
+        # Holding the draws as well peaks near six arrays of the matrix's size
+        n, k = 200, 2424
+        matrix, _ = generate_matrix(SyntheticSpec.create(n, k, 400, seed=3))
+        result = fit(matrix)
+        tracemalloc.start()
+        try:
+            boot = bootstrap(result, B=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert boot.bootstrap_failures == 0
+        assert peak < 5.5 * 8 * n * k  # bytes
+
     def test_ci_brackets_point_estimate_mostly(self):
         matrix, _ = random_matrix(41, n=10, k=12)
         result = fit(matrix)
