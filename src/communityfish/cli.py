@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_) in _COMMANDS.items():
+    for name, (_, help_, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", help="override the config seed")
@@ -475,12 +475,16 @@ def cmd_simulate(args, config: RunConfig, out: Path) -> tuple[str, dict]:
     return f"recovery pearson = {metrics['pearson']:.4f}", {}
 
 
-# Each subcommand's handler and its help line.
+# Each subcommand's handler, its help line and the files it writes to out
+# besides manifest.json.
 _COMMANDS = {
-    "communities": (cmd_communities, "detect word communities and export them"),
-    "scale": (cmd_scale, "run the full scaling pipeline"),
-    "compare": (cmd_compare, "fit community and unigram models side by side"),
-    "simulate": (cmd_simulate, "planted-truth recovery simulation"),
+    "communities": (cmd_communities, "detect word communities and export them",
+                    ("communities.csv", "graph_stats.json")),
+    "scale": (cmd_scale, "run the full scaling pipeline",
+              ("positions.csv", "features.csv", "fit_report.json")),
+    "compare": (cmd_compare, "fit community and unigram models side by side",
+                ("comparison.csv", "report.json")),
+    "simulate": (cmd_simulate, "planted-truth recovery simulation", ("report.json",)),
 }
 
 
@@ -513,7 +517,10 @@ def main(argv: list[str] | None = None) -> int:
             entries["spec"] = dataclasses.asdict(args.spec)
         Path(config.out).mkdir(parents=True, exist_ok=True)
         out = Path(config.out)
-        summary, extra = _COMMANDS[args.command][0](args, config, out)
+        handler, _, outputs = _COMMANDS[args.command]
+        for name in outputs:  # an earlier run's, which this run's manifest does not describe
+            (out / name).unlink(missing_ok=True)
+        summary, extra = handler(args, config, out)
         _write_manifest(out, config, {**entries, **extra, "exit_status": 0})
     except (CliError, *_EXIT_CODES) as exc:
         code = _exit_code(exc)

@@ -245,16 +245,16 @@ def initialize(matrix: CountMatrix) -> ScalingParams:
     return ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta)
 
 
-def _newton_block(y, offset, slope, a, b, mu, out=None):
+def _newton_block(y, offset, slope, a, b, mu):
     """One damped Newton step on every row's (a_i, b_i) of every replicate,
     towards the maximum of sum_j y_ij*eta - exp(eta) with
     eta_ij = a_i + offset_j + b_i * slope_j. y is (R, m, n), a and b are
     (R, m), offset and slope (R, n): each replicate has its own. Rows are
     independent and each row problem is concave.
 
-    mu holds the clamped rates at (a, b); it is only read. The rates at the
-    new point go to out, an array of mu's shape and layout (a new one if not
-    given), where the full step's trial forms them. The gradient, the Hessian
+    mu holds the clamped rates at (a, b) and, on return, those at the new
+    point: once the rates' sums are read, the full step's trial forms its
+    own in mu, in place of the old ones. The gradient, the Hessian
     and the row log likelihood depend on the counts only through
     y @ [1, offset, slope] and on the rates only through
     mu @ [1, slope, slope^2], and a trial's linear predictor is
@@ -269,12 +269,13 @@ def _newton_block(y, offset, slope, a, b, mu, out=None):
     operands. A row accepts a trial step when its log likelihood drops by no
     more than a relative 1e-12 (float noise on sums of 1e3-1e5); only rows
     still failing are re-evaluated at half the step, and a row failing all 30
-    trials keeps its point. The full step is tried on all replicates at once,
+    trials keeps its point, where one more product of its rows forms its
+    rates again. The full step is tried on all replicates at once,
     the halved ones replicate by replicate: a matrix product's values depend
     on its number of rows, and each replicate's must not depend on the others
     in its batch.
 
-    Returns the updated (a, b), the row log likelihoods there, out and each
+    Returns the updated (a, b), the row log likelihoods there, mu and each
     replicate's number of row step halvings."""
     right = _columns(1.0, offset, slope)
     sums = _sums(y, right)
@@ -296,18 +297,21 @@ def _newton_block(y, offset, slope, a, b, mu, out=None):
     offset_peak, slope_peak = _peak(offset), _peak(slope)
     transposed = mu.strides[-1] > mu.strides[-2]  # mu is a transposed view
 
-    def trial(a_try, b_try, right, ysum, yoff, yslope, weights, ll_old, out=None):
+    def rates(a_try, b_try, right, out=None):
         eta = _predictor(a_try, b_try, right, transposed, out)
         reach = _peak(a_try) + offset_peak + _peak(b_try) * slope_peak
-        mu_try = _clamped_mu(eta, reach, out=eta)
+        return _clamped_mu(eta, reach, out=eta)
+
+    def trial(a_try, b_try, right, ysum, yoff, yslope, weights, ll_old, out=None):
+        mu_try = rates(a_try, b_try, right, out)
         ll_try = a_try * ysum + yoff + b_try * yslope - _sums(mu_try, weights)[..., 0]
         return ll_try, mu_try, ll_try >= ll_old - 1e-12 * (1.0 + np.abs(ll_old))
 
     a_try, b_try = a + da, b + db
-    ll_try, mu_try, ok = trial(a_try, b_try, right, ysum, yoff, yslope, weights, ll, out)
+    ll_try, _, ok = trial(a_try, b_try, right, ysum, yoff, yslope, weights, ll, out=mu)
     halvings = np.zeros(len(a), dtype=int)
     if ok.all():
-        return a_try, b_try, ll_try, mu_try, halvings
+        return a_try, b_try, ll_try, mu, halvings
     a, b, ll = np.where(ok, a_try, a), np.where(ok, b_try, b), np.where(ok, ll_try, ll)
     for r in np.flatnonzero(~ok.all(axis=1)):
         rows = np.flatnonzero(~ok[r])
@@ -323,15 +327,16 @@ def _newton_block(y, offset, slope, a, b, mu, out=None):
             a[r, accepted], b[r, accepted] = a_try[done], b_try[done]
             ll[r, accepted] = ll_try[done]
             # every trial row, with no copy of the accepted ones: a failing
-            # row is written again by a later trial or restored below. The
-            # trial's rates go before the next trial forms its own
-            mu_try[r, rows] = mu_rows
+            # row is written again by a later trial or below. The trial's
+            # rates go before the next trial forms its own
+            mu[r, rows] = mu_rows
             del mu_rows
             rows = rows[~done]
             if not rows.size:
                 break
-        mu_try[r, rows] = mu[r, rows]  # failed every trial: the rates at its point
-    return a, b, ll, mu_try, halvings
+        else:  # failed every trial: the rates at its point
+            mu[r, rows] = rates(a[r, rows], b[r, rows], right[r])
+    return a, b, ll, mu, halvings
 
 
 def _standardize(alpha, theta, psi, beta) -> tuple[np.ndarray, np.ndarray]:
@@ -374,20 +379,22 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray):
     return x, extrapolated
 
 
-def _dispersion(y: np.ndarray, mu: np.ndarray, out: np.ndarray) -> float | None:
+def _dispersion(y: np.ndarray, mu: np.ndarray) -> float | None:
     """Pearson chi-square of the counts y at the rates mu over the residual
     degrees of freedom n*k - (2n + 2k - 3); values well above 1 indicate
     overdispersion relative to the Poisson assumption. None when the fit
-    leaves no residual degrees of freedom. The residuals are formed in out,
-    an array of y's shape."""
+    leaves no residual degrees of freedom. The residuals replace the rates
+    in mu, a block of rows at a time, and are summed as one array."""
     n, k = y.shape
     df = n * k - (2 * n + 2 * k - 3)
     if df <= 0:
         return None
-    r = np.subtract(y, mu, out=out)
-    r *= r
-    r /= mu
-    return float(np.sum(r)) / df
+    step = max(1, 2**15 // k)  # rows of about 256 KiB
+    for rows in (slice(i, i + step) for i in range(0, n, step)):
+        r = np.subtract(y[rows], mu[rows])
+        r *= r
+        np.divide(r, mu[rows], out=mu[rows])
+    return float(np.sum(mu)) / df
 
 
 def _score(y, params: ScalingParams, mu) -> float:
@@ -414,14 +421,14 @@ class _Refits:
 
 
 def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig,
-             rates: tuple[np.ndarray, np.ndarray]) -> _Refits:
+             mu: np.ndarray) -> _Refits:
     """Maximize the Poisson likelihood of R replicates at once by
     SQUAREM-accelerated block ascent: y is (R, n, k), start the standardized
     (R, 2n + 2k) flat points [alpha | theta | psi | beta], the loop's state.
-    rates, two C-order arrays of y's shape, are the only other full-size
-    state: the rates at the live points, and the spare in which the next
-    ones are formed. Their contents on entry and on return mean nothing, and
-    as replicates stop, the others' counts move to the front of y.
+    mu, a C-order array of y's shape, is the only other full-size state: the
+    rates at the live points, each new set formed in place of the last. Its
+    contents on entry and on return mean nothing, and as replicates stop,
+    the others' counts and rates move to the front of y and mu.
 
     One evaluation of the map F takes a damped Newton step on every document
     block (alpha_i, theta_i), then on every feature block (psi_j, beta_j),
@@ -445,7 +452,6 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig,
     zero_variance = np.zeros(R, dtype=bool)
     live = np.arange(R)  # the replicates still running, by position
     x = start
-    mu, spare = rates  # the rates at x, and the buffer for the next ones
     _eta(at := _params(x, n), out=mu)
     ll = np.array([np.vdot(y_r, eta_r) for y_r, eta_r in zip(y, mu)])
     _clamped_mu(mu, _reach(at), out=mu)
@@ -458,13 +464,10 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig,
         those at F(x): the new points, their log likelihoods (the feature
         rows' sums, which _standardize keeps) and where theta lost its
         variance."""
-        nonlocal mu, spare
         alpha, theta, psi, beta = _split(x, n)
-        alpha, theta, _, _, h_doc = _newton_block(y, psi, beta, alpha, theta, mu, spare)
-        mu, spare = spare, mu
+        alpha, theta, _, _, h_doc = _newton_block(y, psi, beta, alpha, theta, mu)
         psi, beta, ll_cols, _, h_feat = _newton_block(
-            y.swapaxes(1, 2), alpha, theta, psi, beta, mu.swapaxes(1, 2), spare.swapaxes(1, 2))
-        mu, spare = spare, mu
+            y.swapaxes(1, 2), alpha, theta, psi, beta, mu.swapaxes(1, 2))
         evaluations[live] += 1
         halvings[live] += h_doc + h_feat
         new, degenerate = _standardize(alpha, theta, psi, beta)
@@ -472,13 +475,13 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig,
 
     def refresh(where: np.ndarray, points: np.ndarray) -> None:
         """Set mu to the rates at points for the live replicates where
-        `where` holds, forming them in spare."""
-        nonlocal mu, spare
-        count = np.count_nonzero(where)
-        if count == live.size:
-            mu, spare = _rates(_params(points, n), out=spare), mu
-        elif count:
-            mu[where] = _rates(_params(points[where], n), out=spare[:count])
+        `where` holds, in place: all at once, or one replicate at a time into
+        its own slot."""
+        if where.all():
+            _rates(_params(points, n), out=mu)
+        else:
+            for r in np.flatnonzero(where):
+                _rates(_params(points[r], n), out=mu[r])
 
     def keep(new: np.ndarray, ll_new, accept) -> np.ndarray:
         """Move the live replicates where accept holds to the points new,
@@ -498,7 +501,7 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig,
     def finish(stop: np.ndarray) -> np.ndarray:
         """Record the live replicates where stop holds and drop them; returns
         where the others were."""
-        nonlocal live, y, x, mu, spare, ll
+        nonlocal live, y, x, mu, ll
         final[live[stop]] = x[stop]
         going = ~stop
         live = live[going]
@@ -507,7 +510,7 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig,
             # in place, in the memory they had
             y[:m] = y[going]
             mu[:m] = mu[going]
-            y, mu, spare = y[:m], mu[:m], spare[:m]
+            y, mu = y[:m], mu[:m]
         return going
 
     while live.size:
@@ -567,17 +570,16 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
                              else ("anchor_low", "anchor_high", "last"))
         raise ScalingError(f"{given} names the {end} document, where the unset {unset} defaults")
 
-    # the fit's two n x k arrays: _squarem's rates, then the fitted rates
-    # and the residuals of the dispersion. Two arrays of the counts' size,
-    # not one of twice it: the allocator reuses the holes they leave
-    rates = np.empty((1, n, k)), np.empty((1, n, k))
+    # the fit's one n x k array: _squarem's rates, then the fitted rates,
+    # then the residuals of the dispersion
+    rates = np.empty((1, n, k))
     run = _squarem(y[np.newaxis], x[np.newaxis], config, rates)
     if run.degenerate[0]:
         raise ScalingError("degenerate theta: zero variance")
     params = _params(run.x[0], n)
     if params.theta[lo] > params.theta[hi]:
         params = replace(params, theta=-params.theta, beta=-params.beta)
-    eta, reach = _eta(params, out=rates[0][0]), _reach(params)
+    eta, reach = _eta(params, out=rates[0]), _reach(params)
     clamped = reach >= _CLAMP - 1.0 and bool(eta.max() > _CLAMP or eta.min() < -_CLAMP)
     if clamped:
         warnings.warn("linear predictor clamp active; extreme rates truncated")
@@ -585,6 +587,7 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
     if not converged:
         warnings.warn("fit did not converge within max_iter")
     mu = _clamped_mu(eta, reach, out=eta)
+    score = _score(y, params, mu)
     return ScalingResult(
         matrix=matrix,
         params=params,
@@ -595,8 +598,8 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
         clamp_activated=clamped,
         line_search_halvings=int(run.halvings[0]),
         map_evaluations=int(run.evaluations[0]),
-        score=_score(y, params, mu),
-        dispersion=_dispersion(y, mu, out=rates[1][0]),
+        score=score,
+        dispersion=_dispersion(y, mu),  # the last reader of mu: it takes the residuals
     )
 
 
@@ -671,7 +674,7 @@ def bootstrap(result: ScalingResult, B: int, seed: int = 0) -> ScalingResult:
                 del y_star
             kept = np.concatenate([np.ones(2 * n, dtype=bool), cols, cols])
             run = _squarem(y, np.tile(start[kept], (members.size, 1)), result.config,
-                           (np.empty(y.shape), np.empty(y.shape)))
+                           np.empty(y.shape))
             evaluations += int(run.evaluations.sum())
             failures["error"] += int(np.count_nonzero(run.degenerate))
             failures["not_converged"] += int(np.count_nonzero(~run.degenerate & ~run.converged))

@@ -8,7 +8,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 import communityfish as cf
 from communityfish.cli import main
@@ -93,6 +92,7 @@ def _independent_max_loglik(matrix, n_starts=6, seed=0):
     """Best log likelihood found by a general-purpose optimizer over all
     parameters (alpha_0 fixed at 0; other identification constraints are
     pure reparameterizations and do not change the maximum)."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
     y = matrix.counts.astype(float)
     n, k = y.shape
 

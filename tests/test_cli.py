@@ -225,6 +225,15 @@ class TestUsage:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())  # no output directory
 
+    @pytest.mark.parametrize("out", ["f", "f/o"], ids=["file", "under_a_file"])
+    def test_out_that_is_no_directory_exits_1_with_one_line(self, tmp_path, capsys, out):
+        (tmp_path / "f").write_text("kept\n")
+        assert main(["simulate", "--out", str(tmp_path / out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+        assert (tmp_path / "f").read_text() == "kept\n"
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["scale", "--help"]])
     def test_help_and_version_exit_0(self, argv, capsys):
         with pytest.raises(SystemExit) as raised:
@@ -233,9 +242,10 @@ class TestUsage:
         assert capsys.readouterr().err == ""
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports this checkout's communityfish."""
-    env = {**os.environ, "PYTHONPATH": str(Path(communityfish.__file__).parents[1])}
+def _run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's communityfish, with
+    ``env`` set over the inherited environment."""
+    env = {**os.environ, "PYTHONPATH": str(Path(communityfish.__file__).parents[1]), **env}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=60)
 
@@ -324,6 +334,19 @@ class TestScripts:
         assert (summary["both_fitted"], summary["both_converged"]) == (1, 0)
         assert summary["community_wins"] == 0
         assert summary["mean_rho_community"] is summary["mean_rho_unigram"] is None
+
+    def test_model_comparison_of_two_replications(self, monkeypatch, tmp_path):
+        summary = self._run_script(monkeypatch, tmp_path, "run_model_comparison.py",
+                                   "--replications", "2")
+        assert [row["errors"] for row in summary["replications"]] == [{}, {}]
+        assert summary["both_fitted"] == summary["both_converged"] == 2
+
+    def test_recovery_experiment_with_bootstrap_coverage(self, monkeypatch, tmp_path):
+        # the public API's bootstrap refits its replicates in batches
+        summary = self._run_script(monkeypatch, tmp_path, "run_recovery_experiment.py",
+                                   "--replications", "3", "--bootstrap-b", "50")
+        assert [row["error"] for row in summary["replications"]] == [None] * 3
+        assert summary["min_pearson"] > 0.99 and 0.8 <= summary["mean_coverage"] <= 1
 
     def test_recovery_experiment_records_a_failed_replication(self, monkeypatch, tmp_path):
         # seed 0's bootstrap fails on every replicate: the row holds the
@@ -668,6 +691,14 @@ class TestScale:
         assert f"error: {manifest['error']}\n" == err
         assert not (out / "positions.csv").exists()
 
+    def test_failed_rerun_leaves_no_output_of_the_first_run(self, corpus_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["scale", *base_args(corpus_file, tmp_path, "o"), "--no-bootstrap"]) == 0
+        rc = main(["scale", *base_args(corpus_file, tmp_path, "o"), "--pi", "100000"])
+        assert rc == 2
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert json.load(open(out / "manifest.json"))["config"]["min_bigram_count"] == 100000
+
     def test_missing_config_exit_1(self, tmp_path, capsys):
         rc = main(["scale", "--config", str(tmp_path / "nope.cfg"), "--quiet"])
         assert rc == 1
@@ -797,6 +828,17 @@ class TestSimulate:
         assert rc == 0
         report = json.load(open(tmp_path / "sim" / "report.json"))
         assert report["pearson"] >= 0.95
+
+    def test_bootstrap_refits_under_the_fit_settings(self, tmp_path):
+        # every refit starts from the point estimate and extrapolates, under
+        # the fit's own non-default tol and max_iter
+        cfg = tmp_path / "boot.cfg"
+        cfg.write_text("bootstrap_b = 50\ntol = 1e-6\nmax_iter = 200\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"), "--quiet"])
+        assert rc == 0
+        report = json.load(open(tmp_path / "sim" / "report.json"))
+        assert report["bootstrap_failures"] == 0 and report["bootstrap_map_evaluations"] >= 50
+        assert report["pearson"] >= 0.95 and report["ci_coverage"] >= 0.8
 
     def test_report_holds_the_fit_summary(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -944,6 +986,81 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {spec}:2: ")
         assert len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    """Criterion 7's planted corpus (seed 0) as JSONL, as CSV and as a text
+    directory, each path by its format; the documents go in id order, the
+    order a text directory reads them in."""
+    spec = PlantedCorpusSpec(
+        communities=(tuple(f"alpha{i}" for i in range(6)), tuple(f"beta{i}" for i in range(6))),
+        polarity=(0.6, -0.6), n_docs=20, runs_per_doc=150, run_length=6,
+        word_concentration=0.5, seed=0)
+    docs = sorted(generate_corpus(spec)[0].documents, key=lambda d: d.id)
+    base = tmp_path_factory.mktemp("planted")
+    paths = {"jsonl": base / "c.jsonl", "csv": base / "c.csv", "text-directory": base / "texts"}
+    paths["jsonl"].write_text("".join(json.dumps({"id": d.id, "text": d.text}) + "\n"
+                                      for d in docs))
+    with open(paths["csv"], "w", newline="") as fh:
+        csv.writer(fh).writerows([("id", "text"), *((d.id, d.text) for d in docs)])
+    paths["text-directory"].mkdir()
+    for d in docs:
+        (paths["text-directory"] / f"{d.id}.txt").write_text(d.text)
+    return paths
+
+
+class TestPlantedCorpus:
+    """The pipeline commands end to end on criterion 7's planted corpus."""
+
+    @staticmethod
+    def _run(planted, out: Path, *argv: str, fmt: str = "jsonl") -> Path:
+        rc = main([*argv, "--input", str(planted[fmt]), "--format", fmt, "--pi", "30",
+                   "--out", str(out), "--quiet"])
+        assert rc == 0
+        return out
+
+    def test_every_format_gives_the_same_positions(self, planted, tmp_path):
+        positions = {(self._run(planted, tmp_path / fmt, "scale", "--no-bootstrap", fmt=fmt)
+                      / "positions.csv").read_bytes() for fmt in planted}
+        assert len(positions) == 1
+
+    def test_scale_reports_the_summaries_of_compare(self, planted, tmp_path):
+        # scale and compare run the same fits through run_pipeline; scale's
+        # bootstraps, the unigram one too, add their own keys, and the
+        # runtime is the run's
+        compare = json.loads((self._run(planted, tmp_path / "cmp", "compare")
+                              / "report.json").read_text(), parse_constant=_reject_constant)
+        assert compare["both_converged"] is True
+        skip = {"runtime_seconds", "bootstrap_failures", "bootstrap_failure_reasons",
+                "bootstrap_map_evaluations"}
+        for flags, branch in (([], "community"), (["--baseline"], "unigram")):
+            report = json.loads((self._run(planted, tmp_path / branch, "scale", *flags)
+                                 / "fit_report.json").read_text(),
+                                parse_constant=_reject_constant)
+            assert report["bootstrap_map_evaluations"] > 0
+            summary = compare[branch]
+            assert {k: report[k] for k in summary.keys() - skip} == {
+                k: summary[k] for k in summary.keys() - skip}
+
+    # the linear predictor is a BLAS matrix product. On this corpus of 20
+    # documents x 12 words the outputs keep their bytes whether BLAS runs on
+    # one thread or on its default number; on a 150 x 3,868 unigram matrix,
+    # initialize's Gram product splits its sums by thread count, and the
+    # sixth decimal of an interval can move
+    def test_outputs_do_not_depend_on_the_blas_threads(self, planted, tmp_path):
+        outputs = {}
+        for threads, env in (("one", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
+                             ("default", {})):
+            for argv, name in ((["scale", "--no-bootstrap"], "positions.csv"),
+                               (["compare"], "comparison.csv")):
+                out = tmp_path / threads / argv[0]
+                proc = _run_python("-W", "error::RuntimeWarning", "-m", "communityfish.cli",
+                                   *argv, "--input", str(planted["jsonl"]), "--pi", "30",
+                                   "--out", str(out), "--quiet", **env)
+                assert proc.returncode == 0, proc.stderr
+                outputs.setdefault(name, set()).add((out / name).read_bytes())
+        assert [len(contents) for contents in outputs.values()] == [1, 1]
 
 
 def _reject_constant(name):
