@@ -18,7 +18,6 @@ from .graph import (
     Partition,
     WordGraph,
     build_graph,
-    leiden,
     louvain,
     modularity,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "generate_corpus",
     "generate_matrix",
     "initialize",
-    "leiden",
     "load_corpus",
     "log_likelihood",
     "louvain",

@@ -41,7 +41,6 @@ from .graph import (
     Partition,
     WordGraph,
     build_graph,
-    leiden,
     louvain,
 )
 from .scaling import (
@@ -61,8 +60,9 @@ from .synthbench import (
     spearman,
 )
 
-# Unused here. perfbench/child.py wraps this name on this module, so it must resolve.
+# Unused here. perfbench/child.py wraps these names on this module, so they must resolve.
 from .corpus import tokenize  # noqa: F401
+from .graph import louvain as leiden  # noqa: F401
 
 EXIT_CONFIG = 1
 EXIT_EMPTY = 2
@@ -123,7 +123,7 @@ def _coerce(default, raw: str, where: str):
 # integer config keys; FitConfig checks tol, max_iter and the anchors.
 CHOICES = {
     "format": tuple(FORMATS),
-    "clustering": ("louvain", "leiden"),
+    "clustering": ("louvain", "leiden"),  # two names for one algorithm
     "dtm": ("member-count", "bigram-match"),
 }
 FLOORS = {
@@ -182,12 +182,10 @@ class PipelineRun:
 
 
 def _cluster(corpus: Corpus, config: RunConfig) -> tuple[WordGraph, Partition]:
-    """Bigram counts -> threshold -> word graph -> Louvain or Leiden
-    communities; a partition without communities is a ``GraphError``."""
+    """Bigram counts -> threshold -> word graph -> ``louvain`` communities, for
+    either ``clustering``; a partition without communities is a ``GraphError``."""
     graph = build_graph(filter_bigrams(count_bigrams(corpus), config.min_bigram_count))
-    cluster = louvain if config.clustering == "louvain" else leiden
-    partition = cluster(graph, seed=config.seed,
-                        min_community_size=config.min_community_size)
+    partition = louvain(graph, seed=config.seed, min_community_size=config.min_community_size)
     if not partition.assignment:
         raise GraphError("no communities")
     return graph, partition
@@ -220,8 +218,6 @@ def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False) -> P
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    k_community_features: int | None
-    vocabulary_size: int | None
     runtime_community: float | None
     runtime_unigram: float | None
     rank_correlation: float | None
@@ -229,6 +225,15 @@ class ComparisonReport:
     unigram_result: ScalingResult | None
     # the exception each failed branch raised, by branch name
     errors: dict[str, ValueError] = field(default_factory=dict)
+
+    # each branch's feature count, read from its fit; None for a failed branch
+    @property
+    def k_community_features(self) -> int | None:
+        return self.community_result.matrix.shape[1] if self.community_result else None
+
+    @property
+    def vocabulary_size(self) -> int | None:
+        return self.unigram_result.matrix.shape[1] if self.unigram_result else None
 
     @property
     def both_converged(self) -> bool:
@@ -266,8 +271,6 @@ def compare_models(corpus: Corpus, config: RunConfig) -> ComparisonReport:
     pairs = [(com[d], uni[d]) for d in com if d in uni]
     rank_corr = spearman(*np.array(pairs).T) if len(pairs) >= 3 else None
     return ComparisonReport(
-        k_community_features=com_result.matrix.shape[1] if com_result else None,
-        vocabulary_size=uni_result.matrix.shape[1] if uni_result else None,
         runtime_community=runtimes["community"],
         runtime_unigram=runtimes["unigram"],
         rank_correlation=rank_corr,

@@ -223,41 +223,26 @@ def louvain(graph: WordGraph, seed: int = 0, min_community_size: int = 2) -> Par
 
     The greedy sweeps can stall in seed-dependent local optima on small dense
     graphs, so ``_RESTARTS`` independent runs (sub-seeds derived from ``seed``)
-    are performed and the highest-modularity partition kept; the result is
-    still a deterministic function of the seed. Communities smaller than
-    ``min_community_size`` are dropped from the returned partition; their
-    words carry no feature downstream.
+    are performed and the highest-modularity one kept. Its communities can be
+    disconnected (Traag, Waltman & van Eck 2019), so each is split into its
+    connected components and local moving rerun, until none splits. The
+    result is still a deterministic function of the seed. Communities smaller
+    than ``min_community_size`` are dropped from the returned partition;
+    their words carry no feature downstream.
     """
-    comm, q = _best_louvain_assignment(graph, seed)
-    return _finalize_partition(graph, comm, q, min_community_size)
-
-
-def _best_louvain_assignment(graph: WordGraph, seed: int) -> tuple[list[int], float]:
-    """The highest-modularity assignment of ``_RESTARTS`` Louvain runs, and
-    its modularity. Both clustering algorithms start here, so the checks
-    for a graph they cannot cluster live here."""
     if len(graph) == 0:
         raise GraphError("empty graph")
     m = graph.total_weight
     if m == 0:
         raise GraphError("clustering requires a graph with at least one edge")
-    singleton_q = _level_modularity(graph._level, range(len(graph)), m)
-    best_comm, best_q = None, -np.inf
-    for sub_seed in np.random.SeedSequence(seed).generate_state(_RESTARTS):
-        comm, q = _louvain_assignment(graph, int(sub_seed), singleton_q)
-        if q > best_q + 1e-14:
-            best_comm, best_q = comm, q
-    return best_comm, best_q
-
-
-def leiden(graph: WordGraph, seed: int = 0, min_community_size: int = 2) -> Partition:
-    """Louvain plus a refinement that guarantees internally connected
-    communities: disconnected communities are split into their connected
-    components and local moving is re-run until stable."""
-    comm, _ = _best_louvain_assignment(graph, seed)
-    m = graph.total_weight
-    rng = np.random.default_rng(seed + 1)
     level = graph._level
+    singleton_q = _level_modularity(level, range(len(graph)), m)
+    comm, best_q = None, -np.inf
+    for sub_seed in np.random.SeedSequence(seed).generate_state(_RESTARTS):
+        run_comm, q = _louvain_assignment(graph, int(sub_seed), singleton_q)
+        if q > best_q + 1e-14:
+            comm, best_q = run_comm, q
+    rng = np.random.default_rng(seed + 1)
     for _ in range(10):
         refined = _split_disconnected(level, comm)
         if refined == comm:
@@ -267,8 +252,10 @@ def leiden(graph: WordGraph, seed: int = 0, min_community_size: int = 2) -> Part
         comm, _ = _relabel(comm)
     else:
         comm = _split_disconnected(level, comm)
-    return _finalize_partition(graph, comm, _level_modularity(level, comm, m),
-                               min_community_size)
+    kept = np.flatnonzero(np.bincount(comm) >= min_community_size).tolist()
+    remap = dict(zip(kept, range(len(kept))))
+    assignment = {w: remap[comm[i]] for i, w in enumerate(graph.nodes) if comm[i] in remap}
+    return Partition(assignment=assignment, quality=_level_modularity(level, comm, m))
 
 
 def _split_disconnected(level: _Graph, comm: list[int]) -> list[int]:
@@ -286,17 +273,3 @@ def _split_disconnected(level: _Graph, comm: list[int]) -> list[int]:
         if np.array_equal(least, label):
             return _relabel(label.tolist())[0]
         label = least
-
-
-def _finalize_partition(
-    graph: WordGraph, comm: list[int], q: float, min_community_size: int
-) -> Partition:
-    """The partition of ``comm``, a contiguous id per node index whose
-    modularity is ``q``, without its communities below the minimum size."""
-    kept = np.flatnonzero(np.bincount(comm) >= min_community_size).tolist()
-    remap = dict(zip(kept, range(len(kept))))
-    assignment = {
-        w: remap[comm[i]] for i, w in enumerate(graph.nodes) if comm[i] in remap
-    }
-    return Partition(assignment=assignment, quality=q)
-

@@ -4,6 +4,7 @@ comparison is ``communityfish.cli.compare_models``."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,8 +133,14 @@ class PlantedCorpusSpec:
             raise SynthError("need >= 2 planted communities")
         if len(self.polarity) != len(self.communities):
             raise SynthError("polarity must match the number of communities")
-        if self.n_docs < 1:
-            raise SynthError("need at least one document")
+        if not np.isfinite(self.polarity).all():
+            raise SynthError(f"polarity must be finite, got {self.polarity!r}")
+        for key in ("n_docs", "runs_per_doc", "run_length"):
+            if (value := getattr(self, key)) < 1:
+                raise SynthError(f"spec key {key!r} must be >= 1, got {value!r}")
+        if not 0 < self.word_concentration < np.inf:
+            raise SynthError("word_concentration must be positive and finite, "
+                             f"got {self.word_concentration!r}")
         for com in self.communities:
             if len(com) < 2:
                 raise SynthError("planted communities need >= 2 words")
@@ -143,6 +150,14 @@ class PlantedCorpusSpec:
                     raise SynthError(f"planted word {word!r} does not tokenize to itself")
 
 
+def _cdf(p: np.ndarray) -> list[float]:
+    """The table ``rng.choice(len(p), p=p)`` draws from: its pick for one
+    ``rng.random()`` double ``u`` is ``bisect_right(table, u)``."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def generate_corpus(
     spec: PlantedCorpusSpec, doc_metadata: list[dict] | None = None
 ) -> tuple[Corpus, PlantedCorpusSpec]:
@@ -150,6 +165,9 @@ def generate_corpus(
     adjacently within runs, with run frequencies following the planted
     theta-dependent intensities. A document's text is its words joined by
     spaces, so its tokens are those words."""
+    if doc_metadata is not None and len(doc_metadata) != spec.n_docs:
+        raise SynthError(f"doc_metadata holds {len(doc_metadata)} entries "
+                         f"for {spec.n_docs} documents")
     rng = np.random.default_rng(spec.seed)
     theta = spec.theta_star
     if theta is None:
@@ -158,27 +176,32 @@ def generate_corpus(
     docs = []
     for i in range(spec.n_docs):
         weights = np.exp(polarity * theta[i])
-        probs = weights / weights.sum()
-        word_prefs = [
-            rng.dirichlet(np.full(len(com), spec.word_concentration))
-            for com in spec.communities
-        ]
+        run_cdf = _cdf(weights / weights.sum())
+        # each community's table of its first word, from the document's word
+        # preference, and of the word after each word: the preference with
+        # that word's first index zeroed, renormalized
+        tables = []
+        for c, words in enumerate(spec.communities):
+            pref = rng.dirichlet(np.full(len(words), spec.word_concentration))
+            after = {}
+            for word in words:
+                p = pref.copy()
+                p[words.index(word)] = 0.0
+                if not (total := p.sum()) > 0:
+                    raise SynthError(f"document {i}, planted community {c}: the word preference "
+                                     f"puts all weight on {word!r}, so no word can follow it")
+                after[word] = _cdf(p / total)
+            tables.append((_cdf(pref), after))
+        # one double per run and per word, in the order they are drawn
+        draws = iter(rng.random(spec.runs_per_doc * (1 + spec.run_length)).tolist())
         tokens: list[str] = []
         for _ in range(spec.runs_per_doc):
-            c = int(rng.choice(len(spec.communities), p=probs))
-            words = spec.communities[c]
-            pref = word_prefs[c]
-            prev = None
+            c = bisect_right(run_cdf, next(draws))
+            words, (cdf, after) = spec.communities[c], tables[c]
             for _ in range(spec.run_length):
-                if prev is not None and len(words) > 1:
-                    p = pref.copy()
-                    p[words.index(prev)] = 0.0
-                    p = p / p.sum()
-                else:
-                    p = pref
-                w = words[int(rng.choice(len(words), p=p))]
-                tokens.append(w)
-                prev = w
+                word = words[bisect_right(cdf, next(draws))]
+                tokens.append(word)
+                cdf = after[word]
         meta = dict(doc_metadata[i]) if doc_metadata else {}
         meta.setdefault("theta_star", f"{theta[i]:.6f}")
         docs.append(Document(id=f"doc_{i}", text=" ".join(tokens), metadata=meta))

@@ -2,18 +2,19 @@
 counts to and from plain dicts, node strengths, an exhaustive modularity
 maximizer, the fit's elementwise kernels (linear predictor, clamped rates),
 analytic gradients of the log likelihood, the Pearson dispersion and
-analytic standard errors of a fit, and a fit whose every step is checked to
-ascend."""
+analytic standard errors of a fit, a fit whose every step is checked to
+ascend, and the planted-corpus generator drawn one ``rng.choice`` per word."""
 
 import dataclasses
 import warnings
 
 import numpy as np
 
-from communityfish.corpus import BigramCounts
+from communityfish.corpus import BigramCounts, Corpus, Document
 from communityfish.graph import GraphError, Partition, WordGraph, modularity
 from communityfish.scaling import (
     FitConfig, ScalingParams, ScalingResult, _rates, fit, log_likelihood)
+from communityfish.synthbench import PlantedCorpusSpec, _standard_theta
 
 
 def bigram_counts(pairs: dict[frozenset, int]) -> BigramCounts:
@@ -146,3 +147,42 @@ def fit_checking_ascent(matrix, config: FitConfig = FitConfig()) -> ScalingResul
         assert ll >= previous - 1e-9, f"max_iter={max_iter}: {previous} -> {ll}"
         previous = ll
     return result
+
+
+def generate_corpus(spec: PlantedCorpusSpec, doc_metadata: list[dict] | None = None
+                    ) -> tuple[Corpus, PlantedCorpusSpec]:
+    """``synthbench.generate_corpus`` as a loop that draws each run's
+    community and each word with its own ``rng.choice``."""
+    rng = np.random.default_rng(spec.seed)
+    theta = spec.theta_star
+    if theta is None:
+        theta = _standard_theta(rng, spec.n_docs)
+    polarity = np.asarray(spec.polarity)
+    docs = []
+    for i in range(spec.n_docs):
+        weights = np.exp(polarity * theta[i])
+        probs = weights / weights.sum()
+        word_prefs = [
+            rng.dirichlet(np.full(len(com), spec.word_concentration))
+            for com in spec.communities
+        ]
+        tokens: list[str] = []
+        for _ in range(spec.runs_per_doc):
+            c = int(rng.choice(len(spec.communities), p=probs))
+            words = spec.communities[c]
+            pref = word_prefs[c]
+            prev = None
+            for _ in range(spec.run_length):
+                if prev is not None and len(words) > 1:
+                    p = pref.copy()
+                    p[words.index(prev)] = 0.0
+                    p = p / p.sum()
+                else:
+                    p = pref
+                w = words[int(rng.choice(len(words), p=p))]
+                tokens.append(w)
+                prev = w
+        meta = dict(doc_metadata[i]) if doc_metadata else {}
+        meta.setdefault("theta_star", f"{theta[i]:.6f}")
+        docs.append(Document(id=f"doc_{i}", text=" ".join(tokens), metadata=meta))
+    return Corpus(tuple(docs)), dataclasses.replace(spec, theta_star=theta)

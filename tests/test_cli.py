@@ -449,9 +449,13 @@ class TestCommunities:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_leiden_backend(self, corpus_file, tmp_path):
-        rc = main(["communities", *base_args(corpus_file, tmp_path),
-                   "--clustering", "leiden"])
-        assert rc == 0
+        # leiden is another name for louvain, whose communities are connected
+        for name in ("louvain", "leiden"):
+            assert main(["communities", *base_args(corpus_file, tmp_path, name),
+                         "--clustering", name]) == 0
+        for name in ("communities.csv", "graph_stats.json"):
+            assert ((tmp_path / "leiden" / name).read_bytes()
+                    == (tmp_path / "louvain" / name).read_bytes())
 
     def test_stopwords_and_lemmas(self, tmp_path):
         # the table entries are written in capitals; "the" is a stopword and

@@ -11,7 +11,6 @@ from communityfish.graph import (
     GraphError,
     Partition,
     build_graph,
-    leiden,
     louvain,
     modularity,
 )
@@ -187,13 +186,12 @@ class TestLouvain:
         singleton = Partition({w: i for i, w in enumerate(g.nodes)})
         assert part.quality >= modularity(g, singleton) - 1e-12
 
-    # leiden computes the quality of its refined partition outside modularity()
-    @pytest.mark.parametrize("cluster", [louvain, leiden], ids=["louvain", "leiden"])
+    # louvain computes the quality of its refined partition outside modularity()
     @given(st.integers(0, 60))
     @settings(deadline=None, max_examples=30)
-    def test_reported_q_matches_recomputation(self, cluster, seed):
+    def test_reported_q_matches_recomputation(self, seed):
         g = random_graph(seed, n_nodes=7)
-        part = cluster(g, seed=seed, min_community_size=1)
+        part = louvain(g, seed=seed, min_community_size=1)
         assert part.quality == pytest.approx(modularity(g, part), abs=1e-10)
 
     @given(st.integers(0, 40))
@@ -218,33 +216,68 @@ def connected(graph, words) -> bool:
     return reached == nodes
 
 
+def block_model_graph(seed):
+    """A planted-partition graph: blocks of 3 to 24 words, denser inside a
+    block than between blocks, integer weights."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(3, 30)
+    sizes = rng.integers(3, 25, size=k)
+    p_in, p_out = rng.uniform(0.1, 0.6), rng.uniform(0.002, 0.05)
+    block = np.repeat(np.arange(k), sizes)
+    u, w = np.triu_indices(sizes.sum(), 1)
+    keep = rng.random(u.size) < np.where(block[u] == block[w], p_in, p_out)
+    weights = rng.integers(1, rng.integers(2, 12), size=int(keep.sum()))
+    names = [f"w{i:04d}" for i in range(sizes.sum())]
+    return build_graph(bigram_counts({frozenset((names[i], names[j])): int(c)
+                                      for i, j, c in zip(u[keep], w[keep], weights)}))
+
+
 class TestLeiden:
-    def test_matches_louvain_on_triangles(self):
-        assert leiden(TWO_TRIANGLES, seed=0).members == louvain(TWO_TRIANGLES, seed=0).members
+    """Louvain can return a community whose words share no path (Traag,
+    Waltman & van Eck 2019); ``louvain`` splits such communities as Leiden
+    does, so each of its communities is connected."""
+
+    def test_block_model_graph_communities_are_connected(self):
+        # the best of the restarts puts five words that share no path in one
+        # community, at Q 0.537043; split, the graph has 9 communities
+        g = block_model_graph(2294)
+        assert (len(g), len(g.weights)) == (52, 89)
+        part = louvain(g, seed=2294)
+        assert all(connected(g, words) for words in part.members.values())
+        assert part.num_communities == 9
+        assert part.quality == pytest.approx(0.537889, abs=1e-6)
 
     @given(st.integers(0, 10**6), st.integers(3, 12), st.sampled_from([0.2, 0.35, 0.6]))
     @settings(deadline=None, max_examples=60)
     def test_is_louvain_where_louvain_communities_are_connected(self, seed, n_nodes, p):
+        # the best restart's assignment and Q bits, where its communities are connected
         g = random_graph(seed, n_nodes=n_nodes, p=p)
-        expected = louvain(g, seed=seed, min_community_size=1)
+        m = g.total_weight
+        singleton_q = graph_module._level_modularity(g._level, range(len(g)), m)
+        comm, q = None, -np.inf
+        for sub_seed in np.random.SeedSequence(seed).generate_state(graph_module._RESTARTS):
+            restart = graph_module._louvain_assignment(g, int(sub_seed), singleton_q)
+            if restart[1] > q + 1e-14:  # the first restart of the best modularity
+                comm, q = restart
+        expected = Partition(dict(zip(g.nodes, comm)))
         assume(all(connected(g, words) for words in expected.members.values()))
-        part = leiden(g, seed=seed, min_community_size=1)
+        part = louvain(g, seed=seed, min_community_size=1)
         assert part.assignment == expected.assignment
-        assert part.quality == expected.quality
+        assert part.quality == q
 
     def test_single_edge(self):
-        assert leiden(SINGLE_EDGE, seed=0).members == {0: ["a", "b"]}
+        assert louvain(SINGLE_EDGE, seed=0).members == {0: ["a", "b"]}
 
     @given(st.integers(0, 40))
     @settings(deadline=None, max_examples=20)
     def test_communities_are_connected(self, seed):
         g = random_graph(seed, n_nodes=8, p=0.35)
-        part = leiden(g, seed=seed, min_community_size=1)
+        part = louvain(g, seed=seed, min_community_size=1)
         assert all(connected(g, words) for words in part.members.values())
 
     def test_path_graph(self):
         g = graph_from_edges([("a", "b", 1), ("b", "c", 1)])
-        part = leiden(g, seed=0, min_community_size=1)
+        part = louvain(g, seed=0, min_community_size=1)
         assert part.quality is not None
 
 
@@ -253,10 +286,9 @@ class TestPairOrder:
     exact: the order of the pairs, which sets each node's neighbour order,
     cannot change a partition or its modularity."""
 
-    @pytest.mark.parametrize("cluster", [louvain, leiden], ids=["louvain", "leiden"])
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=40)
-    def test_partition_does_not_depend_on_pair_order(self, cluster, seed):
+    def test_partition_does_not_depend_on_pair_order(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 31))
         names = [f"w{i:02d}" for i in range(n)]
@@ -272,7 +304,7 @@ class TestPairOrder:
         for order in (pairs, shuffled):
             with mock.patch.object(graph_module, "_aggregate",
                                    wraps=graph_module._aggregate) as aggregate:
-                results.append(cluster(build_graph(bigram_counts(dict(order))),
+                results.append(louvain(build_graph(bigram_counts(dict(order))),
                                        seed=seed, min_community_size=1))
             assert aggregate.call_count > 0  # the run reached an aggregated level
         assert results[1].assignment == results[0].assignment

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import oracles
 from communityfish.cli import RunConfig, compare_models, run_pipeline
 from communityfish.graph import build_graph, louvain
 from communityfish.corpus import count_bigrams, filter_bigrams
@@ -75,7 +76,73 @@ class TestGenerateMatrix:
             SyntheticSpec.create(n_docs=1)
 
 
+def _reference_specs():
+    """Cases (spec, doc_metadata): the planted corpora of acceptance criteria 7,
+    8 and 9, built as those criteria build them, a community with a repeated
+    word, and runs of one word."""
+    specs = [pytest.param(planted_spec(seed), None, id=f"criterion-7-seed-{seed}")
+             for seed in range(20)]
+    for seed, n_com, size in [(0, 2, 6), (1, 5, 4), (2, 8, 3)]:
+        communities = tuple(tuple(f"c{k}w{i}" for i in range(size)) for k in range(n_com))
+        polarity = tuple(np.random.default_rng(seed).normal(scale=0.7, size=n_com).tolist())
+        specs.append(pytest.param(PlantedCorpusSpec(
+            communities, polarity, n_docs=15, runs_per_doc=120, run_length=6, seed=seed), None,
+            id=f"criterion-8-seed-{seed}"))
+    rng = np.random.default_rng(42)
+    sizes, polarity = [], []
+    for _ in range(30):
+        sizes.append(int(rng.integers(2, 7)))
+        polarity.append(float(rng.normal(scale=0.8)))
+    years = list(range(1860, 1900, 2)) + list(range(1950, 2020, 4))
+    theta = np.array([-1.0 if y < 1900 else 1.0 for y in years])
+    theta = theta + rng.normal(scale=0.25, size=len(years))
+    specs.append(pytest.param(PlantedCorpusSpec(
+        tuple(tuple(f"w{k}_{i}" for i in range(size)) for k, size in enumerate(sizes)),
+        tuple(polarity), n_docs=len(years), runs_per_doc=250, run_length=6,
+        word_concentration=2.0, seed=7, theta_star=(theta - theta.mean()) / theta.std(ddof=1),
+    ), [{"year": str(y)} for y in years], id="criterion-9"))
+    specs.append(pytest.param(PlantedCorpusSpec(
+        (("a", "b", "a", "c"), ("d", "e")), (0.5, -0.3), n_docs=6, runs_per_doc=30,
+        run_length=5, word_concentration=0.3, seed=11), None, id="repeated-word"))
+    specs.append(pytest.param(dataclasses.replace(planted_spec(12, runs=30), run_length=1),
+                              None, id="run-length-1"))
+    return specs
+
+
 class TestGenerateCorpus:
+    @pytest.mark.parametrize("spec, doc_metadata", _reference_specs())
+    def test_draws_the_reference_corpus_token_for_token(self, spec, doc_metadata):
+        corpus, drawn = generate_corpus(spec, doc_metadata)
+        want, want_spec = oracles.generate_corpus(spec, doc_metadata)
+        assert corpus.documents == want.documents
+        assert drawn.theta_star.tobytes() == want_spec.theta_star.tobytes()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"word_concentration": 0.0}, "word_concentration must be positive and finite, got 0.0"),
+        ({"word_concentration": -1.0}, "word_concentration must be positive and finite, got -1.0"),
+        ({"word_concentration": float("nan")},
+         "word_concentration must be positive and finite, got nan"),
+        ({"polarity": (float("nan"), 0.6)}, r"polarity must be finite, got \(nan, 0.6\)"),
+        ({"run_length": 0}, "spec key 'run_length' must be >= 1, got 0"),
+    ], ids=["concentration-0", "concentration-negative", "concentration-nan", "polarity-nan",
+            "run-length-0"])
+    def test_bad_spec_is_a_one_line_error(self, changes, message):
+        with pytest.raises(SynthError, match=f"^{message}$"):
+            generate_corpus(dataclasses.replace(planted_spec(0, n_docs=4, runs=3), **changes))
+
+    def test_short_doc_metadata_is_a_one_line_error(self):
+        with pytest.raises(SynthError, match="^doc_metadata holds 3 entries for 4 documents$"):
+            generate_corpus(planted_spec(0, n_docs=4, runs=3), [{"year": "1900"}] * 3)
+
+    def test_preference_on_one_word_is_a_one_line_error(self):
+        # a concentration this small can draw a preference of (1, 0): no word
+        # then has a chance to follow the first
+        spec = PlantedCorpusSpec((("a", "b"), ("c", "d")), (0.5, -0.5), n_docs=40,
+                                 runs_per_doc=5, run_length=2, word_concentration=0.01)
+        with pytest.raises(SynthError, match=r"^document 0, planted community 0: the word "
+                           "preference puts all weight on 'a', so no word can follow it$"):
+            generate_corpus(spec)
+
     def test_deterministic(self):
         a, _ = generate_corpus(planted_spec(3))
         b, _ = generate_corpus(planted_spec(3))
