@@ -3,7 +3,8 @@
 
 Generates corpora with planted word communities and theta-dependent usage,
 then fits both pipelines and reports which recovers the planted positions
-better, along with feature counts and runtimes.
+better, along with each comparison's summary, as ``compare``'s report.json
+holds it.
 """
 
 import argparse
@@ -57,27 +58,14 @@ def main():
         planted = dict(zip((d.id for d in corpus.documents), spec.theta_star))
         # rho is over the documents a branch fitted, which trimming may have
         # thinned; a branch that failed has no rho, and its error goes into the row
-        results = {"community": comparison.community_result,
-                   "unigram": comparison.unigram_result}
         rho = {
-            branch: None if result is None else float(abs(np.corrcoef(
-                result.params.theta, [planted[d] for d in result.matrix.doc_ids])[0, 1]))
-            for branch, result in results.items()
+            branch: float(abs(np.corrcoef(list(theta.values()),
+                                          [planted[d] for d in theta])[0, 1])) if theta else None
+            for branch, theta in comparison.thetas.items()
         }
         both += None not in rho.values()
-        fits = {branch: result and result.summary() for branch, result in results.items()}
-        rows.append({
-            "seed": seed,
-            "rho_community": rho["community"],
-            "rho_unigram": rho["unigram"],
-            **{f"{flag}_{branch}": fit and fit[flag]
-               for flag in ("converged", "clamp_activated") for branch, fit in fits.items()},
-            "k_features": comparison.k_community_features,
-            "vocabulary": comparison.vocabulary_size,
-            "runtime_community": comparison.runtime_community,
-            "runtime_unigram": comparison.runtime_unigram,
-            "errors": {branch: str(exc) for branch, exc in comparison.errors.items()},
-        })
+        rows.append({"seed": seed, "rho_community": rho["community"],
+                     "rho_unigram": rho["unigram"], **comparison.summary()})
         if comparison.both_converged:
             sound.append(rows[-1])
         print(f"seed {seed}: " + " vs ".join(

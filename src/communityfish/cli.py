@@ -19,7 +19,9 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -218,13 +220,31 @@ def run_pipeline(corpus: Corpus, config: RunConfig, baseline: bool = False) -> P
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """Each branch's fit and pipeline runtime, None where it failed, and each
+    failed branch's exception by name; everything else is read from these."""
+
     runtime_community: float | None
     runtime_unigram: float | None
-    rank_correlation: float | None
     community_result: ScalingResult | None
     unigram_result: ScalingResult | None
-    # the exception each failed branch raised, by branch name
     errors: dict[str, ValueError] = field(default_factory=dict)
+
+    @property
+    def results(self) -> dict[str, ScalingResult | None]:
+        return {"community": self.community_result, "unigram": self.unigram_result}
+
+    @cached_property
+    def thetas(self) -> dict[str, dict[str, float]]:
+        """Each branch's fitted theta by document id; empty for a failed branch."""
+        return {branch: dict(zip(r.matrix.doc_ids, r.params.theta.tolist())) if r else {}
+                for branch, r in self.results.items()}
+
+    @property
+    def rank_correlation(self) -> float | None:
+        """Spearman's rho over the documents both fitted; None below 3 or where undefined."""
+        com, uni = self.thetas.values()
+        pairs = [(com[d], uni[d]) for d in com if d in uni]
+        return spearman(*np.array(pairs).T) if len(pairs) >= 3 else None
 
     # each branch's feature count, read from its fit; None for a failed branch
     @property
@@ -240,12 +260,18 @@ class ComparisonReport:
         """Both branches fitted and converged with the clamp inactive: the
         one condition under which their scales are worth comparing."""
         return all(r is not None and r.converged and not r.clamp_activated
-                   for r in (self.community_result, self.unigram_result))
+                   for r in self.results.values())
 
-
-def _theta_by_doc(result: ScalingResult | None) -> dict[str, float]:
-    """Each fitted document's theta by its id; none for a failed branch."""
-    return dict(zip(result.matrix.doc_ids, result.params.theta.tolist())) if result else {}
+    def summary(self) -> dict:
+        """``compare``'s report.json, as JSON values."""
+        return {
+            "runtime_community": self.runtime_community,
+            "runtime_unigram": self.runtime_unigram,
+            "rank_correlation": self.rank_correlation,
+            "errors": {branch: str(exc) for branch, exc in self.errors.items()},
+            "both_converged": self.both_converged,
+            **{branch: r.summary() if r else None for branch, r in self.results.items()},
+        }
 
 
 def compare_models(corpus: Corpus, config: RunConfig) -> ComparisonReport:
@@ -255,9 +281,7 @@ def compare_models(corpus: Corpus, config: RunConfig) -> ComparisonReport:
     """
     if len(corpus) == 0:
         raise CorpusError("empty corpus")
-    results: dict[str, ScalingResult | None] = {}
-    runtimes: dict[str, float | None] = {}
-    errors: dict[str, ValueError] = {}
+    results, runtimes, errors = {}, {}, {}
     for branch, baseline in (("community", False), ("unigram", True)):
         results[branch] = runtimes[branch] = None
         try:
@@ -266,18 +290,8 @@ def compare_models(corpus: Corpus, config: RunConfig) -> ComparisonReport:
             runtimes[branch] = time.perf_counter() - t0
         except ValueError as exc:
             errors[branch] = exc
-    com_result, uni_result = results["community"], results["unigram"]
-    com, uni = _theta_by_doc(com_result), _theta_by_doc(uni_result)
-    pairs = [(com[d], uni[d]) for d in com if d in uni]
-    rank_corr = spearman(*np.array(pairs).T) if len(pairs) >= 3 else None
-    return ComparisonReport(
-        runtime_community=runtimes["community"],
-        runtime_unigram=runtimes["unigram"],
-        rank_correlation=rank_corr,
-        community_result=com_result,
-        unigram_result=uni_result,
-        errors=errors,
-    )
+    return ComparisonReport(runtimes["community"], runtimes["unigram"],
+                            results["community"], results["unigram"], errors)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -440,28 +454,14 @@ def cmd_scale(args, config: RunConfig, out: Path) -> tuple[str, dict]:
 
 def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
     report = compare_models(_load_pipeline_corpus(config), config)
-    errors = {branch: str(exc) for branch, exc in report.errors.items()}
+    summary = report.summary()
     if report.community_result is None and report.unigram_result is None:
-        raise CliError(f"both branches failed: {errors}",
+        raise CliError(f"both branches failed: {summary['errors']}",
                        max(map(_exit_code, report.errors.values())))
-    com, uni = report.community_result, report.unigram_result
-    thetas = _theta_by_doc(com), _theta_by_doc(uni)
+    thetas = report.thetas.values()
     _write_csv(out / "comparison.csv", ["doc_id", "theta_community", "theta_unigram"],
                ([d, *(f"{t[d]:.6f}" if d in t else "" for t in thetas)]
                 for d in sorted(set().union(*thetas))))
-    summary = {
-        "k_community_features": report.k_community_features,
-        "vocabulary_size": report.vocabulary_size,
-        "runtime_community": report.runtime_community,
-        "runtime_unigram": report.runtime_unigram,
-        "rank_correlation": report.rank_correlation,
-        "dispersion_community": com.dispersion if com else None,
-        "dispersion_unigram": uni.dispersion if uni else None,
-        "errors": errors,
-        "both_converged": report.both_converged,
-        "community": com.summary() if com else None,
-        "unigram": uni.summary() if uni else None,
-    }
     (out / "report.json").write_text(json.dumps(summary, indent=2))
     return f"wrote {out}/comparison.csv", {}
 
@@ -511,6 +511,16 @@ def _exit_code(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; each warning, such as a fit's, prints as one line."""
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    try:
+        return _run(argv)
+    finally:
+        warnings.formatwarning = formatwarning
+
+
+def _run(argv: list[str] | None) -> int:
     out = None
     try:
         args = build_parser().parse_args(argv)

@@ -138,6 +138,10 @@ class PlantedCorpusSpec:
         for key in ("n_docs", "runs_per_doc", "run_length"):
             if (value := getattr(self, key)) < 1:
                 raise SynthError(f"spec key {key!r} must be >= 1, got {value!r}")
+        theta = self.theta_star
+        if theta is not None and not (np.shape(theta) == (self.n_docs,)
+                                      and np.isfinite(theta).all()):
+            raise SynthError(f"theta_star must hold n_docs = {self.n_docs} finite positions")
         if not 0 < self.word_concentration < np.inf:
             raise SynthError("word_concentration must be positive and finite, "
                              f"got {self.word_concentration!r}")
@@ -175,8 +179,13 @@ def generate_corpus(
     polarity = np.asarray(spec.polarity)
     docs = []
     for i in range(spec.n_docs):
-        weights = np.exp(polarity * theta[i])
-        run_cdf = _cdf(weights / weights.sum())
+        with np.errstate(over="ignore", under="ignore"):
+            weights = np.exp(polarity * theta[i])
+            total = weights.sum()
+        if not 0 < total < np.inf:
+            raise SynthError(f"document {i}: run intensities exp(polarity * theta) "
+                             f"{'overflow' if total else 'all underflow to 0'}")
+        run_cdf = _cdf(weights / total)
         # each community's table of its first word, from the document's word
         # preference, and of the word after each word: the preference with
         # that word's first index zeroed, renormalized

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import communityfish
+from communityfish import cli
 from communityfish.cli import (
     CliError,
     RunConfig,
@@ -316,8 +317,13 @@ class TestScripts:
             monkeypatch, tmp_path, "run_model_comparison.py", "--n-communities", "12",
             "--runs-per-doc", "1", "--n-docs", "40", "--pi", "4", "--replications", "1")
         row = summary["replications"][0]
+        assert list(row) == ["seed", "rho_community", "rho_unigram", "runtime_community",
+                             "runtime_unigram", "rank_correlation", "errors",
+                             "both_converged", "community", "unigram"]
         assert row["errors"] == {}
-        assert (row["k_features"], row["vocabulary"]) == (7, 64)
+        # the feature counts, as compare's report.json holds them
+        assert (row["community"]["matrix_shape"][1], row["unigram"]["matrix_shape"][1]) == (7, 64)
+        assert row["runtime_community"] > 0 and row["runtime_unigram"] > 0
         assert 0 <= row["rho_community"] <= 1 and 0 <= row["rho_unigram"] <= 1
         assert summary["both_fitted"] == 1
 
@@ -329,8 +335,9 @@ class TestScripts:
             monkeypatch, tmp_path, "run_model_comparison.py", "--n-communities", "12",
             "--runs-per-doc", "1", "--n-docs", "40", "--pi", "4", "--replications", "1")
         row = summary["replications"][0]
-        assert (row["converged_community"], row["clamp_activated_community"]) == (True, True)
-        assert row["converged_unigram"] is False
+        com, uni = row["community"], row["unigram"]
+        assert (com["converged"], com["clamp_activated"]) == (True, True)
+        assert uni["converged"] is False and row["both_converged"] is False
         assert (summary["both_fitted"], summary["both_converged"]) == (1, 0)
         assert summary["community_wins"] == 0
         assert summary["mean_rho_community"] is summary["mean_rho_unigram"] is None
@@ -561,6 +568,29 @@ class TestScale:
         rows = list(csv.DictReader(open(tmp_path / "nb" / "positions.csv")))
         assert all(r["se"] == "" and r["ci_low"] == "" for r in rows)
 
+    @staticmethod
+    def _one_iteration_argv(corpus_file, tmp_path) -> list[str]:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {corpus_file}\nmin_bigram_count = 30\nmax_iter = 1\n")
+        return ["scale", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                "--no-bootstrap"]
+
+    def test_fit_warning_is_one_stderr_line(self, corpus_file, tmp_path):
+        proc = _run_python("-m", "communityfish.cli",
+                           *self._one_iteration_argv(corpus_file, tmp_path))
+        assert proc.returncode == 0
+        assert proc.stderr == "warning: fit did not converge within max_iter\n"
+
+    def test_fit_warning_is_still_recorded(self, corpus_file, tmp_path):
+        # a caller that records warnings, as the benchmark does, still gets it
+        formatwarning = warnings.formatwarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(self._one_iteration_argv(corpus_file, tmp_path))
+        assert rc == 0
+        assert [str(w.message) for w in caught] == ["fit did not converge within max_iter"]
+        assert warnings.formatwarning is formatwarning
+
     def test_baseline_unigram(self, corpus_file, tmp_path):
         rc = main(["scale", *base_args(corpus_file, tmp_path, "base"),
                    "--baseline", "--no-bootstrap"])
@@ -716,12 +746,26 @@ class TestCompare:
         rows = list(csv.DictReader(open(tmp_path / "cmp" / "comparison.csv")))
         assert {"doc_id", "theta_community", "theta_unigram"} <= set(rows[0])
         report = json.load(open(tmp_path / "cmp" / "report.json"))
-        assert report["k_community_features"] < report["vocabulary_size"]
+        assert report["community"]["matrix_shape"][1] < report["unigram"]["matrix_shape"][1]
         assert report["both_converged"] is True
-        for branch, width in (("community", "k_community_features"),
-                              ("unigram", "vocabulary_size")):
-            assert report[branch]["matrix_shape"][1] == report[width]
-            assert report[branch]["dispersion"] == report[f"dispersion_{branch}"]
+
+    def test_report_is_the_comparison_summary(self, corpus_file, tmp_path, monkeypatch):
+        compare, reports = cli.compare_models, []
+        monkeypatch.setattr(cli, "compare_models",
+                            lambda *args: reports.append(compare(*args)) or reports[-1])
+        rc = main(["compare", *base_args(corpus_file, tmp_path, "cmp")])
+        assert rc == 0
+        report = json.loads((tmp_path / "cmp" / "report.json").read_text())
+        assert report == json.loads(json.dumps(reports[0].summary()))
+        assert list(report) == ["runtime_community", "runtime_unigram", "rank_correlation",
+                                "errors", "both_converged", "community", "unigram"]
+        # no number at the top level repeats one of a branch's summary
+        top = {report[k] for k in ("runtime_community", "runtime_unigram", "rank_correlation")}
+        for branch in ("community", "unigram"):
+            numbers = {x for v in report[branch].values()
+                       for x in (v if isinstance(v, list) else [v])
+                       if isinstance(x, (int, float)) and not isinstance(x, bool)}
+            assert not top & numbers
 
     def test_fits_stopped_at_max_iter_are_not_both_converged(self, corpus_file, tmp_path):
         cfg = tmp_path / "run.cfg"

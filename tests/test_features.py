@@ -206,6 +206,10 @@ class TestCountMatrix:
                            match="^count matrix has a negative or non-finite count$"):
             CountMatrix(tuple("abcdef"), tuple("vwxyz"), counts)
 
+    def test_rejects_labels_that_do_not_match_the_counts(self):
+        with pytest.raises(MatrixError, match="^count matrix dimensions do not match labels$"):
+            CountMatrix(tuple("abc"), tuple("vwxyz"), np.ones((2, 5)))
+
 
 class TestTrim:
     def test_drops_zero_row_and_column(self):

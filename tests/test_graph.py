@@ -10,6 +10,7 @@ from communityfish.corpus import Corpus, Document, count_bigrams, filter_bigrams
 from communityfish.graph import (
     GraphError,
     Partition,
+    WordGraph,
     build_graph,
     louvain,
     modularity,
@@ -164,6 +165,15 @@ class TestLouvain:
         )
         part = louvain(g, seed=0)
         assert part.num_communities == 1
+
+    @pytest.mark.parametrize("nodes, message", [
+        ((), "^empty graph$"),
+        (("a", "b"), "^clustering requires a graph with at least one edge$"),
+    ], ids=["empty", "edgeless"])
+    def test_graph_without_edges_rejected(self, nodes, message):
+        graph = WordGraph(nodes, np.empty((0, 2), dtype=np.int64), np.empty(0))
+        with pytest.raises(GraphError, match=message):
+            louvain(graph)
 
     def test_seed_determinism(self):
         g = random_graph(17, n_nodes=9)

@@ -483,6 +483,23 @@ class TestBootstrap:
         with pytest.raises(ScalingError):
             bootstrap(result, B=0)
 
+    def test_nonconverged_fit_rejected(self):
+        matrix, _ = random_matrix(37, n=8, k=10)
+        result = dataclasses.replace(fit(matrix), converged=False)
+        with pytest.raises(ScalingError, match="^bootstrap requires a converged fit$"):
+            bootstrap(result, B=10)
+
+    def test_replicate_with_one_nonzero_column_is_an_error(self):
+        # every rate but the first column's is e^-30 at the clamp: each
+        # replicate keeps one column, and no fit scales one feature
+        matrix, _ = random_matrix(31, n=8, k=10)
+        result = fit(matrix)
+        params = ScalingParams(alpha=np.zeros(8), psi=np.r_[5.0, np.full(9, -50.0)],
+                               theta=result.params.theta, beta=np.zeros(10))
+        with pytest.raises(ScalingError, match=r"failed on 10/10 replicates "
+                           r"\(zero_row 0, not_converged 0, error 10\)"):
+            bootstrap(dataclasses.replace(result, params=params), B=10, seed=0)
+
     def test_nonconverged_replicates_are_failures(self):
         matrix, _ = random_matrix(31, n=8, k=10)
         result = fit(matrix)

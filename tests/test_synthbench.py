@@ -75,6 +75,13 @@ class TestGenerateMatrix:
         with pytest.raises(SynthError, match=r"^spec key 'n_docs' must be >= 2, got 1$"):
             SyntheticSpec.create(n_docs=1)
 
+    def test_persistent_degenerate_draws_rejected(self):
+        # rates of e^-50: every draw is all zero
+        spec = SyntheticSpec(0, np.zeros(2), np.zeros(2), np.full(2, -50.0), np.zeros(2))
+        with pytest.raises(SynthError, match="^persistent degenerate draws: "
+                           "all-zero row or column$"):
+            generate_matrix(spec)
+
 
 def _reference_specs():
     """Cases (spec, doc_metadata): the planted corpora of acceptance criteria 7,
@@ -124,8 +131,19 @@ class TestGenerateCorpus:
          "word_concentration must be positive and finite, got nan"),
         ({"polarity": (float("nan"), 0.6)}, r"polarity must be finite, got \(nan, 0.6\)"),
         ({"run_length": 0}, "spec key 'run_length' must be >= 1, got 0"),
+        ({"polarity": (0.6,)}, "polarity must match the number of communities"),
+        ({"communities": (COM_A, ("solo",))}, "planted communities need >= 2 words"),
+        ({"theta_star": np.zeros(3)}, "theta_star must hold n_docs = 4 finite positions"),
+        ({"theta_star": np.array([0.0, 1.0, np.nan, -1.0])},
+         "theta_star must hold n_docs = 4 finite positions"),
+        # exp(1000) is past the float range, exp(-1000) rounds to 0; neither warns
+        ({"polarity": (1e3, -1e3), "theta_star": np.ones(4)},
+         r"document 0: run intensities exp\(polarity \* theta\) overflow"),
+        ({"polarity": (-1e3, -1e3), "theta_star": np.ones(4)},
+         r"document 0: run intensities exp\(polarity \* theta\) all underflow to 0"),
     ], ids=["concentration-0", "concentration-negative", "concentration-nan", "polarity-nan",
-            "run-length-0"])
+            "run-length-0", "polarity-count", "one-word-community", "theta-short",
+            "theta-nan", "intensity-overflow", "intensity-underflow"])
     def test_bad_spec_is_a_one_line_error(self, changes, message):
         with pytest.raises(SynthError, match=f"^{message}$"):
             generate_corpus(dataclasses.replace(planted_spec(0, n_docs=4, runs=3), **changes))
