@@ -8,6 +8,7 @@ holds it.
 """
 
 import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -28,16 +29,24 @@ def main():
     parser.add_argument("--out", default="comparison_report.json")
     args = parser.parse_args()
 
-    rng = np.random.default_rng(args.seed)
     communities = tuple(
         tuple(f"c{k}w{i}" for i in range(args.community_size))
         for k in range(args.n_communities)
     )
-    if args.n_communities == 2:
-        polarity = (args.polarity, -args.polarity)
-    else:
-        polarity = tuple(float(p) for p in rng.normal(
-            scale=args.polarity, size=args.n_communities))
+    try:  # a size, threshold, seed or polarity out of its domain
+        config = cf.RunConfig(min_bigram_count=args.pi, seed=args.seed)
+        if args.n_communities == 2:
+            polarity = (args.polarity, -args.polarity)
+        else:
+            polarity = tuple(float(p) for p in np.random.default_rng(args.seed).normal(
+                scale=args.polarity, size=args.n_communities))
+        base = cf.PlantedCorpusSpec(
+            communities, polarity, n_docs=args.n_docs,
+            runs_per_doc=args.runs_per_doc, run_length=6,
+            word_concentration=0.5, seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     rows = []
     # a fit that stopped at max_iter, or whose linear predictor was clamped,
@@ -47,14 +56,8 @@ def main():
     both = 0
     for rep in range(args.replications):
         seed = args.seed + rep
-        spec = cf.PlantedCorpusSpec(
-            communities, polarity, n_docs=args.n_docs,
-            runs_per_doc=args.runs_per_doc, run_length=6,
-            word_concentration=0.5, seed=seed,
-        )
-        corpus, spec = cf.generate_corpus(spec)
-        config = cf.RunConfig(min_bigram_count=args.pi, seed=seed)
-        comparison = cf.compare_models(corpus, config)
+        corpus, spec = cf.generate_corpus(dataclasses.replace(base, seed=seed))
+        comparison = cf.compare_models(corpus, dataclasses.replace(config, seed=seed))
         planted = dict(zip((d.id for d in corpus.documents), spec.theta_star))
         # rho is over the documents a branch fitted, which trimming may have
         # thinned; a branch that failed has no rho, and its error goes into the row

@@ -5,8 +5,11 @@ Configuration is a flat ``key = value`` text file; command-line flags win
 over file values. Exit codes: 1 IO/config error, 2 empty pipeline stage,
 3 estimation failure.
 
-``run_pipeline`` is the one place that runs the stages in order; every
-command and the library's ``compare_models`` go through it.
+``run_pipeline`` is the one place that runs the stages on a corpus in
+order: ``scale``, ``compare`` and the library's ``compare_models`` go through
+it, and ``communities`` runs its clustering stage, ``_cluster``, alone.
+``simulate`` has no corpus and does not go through it: it runs
+``synthbench.simulate`` on a planted matrix.
 """
 
 from __future__ import annotations
@@ -53,14 +56,7 @@ from .scaling import (
     bootstrap,
     fit,
 )
-from .synthbench import (
-    SimulationSpec,
-    SynthError,
-    SyntheticSpec,
-    generate_matrix,
-    recovery_report,
-    spearman,
-)
+from .synthbench import SimulationSpec, SynthError, simulate, spearman
 
 # Unused here. perfbench/child.py wraps these names on this module, so they must resolve.
 from .corpus import tokenize  # noqa: F401
@@ -467,15 +463,10 @@ def cmd_compare(args, config: RunConfig, out: Path) -> tuple[str, dict]:
 
 
 def cmd_simulate(args, config: RunConfig, out: Path) -> tuple[str, dict]:
-    spec = SyntheticSpec.create(**dataclasses.asdict(args.spec), seed=config.seed)
-    matrix, spec = generate_matrix(spec)
-    result = fit(matrix, config)
-    if config.bootstrap_b > 0:
-        result = bootstrap(result, B=config.bootstrap_b, seed=config.seed)
-    metrics = recovery_report(spec.theta_star, result)
-    report = {"spec": dataclasses.asdict(args.spec), **result.summary(), **metrics}
+    report = {"spec": dataclasses.asdict(args.spec),
+              **simulate(args.spec, config, config.seed, config.bootstrap_b)}
     (out / "report.json").write_text(json.dumps(report, indent=2))
-    return f"recovery pearson = {metrics['pearson']:.4f}", {}
+    return f"recovery pearson = {report['pearson']:.4f}", {}
 
 
 # Each subcommand's handler, its help line and the files it writes to out

@@ -208,7 +208,8 @@ def initialize(matrix: CountMatrix) -> ScalingParams:
     means for psi, first singular pair of the doubly centered log counts
     log(y + 0.1) for (theta, beta). The pair comes from the top eigenvector
     of the smaller Gram matrix, which costs a fraction of a thin SVD of a
-    wide matrix."""
+    wide matrix. Where that theta has no variance, the counts hold no
+    position to start from: a ScalingError."""
     y = matrix.counts
     n, k = y.shape
     if k < 2:
@@ -237,9 +238,8 @@ def initialize(matrix: CountMatrix) -> ScalingParams:
     theta_raw, v = (first, other) if wide else (other, first)
     sd = theta_raw.std(ddof=1)
     if sd < 1e-12:
-        rng = np.random.default_rng(0)
-        theta_raw = rng.normal(size=n)
-        sd = theta_raw.std(ddof=1)
+        raise ScalingError("no positional signal: the doubly centered log counts are zero, "
+                           "so the starting theta has no variance")
     theta = (theta_raw - theta_raw.mean()) / sd
     beta = s * v * sd
     return ScalingParams(alpha=alpha, psi=psi, theta=theta, beta=beta)
@@ -539,12 +539,10 @@ def _squarem(y: np.ndarray, start: np.ndarray, config: FitConfig,
     return _Refits(final, traces, converged, evaluations, halvings, zero_variance)
 
 
-def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
-        start: ScalingParams | None = None) -> ScalingResult:
+def fit(matrix: CountMatrix, config: FitConfig = FitConfig()) -> ScalingResult:
     """Maximize the Poisson likelihood by SQUAREM-accelerated block ascent:
-    _squarem on one replicate, from start or from initialize's values. A
-    document or feature without counts has no finite estimate: a
-    ScalingError."""
+    _squarem on one replicate, from initialize's values. A document or
+    feature without counts has no finite estimate: a ScalingError."""
     t0 = time.perf_counter()
     y = matrix.counts
     n, k = y.shape
@@ -554,10 +552,8 @@ def fit(matrix: CountMatrix, config: FitConfig = FitConfig(),
                                ("feature", matrix.feature_labels, 0)):
         if not (nonzero := y.any(axis=axis)).all():
             raise ScalingError(f"{kind} {labels[np.argmin(nonzero)]!r} has no counts")
-    start = start if start is not None else initialize(matrix)
-    x, degenerate = _standardize(start.alpha, start.theta, start.psi, start.beta)
-    if degenerate.any():
-        raise ScalingError("degenerate theta: zero variance")
+    start = initialize(matrix)
+    x = _standardize(start.alpha, start.theta, start.psi, start.beta)[0]
     doc_index = {d: i for i, d in enumerate(matrix.doc_ids)}
     for anchor in (config.anchor_low, config.anchor_high):
         if anchor and anchor not in doc_index:

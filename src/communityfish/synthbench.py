@@ -1,6 +1,7 @@
 """Generative simulation harness: planted-truth count matrices and corpora,
-and recovery metrics against the planted positions. The community-vs-unigram
-comparison is ``communityfish.cli.compare_models``."""
+recovery metrics against the planted positions, and ``simulate``, which runs
+one planted-truth recovery. The community-vs-unigram comparison is
+``communityfish.cli.compare_models``."""
 
 from __future__ import annotations
 
@@ -11,14 +12,13 @@ import numpy as np
 
 from .corpus import Corpus, Document, tokenize
 from .features import CountMatrix
-from .scaling import ScalingResult
+from .scaling import FitConfig, ScalingResult, bootstrap, fit
 
-# Unused here. perfbench/child.py wraps these seven stage functions by name on
-# this module as well as on communityfish.cli, so the names must resolve.
+# Unused here. perfbench/child.py wraps these six stage functions, and fit, by
+# name on this module as well as on communityfish.cli, so the names must resolve.
 from .corpus import count_bigrams, filter_bigrams  # noqa: F401
 from .features import community_dtm, unigram_dtm  # noqa: F401
 from .graph import build_graph, louvain  # noqa: F401
-from .scaling import fit  # noqa: F401
 
 
 class SynthError(ValueError):
@@ -256,3 +256,16 @@ def recovery_report(theta_star: np.ndarray, result: ScalingResult) -> dict:
             low, high = -high, -low
         report["ci_coverage"] = float(np.mean((low <= theta_star) & (theta_star <= high)))
     return report
+
+
+def simulate(sim: SimulationSpec, config: FitConfig, seed: int, bootstrap_b: int) -> dict:
+    """One planted-truth recovery run: draw a planted matrix of size ``sim``
+    from ``seed``, fit it under ``config``, bootstrap it with ``bootstrap_b``
+    replicates when that is positive, and return the fit's summary and its
+    recovery metrics as one dict of JSON values."""
+    spec = SyntheticSpec.create(sim.n_docs, sim.n_features, sim.expected_row_total, seed=seed)
+    matrix, spec = generate_matrix(spec)
+    result = fit(matrix, config)
+    if bootstrap_b > 0:
+        result = bootstrap(result, B=bootstrap_b, seed=seed)
+    return {**result.summary(), **recovery_report(spec.theta_star, result)}

@@ -28,13 +28,14 @@ from communityfish.cli import (
 )
 from communityfish.features import MatrixError
 from communityfish.graph import GraphError
-from communityfish.scaling import ScalingError, fit
+from communityfish.scaling import FitConfig, ScalingError, fit
 from communityfish.synthbench import (
     PlantedCorpusSpec,
     SynthError,
     SyntheticSpec,
     generate_corpus,
     generate_matrix,
+    simulate,
 )
 
 COM_A = tuple(f"alpha{i}" for i in range(5))
@@ -353,7 +354,42 @@ class TestScripts:
         summary = self._run_script(monkeypatch, tmp_path, "run_recovery_experiment.py",
                                    "--replications", "3", "--bootstrap-b", "50")
         assert [row["error"] for row in summary["replications"]] == [None] * 3
+        assert summary["converged"] == 3
         assert summary["min_pearson"] > 0.99 and 0.8 <= summary["mean_coverage"] <= 1
+
+    def test_recovery_experiment_averages_only_sound_rows(self, monkeypatch, tmp_path):
+        # seed 0 converges with its clamp active and seed 1 stops at
+        # max_iter: both rows stay, each simulate's report, and neither is
+        # averaged
+        summary = self._run_script(
+            monkeypatch, tmp_path, "run_recovery_experiment.py", "--n-docs", "6",
+            "--n-features", "8", "--row-total", "12", "--replications", "2")
+        rows = summary["replications"]
+        assert [(r["converged"], r["clamp_activated"]) for r in rows] == [(True, True),
+                                                                         (False, True)]
+        for seed, row in enumerate(rows):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                report = simulate(SimulationSpec(6, 8, 12), FitConfig(), seed, 0)
+            assert without_runtime(row) == {"seed": seed, **without_runtime(report),
+                                            "error": None}
+        assert summary["converged"] == 0
+        assert summary["mean_pearson"] is summary["min_pearson"] is None
+
+    @pytest.mark.parametrize("name, flag, value, message", [
+        ("run_recovery_experiment.py", "--n-docs", "1", "spec key 'n_docs' must be >= 2, got 1"),
+        ("run_model_comparison.py", "--n-communities", "1", "need >= 2 planted communities"),
+        ("run_model_comparison.py", "--pi", "0",
+         "config key 'min_bigram_count' must be >= 1, got 0"),
+    ])
+    def test_bad_argument_is_one_usage_error(self, monkeypatch, tmp_path, capsys, name, flag,
+                                             value, message):
+        with pytest.raises(SystemExit) as exited:
+            self._run_script(monkeypatch, tmp_path, name, flag, value)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"\n{name}: error: {message}\n") and "Traceback" not in err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_recovery_experiment_records_a_failed_replication(self, monkeypatch, tmp_path):
         # seed 0's bootstrap fails on every replicate: the row holds the
@@ -366,6 +402,7 @@ class TestScripts:
             "seed": 0,
             "error": "bootstrap failed on 30/30 replicates (zero_row 30, not_converged 0, error 0)",
         }]
+        assert summary["converged"] == 0
         assert summary["mean_pearson"] is summary["min_pearson"] is None
         assert summary["mean_coverage"] is None
 
@@ -870,6 +907,41 @@ class TestCompare:
         assert report["both_converged"] is False
 
 
+class TestNoPositionalSignal:
+    """Five identical documents hold no position to scale: every command that
+    fits them exits 3 with one line, and writes no scale."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        text = "alpha beta gamma delta alpha beta gamma delta epsilon zeta alpha beta"
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps({"id": f"d{i}", "text": text}) + "\n"
+                                for i in range(5)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {path}\nmin_bigram_count = 1\nmin_community_size = 1\n"
+                       "bootstrap_b = 5\n")
+        return cfg
+
+    @pytest.mark.parametrize("flags", [[], ["--se", "analytic"], ["--baseline"]])
+    def test_scale_exits_3(self, config, tmp_path, flags):
+        out = tmp_path / "o"
+        rc, err = _run_quietly(["scale", *flags, "--config", str(config), "--out", str(out),
+                                "--quiet"])
+        assert rc == 3
+        assert err.startswith("error: no positional signal: ") and err.count("\n") == 1
+        assert not (out / "positions.csv").exists()
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
+
+    def test_compare_exits_3_with_both_branches_failed(self, config, tmp_path):
+        out = tmp_path / "o"
+        rc, err = _run_quietly(["compare", "--config", str(config), "--out", str(out),
+                                "--quiet"])
+        assert rc == 3
+        assert err.startswith("error: both branches failed: ") and err.count("\n") == 1
+        assert err.count("no positional signal: ") == 2
+        assert not (out / "report.json").exists()
+
+
 class TestSimulate:
     def test_default_spec_recovers(self, tmp_path):
         rc = main(["simulate", "--out", str(tmp_path / "sim"), "--quiet"])
@@ -898,6 +970,16 @@ class TestSimulate:
         summary = fit(generate_matrix(spec)[0], RunConfig()).summary()
         assert summary.keys() <= report.keys()
         assert without_runtime({k: report[k] for k in summary}) == without_runtime(summary)
+
+    def test_report_is_the_spec_and_the_simulation(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("seed = 1\nbootstrap_b = 20\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"), "--quiet"])
+        assert rc == 0
+        report = json.loads((tmp_path / "sim" / "report.json").read_text())
+        run = simulate(SimulationSpec(), read_config(cfg), 1, 20)
+        assert without_runtime(report) == without_runtime(
+            {"spec": dataclasses.asdict(SimulationSpec()), **run})
 
     def test_spec_file(self, tmp_path):
         spec = tmp_path / "sim.spec"

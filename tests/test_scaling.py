@@ -32,12 +32,23 @@ def random_matrix(seed, n=8, k=10, row_total=300):
     return matrix, spec
 
 
+def refit_from(counts, params: ScalingParams, config: FitConfig):
+    """_squarem on the counts alone, a batch of one, from params
+    standardized: the refit bootstrap runs for each replicate."""
+    start = scaling._standardize(params.alpha, params.theta, params.psi, params.beta)[0]
+    y = np.asarray(counts, dtype=float)[np.newaxis]
+    return scaling._squarem(y, start[np.newaxis], config, np.empty(y.shape))
+
+
 class TestInitialize:
-    def test_identical_rows_zero_alpha(self):
-        counts = np.tile(np.array([[3, 1, 4, 2]]), (4, 1))
-        matrix = CountMatrix(tuple("abcd"), tuple("wxyz"), counts)
-        params = initialize(matrix)
-        assert np.allclose(params.alpha, 0.0)
+    @pytest.mark.parametrize("n", [4, 6])  # a wide and a tall matrix
+    def test_identical_rows_have_no_positional_signal(self, n):
+        counts = np.tile(np.array([[3, 1, 4, 2]]), (n, 1))
+        matrix = CountMatrix(tuple("abcdef"[:n]), tuple("wxyz"), counts)
+        with pytest.raises(ScalingError, match="^no positional signal: "):
+            initialize(matrix)
+        with pytest.raises(ScalingError, match="^no positional signal: "):
+            fit(matrix)
 
     def test_single_feature_rejected(self):
         matrix = CountMatrix(("a", "b"), ("f",), np.array([[1], [2]]))
@@ -417,10 +428,10 @@ class TestLineSearch:
         # absolute acceptance bound
         matrix, _ = random_matrix(1, n=20, k=30, row_total=50000)
         result = fit(matrix)
-        refit = fit(matrix, start=result.params)
-        assert refit.converged and len(refit.loglik_trace) == 2
-        assert refit.map_evaluations > 0
-        assert refit.line_search_halvings <= 5
+        refit = refit_from(matrix.counts, result.params, result.config)
+        assert refit.converged[0] and len(refit.traces[0]) == 2
+        assert refit.evaluations[0] > 0
+        assert refit.halvings[0] <= 5
 
 
 class TestGradients:
@@ -543,13 +554,14 @@ class TestBootstrap:
             "zero_row": boot.bootstrap_failures, "not_converged": 0, "error": 0}
 
     @staticmethod
-    def _one_fit_per_replicate(matrix, result, B, seed):
+    def _one_fit_per_replicate(result, B, seed):
         """The bootstrap as one fit per replicate: the same draws in order,
-        each refit under the fit's config on its non-zero columns from the
-        point estimate, theta sign-aligned by correlation. Also counts the
-        replicates that drop a column."""
+        each refit alone by refit_from, under the fit's config on its non-zero
+        columns from the point estimate, theta sign-aligned by correlation.
+        Also counts the replicates that drop a column."""
         rng = np.random.default_rng(seed)
         mu = np.exp(np.clip(_eta(result.params), -30.0, 30.0))
+        n = len(mu)
         failures = dict.fromkeys(("zero_row", "not_converged", "error"), 0)
         reps, dropped = [], 0
         for _ in range(B):
@@ -559,32 +571,30 @@ class TestBootstrap:
                 continue
             cols = y.any(axis=0)
             dropped += not cols.all()
-            labels = tuple(np.array(matrix.feature_labels)[cols])
-            start = dataclasses.replace(result.params, psi=result.params.psi[cols],
-                                        beta=result.params.beta[cols])
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    rep = fit(CountMatrix(matrix.doc_ids, labels, y[:, cols]), result.config,
-                              start=start)
-            except ScalingError:
+            if np.count_nonzero(cols) < 2:  # no fit of one feature
                 failures["error"] += 1
                 continue
-            if not rep.converged:
+            start = dataclasses.replace(result.params, psi=result.params.psi[cols],
+                                        beta=result.params.beta[cols])
+            rep = refit_from(y[:, cols], start, result.config)
+            if rep.degenerate[0]:
+                failures["error"] += 1
+                continue
+            if not rep.converged[0]:
                 failures["not_converged"] += 1
                 continue
-            theta = rep.params.theta
+            theta = rep.x[0, n:2 * n]
             reps.append(-theta if np.corrcoef(theta, result.params.theta)[0, 1] < 0 else theta)
         thetas = np.array(reps)
         return (thetas.std(axis=0, ddof=1), np.percentile(thetas, 2.5, axis=0),
                 np.percentile(thetas, 97.5, axis=0), failures, dropped)
 
-    def _bootstrap_equal_to_one_fit_per_replicate(self, matrix, result):
+    def _bootstrap_equal_to_one_fit_per_replicate(self, result):
         """bootstrap(result, B=40, seed=4), checked against
         _one_fit_per_replicate; also returns how many replicates dropped a
         column."""
         boot = bootstrap(result, B=40, seed=4)
-        se, low, high, failures, dropped = self._one_fit_per_replicate(matrix, result, 40, 4)
+        se, low, high, failures, dropped = self._one_fit_per_replicate(result, 40, 4)
         np.testing.assert_allclose(boot.theta_se, se, rtol=0, atol=1e-10)
         np.testing.assert_allclose(boot.theta_ci_low, low, rtol=0, atol=1e-10)
         np.testing.assert_allclose(boot.theta_ci_high, high, rtol=0, atol=1e-10)
@@ -598,7 +608,7 @@ class TestBootstrap:
         else:
             matrix, _ = random_matrix(31, n=8, k=10)
             result = fit(matrix)
-        _, dropped = self._bootstrap_equal_to_one_fit_per_replicate(matrix, result)
+        _, dropped = self._bootstrap_equal_to_one_fit_per_replicate(result)
         if sparse:  # some replicates keep the sparse column, others drop it
             assert 0 < dropped < 40
 
@@ -606,7 +616,7 @@ class TestBootstrap:
         # a loose tol stops the refits sooner than the default tol would
         matrix, _ = random_matrix(31, n=8, k=10)
         result = fit(matrix, FitConfig(tol=1e-5))
-        boot, _ = self._bootstrap_equal_to_one_fit_per_replicate(matrix, result)
+        boot, _ = self._bootstrap_equal_to_one_fit_per_replicate(result)
         default = bootstrap(fit(matrix), B=40, seed=4)
         assert boot.bootstrap_map_evaluations < default.bootstrap_map_evaluations
 
